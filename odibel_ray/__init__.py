@@ -45,7 +45,7 @@ reference (temporal change replay + relational operator library, see
                               enrichment, profile evaluators, entity model, CLI
 
 No module in this package calls ``ray.init``/``ray.shutdown``; sessions are
-owned by the CLI, bench.py and the test fixture.
+owned by the CLI, the benchmark (``perfbench/``) and the test fixture.
 """
 
 __version__ = "0.1.0"

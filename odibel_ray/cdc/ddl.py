@@ -207,21 +207,18 @@ def alter_published(
     within one call; call repeatedly for other orders). Metadata-only and
     validated against the CURRENT logical schema before anything is
     written."""
-    from odibel_ray.cdc.sink import TABLE_MANIFEST, _atomic_write_json, load_manifests
+    from odibel_ray.cdc.sink import TABLE_MANIFEST, _table_layout, load_manifests
 
-    tman_path = os.path.join(out_dir, TABLE_MANIFEST)
-    if not os.path.exists(tman_path):
+    if not os.path.exists(os.path.join(out_dir, TABLE_MANIFEST)):
         raise FileNotFoundError(f"no published table under {out_dir}")
-    with open(tman_path) as f:
-        if not json.load(f).get("generic"):
-            raise ValueError(
-                "alter_published targets GENERIC published tables; transcript "
-                "tables evolve through in-log schema-change events"
-            )
-    with open(os.path.join(out_dir, "_layout.json")) as f:
-        _layout = json.load(f)
-    key_cols = set(_layout["key_cols"])
-    cluster_cols = set(_layout.get("cluster_by") or [])
+    layout = _table_layout(out_dir)
+    if layout["system"]:
+        raise ValueError(
+            "alter_published targets GENERIC published tables; transcript "
+            "tables evolve through in-log schema-change events"
+        )
+    key_cols = set(layout["key_cols"])
+    cluster_cols = set(layout["cluster_by"] or [])
 
     manifests = load_manifests(out_dir)
     if not manifests:
@@ -312,14 +309,15 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
     import ray.data as rd
 
     from odibel_ray.cdc.sink import (
+        LAYOUT_FILE,
         STAGING_DIR,
         TABLE_MANIFEST,
         _atomic_write_json,
-        _bucket_filename,
+        _commit_table,
         _publish_stream,
-        _write_data_file,
+        _stage_bucket,
+        _table_layout,
         load_manifests,
-        record_snapshot,
         table_lock,
     )
 
@@ -352,11 +350,9 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
             smap = SchemaMap(physical, ops)
             staging = os.path.join(out_dir, STAGING_DIR, rid)
             os.makedirs(staging, exist_ok=True)
-            layout_path = os.path.join(out_dir, "_layout.json")
+            layout = _table_layout(out_dir)["pinned"]
             bloom_cols: list[str] = []
-            if os.path.exists(layout_path):
-                with open(layout_path) as f:
-                    layout = json.load(f)
+            if layout is not None:
                 # Translate layout column references through the rename/drop
                 # ops BEFORE the first rewrite: files come out carrying
                 # logical names, so a bloom/cluster column pinned under its
@@ -386,69 +382,45 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
                     changed |= nc != layout["cluster_by"]
                     layout["cluster_by"] = nc
                 if changed:
-                    _atomic_write_json(layout_path, layout)
+                    _atomic_write_json(os.path.join(out_dir, LAYOUT_FILE), layout)
                 bloom_cols = list(layout.get("bloom_cols") or [])
-            descs = [
-                {
-                    "bucket": int(b),
-                    "file": os.path.join(out_dir, m["file"]),
-                    "n_events": int(m.get("n_events", m["rows_out"])),
-                    "watermarks": json.dumps(m.get("watermarks", {})),
-                }
-                for b, m in pending.items()
-            ]
+            items = [{"m": json.dumps(m)} for m in pending.values()]
 
             def _rewrite(batch: pa.Table) -> pa.Table:
                 from odibel_ray.cdc.apply import limit_arrow_threads
 
                 limit_arrow_threads()
                 outs = []
-                for row in batch.to_pylist():
-                    bucket = int(row["bucket"])
-                    out = smap.adapt(pq.read_table(row["file"]))
-                    fname = _bucket_filename(bucket, rid)
-                    staged = os.path.join(staging, fname)
-                    _write_data_file(out, staged)
+                for m in map(json.loads, batch["m"].to_pylist()):
+                    out = smap.adapt(pq.read_table(os.path.join(out_dir, m["file"])))
                     # a bloom-indexed table keeps its equality pruning through
                     # the rewrite (upsert/compact rebuild sidecars the same way)
-                    live_blooms = [c for c in bloom_cols if c in out.column_names]
-                    if live_blooms:
-                        from odibel_ray.cdc.skipping import (
-                            BLOOM_SUFFIX,
-                            build_bloom_sidecar,
-                        )
-
-                        build_bloom_sidecar(out, live_blooms, staged + BLOOM_SUFFIX)
-                    outs.append(pa.table({
-                        "bucket": pa.array([bucket], pa.int64()),
-                        "rows_out": pa.array([len(out)], pa.int64()),
-                        "n_events": pa.array([int(row["n_events"])], pa.int64()),
-                        "file": pa.array([fname], pa.string()),
-                        "staged": pa.array([staged], pa.string()),
-                        "watermarks": pa.array([row["watermarks"]], pa.string()),
-                        "run_id": pa.array([rid], pa.string()),
-                        "feed_staged": pa.array([""], pa.string()),
-                        "feed_final": pa.array([""], pa.string()),
-                    }))
+                    outs.append(_stage_bucket(
+                        out,
+                        bucket=int(m["bucket"]),
+                        staging=staging,
+                        run_id=rid,
+                        n_events=int(m.get("n_events", m["rows_out"])),
+                        watermarks=json.dumps(m.get("watermarks", {})),
+                        bloom_cols=[c for c in bloom_cols if c in out.column_names],
+                    ))
                 return pa.concat_tables(outs)
 
-            manifest_ds = rd.from_items(descs).map_batches(
+            manifest_ds = rd.from_items(items).map_batches(
                 _rewrite, batch_format="pyarrow", batch_size=1
             )
             n_done = len(_publish_stream(manifest_ds, out_dir))
         os.remove(_ops_path(out_dir))
         with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
             tman = json.load(f)
-        tman["last_run_id"] = rid
         # bump the DDL generation so the NEXT alter+materialize cycle derives
         # a fresh rewrite id even with the same caller run_id
         tman["ddl_generation"] = gen + 1
-        _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
-        snap = record_snapshot(out_dir, "materialize_ddl")
+        _, snap = _commit_table(out_dir, tman, "materialize_ddl", rid)
     return {
         "materialized": n_done,
         "skipped": len(manifests) - n_done,
         "ops_cleared": len(ops),
-        "snapshot": snap["version"] if snap else None,
+        "snapshot": snap,
         "out_dir": out_dir,
     }

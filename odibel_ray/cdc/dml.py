@@ -59,16 +59,17 @@ def _dml_run_id(run_id: str | None, stmt: str) -> str:
     return f"{stmt}-{uuid.uuid4().hex[:8]}"
 
 
-def _layout_keys(out_dir: str) -> list[str]:
-    path = os.path.join(out_dir, "_layout.json")
-    if not os.path.exists(path):
+def _generic_layout(out_dir: str) -> dict:
+    from odibel_ray.cdc.sink import _table_layout
+
+    layout = _table_layout(out_dir)
+    if layout["system"]:
         raise FileNotFoundError(
             f"{out_dir} is not a generic published table (no _layout.json); "
             "DML targets publish_dataset tables — transcript tables mutate "
             "through their change log (incremental_apply with D events)"
         )
-    with open(path) as f:
-        return list(json.load(f)["key_cols"])
+    return layout
 
 
 def delete_published(
@@ -102,7 +103,7 @@ def delete_published(
             "table); pass an explicit always-true clause if you mean it"
         )
     run_id = _dml_run_id(run_id, "delete")
-    keys = _layout_keys(out_dir)
+    keys = _generic_layout(out_dir)["key_cols"]
     matching = read_published(out_dir, where=list(where), columns=keys)
     n = matching.count()
     if n == 0:
@@ -187,7 +188,7 @@ def update_published(
     from odibel_ray.cdc.sink import read_published, upsert_published
 
     run_id = _dml_run_id(run_id, "update")
-    keys = _layout_keys(out_dir)
+    keys = _generic_layout(out_dir)["key_cols"]
     matching = read_published(out_dir, where=list(where) or None)
     schema = matching.schema()
     columns = list(schema.names)
@@ -373,7 +374,7 @@ def merge_published(
 
     from odibel_ray.cdc.ddl import SCHEMA_OPS, load_schema_meta
     from odibel_ray.cdc.lww import _same_next_key_mask, bucket_of_keys
-    from odibel_ray.cdc.sink import load_manifests, merge_base_deltas, upsert_published
+    from odibel_ray.cdc.sink import _read_bucket, load_manifests, upsert_published
 
     run_id = _dml_run_id(run_id, "merge")
     if when_matched not in ("update", "delete", None):
@@ -397,19 +398,12 @@ def merge_published(
         raise ValueError("not_matched_by_source_condition cannot reference ('s', ...) "
                          "columns (there is no matching source row)")
 
-    layout_path = os.path.join(out_dir, "_layout.json")
-    if not os.path.exists(layout_path):
-        raise FileNotFoundError(
-            f"{out_dir} is not a generic published table (no _layout.json); "
-            "MERGE targets publish_dataset tables"
-        )
-    with open(layout_path) as f:
-        layout = json.load(f)
-    if layout.get("cluster_by"):
+    layout = _generic_layout(out_dir)
+    if layout["cluster_by"]:
         raise ValueError("MERGE cannot target a range-clustered table (a key's bucket "
                          "is not derivable from the key); maintain the hash-bucketed primary")
-    keys = list(layout["key_cols"])
-    num_buckets = int(layout["num_buckets"])
+    keys = layout["key_cols"]
+    num_buckets = layout["num_buckets"]
     if os.path.exists(os.path.join(out_dir, SCHEMA_OPS)) and load_schema_meta(out_dir).get("ops"):
         raise ValueError(
             "MERGE over a table with pending metadata-only schema ops is not "
@@ -431,10 +425,6 @@ def merge_published(
 
     manifests = load_manifests(out_dir)
     bucket_file = {b: os.path.join(out_dir, m["file"]) for b, m in manifests.items()}
-    bucket_deltas = {
-        b: [os.path.join(out_dir, d["file"]) for d in m.get("deltas", [])]
-        for b, m in manifests.items()
-    }
     t_cond_cols = sorted(
         set(_merge_cond_cols(matched_condition, "t"))
         | set(_merge_cond_cols(not_matched_by_source_condition, "t"))
@@ -496,16 +486,10 @@ def merge_published(
                 dup = {k: srt[k][i].as_py() for k in keys}
                 raise ValueError(f"MERGE source has multiple rows for key {dup} "
                                  "(SQL MERGE cardinality violation)")
-        file = bucket_file.get(b)
-        deltas = bucket_deltas.get(b, [])
-        if file is None:
-            tgt = tgt_read_schema.empty_table()
-        elif deltas:
-            base = pq.read_table(file, columns=tcols_read)
-            dts = [pq.read_table(f, columns=tcols_read + ["_op", "_lsn"]) for f in deltas]
-            tgt = merge_base_deltas(base, dts, keys=keys).select(tcols_read)
+        if b in manifests:
+            tgt = _read_bucket(out_dir, manifests[b], keys, columns=tcols_read)
         else:
-            tgt = pq.read_table(file, columns=tcols_read).select(tcols_read)
+            tgt = tgt_read_schema.empty_table()
         tgt = tgt.rename_columns(keys + [_T_PREFIX + c for c in tcols_read[len(keys):]])
         pieces = []
 

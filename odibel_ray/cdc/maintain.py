@@ -116,7 +116,7 @@ def catalog(root: str) -> list[dict]:
     import json as _json
 
     from odibel_ray.cdc.pipeline import _META_FILES
-    from odibel_ray.cdc.sink import TABLE_MANIFEST, list_snapshots
+    from odibel_ray.cdc.sink import TABLE_MANIFEST, _table_layout, list_snapshots
 
     rows = []
     for dirpath, dirnames, filenames in os.walk(root):
@@ -125,7 +125,7 @@ def catalog(root: str) -> list[dict]:
         dirnames[:] = [d for d in dirnames if not d.startswith("_")]
         with open(os.path.join(dirpath, TABLE_MANIFEST)) as f:
             tman = _json.load(f)
-        kind = "generic" if tman.get("generic") else "transcript"
+        kind = "transcript" if _table_layout(dirpath)["system"] else "generic"
         upstreams: list[str] = []
         for fname, k in _META_FILES.items():
             mpath = os.path.join(dirpath, fname)
@@ -195,6 +195,7 @@ def clone_table(
         MANIFEST_DIR,
         TABLE_MANIFEST,
         _atomic_write_json,
+        _commit_table,
         load_manifests,
         snapshot_manifests,
         table_lock,
@@ -264,18 +265,8 @@ def clone_table(
                 _link(meta, always_copy=True)
         with open(os.path.join(src_dir, TABLE_MANIFEST)) as f:
             tman = json.load(f)
-    tman.update(
-        {
-            "buckets": sorted(manifests),
-            "rows_total": int(sum(m["rows_out"] for m in manifests.values())),
-            "mor_deltas": int(
-                sum(len(m.get("deltas", [])) for m in manifests.values())
-            ),
-            "last_run_id": run_id,
-            "cloned_from": {"table": os.path.abspath(src_dir), "version": version},
-        }
-    )
-    _atomic_write_json(os.path.join(dst_dir, TABLE_MANIFEST), tman)
+    tman["cloned_from"] = {"table": os.path.abspath(src_dir), "version": version}
+    _commit_table(dst_dir, tman, "clone_table", run_id)
     return {
         "src": src_dir,
         "dst": dst_dir,

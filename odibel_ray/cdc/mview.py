@@ -277,11 +277,9 @@ def _load_meta(view_out: str) -> dict:
 
 
 def _base_keys(base_out: str) -> list[str]:
-    layout = os.path.join(base_out, "_layout.json")
-    if os.path.exists(layout):
-        with open(layout) as f:
-            return list(json.load(f)["key_cols"])
-    return ["conv_id", "turn_idx"]
+    from odibel_ray.cdc.sink import _table_layout
+
+    return _table_layout(base_out)["key_cols"]
 
 
 def create_view(

@@ -35,6 +35,7 @@ so one bucket's converged rows fit a worker (at 100 TB: tens of thousands).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -52,6 +53,7 @@ from odibel_ray.cdc.apply import (
     compact_batch,
     prepare_events,
 )
+from odibel_ray.cdc.lww import _same_next_key_mask
 from odibel_ray.cdc.schema import SchemaTimeline, extract_timeline
 
 MANIFEST_DIR = "_manifests"
@@ -61,6 +63,39 @@ SNAPSHOT_DIR = "_snapshots"
 SNAPSHOT_POLICY = "_POLICY.json"
 
 LOGICAL_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool_name", "score", "ts"]
+LAYOUT_FILE = "_layout.json"
+#: A transcript table is a keyed table with this key, hashed on its first
+#: column only, that carries the ``_lsn``/``_part``/``_bucket`` system columns.
+TRANSCRIPT_KEYS = ["conv_id", "turn_idx"]
+
+
+def _table_layout(out_dir: str) -> dict:
+    """The one reader of a table's keyed layout. Returns ``key_cols``,
+    ``hash_cols`` (the columns the bucket id hashes), ``num_buckets``,
+    ``cluster_by``, ``bloom_cols``, ``system`` (the table carries system
+    columns and a plain read hides them) and ``pinned`` (the raw
+    ``_layout.json``, None for a transcript table).
+
+    Generic tables pin their layout in ``_layout.json`` before staging.
+    Transcript tables have no such file: their key is built in and their
+    bucket count comes from the TABLE manifest (None = partitioned layout,
+    bucket == WAL part, so a key's bucket is not derivable from the key)."""
+    path = os.path.join(out_dir, LAYOUT_FILE)
+    if os.path.exists(path):
+        with open(path) as f:
+            pinned = json.load(f)
+        keys = list(pinned["key_cols"])
+        return {"key_cols": keys, "hash_cols": keys, "num_buckets": int(pinned["num_buckets"]),
+                "cluster_by": pinned.get("cluster_by"), "bloom_cols": pinned.get("bloom_cols"),
+                "system": False, "pinned": pinned}
+    num_buckets = None
+    tman_path = os.path.join(out_dir, TABLE_MANIFEST)
+    if os.path.exists(tman_path):
+        with open(tman_path) as f:
+            num_buckets = json.load(f).get("num_buckets")
+    return {"key_cols": list(TRANSCRIPT_KEYS), "hash_cols": TRANSCRIPT_KEYS[:1],
+            "num_buckets": num_buckets, "cluster_by": None, "bloom_cols": None,
+            "system": True, "pinned": None}
 
 
 def _write_data_file(table: pa.Table, path: str) -> None:
@@ -312,55 +347,50 @@ _MANIFEST_SCHEMA = pa.schema(
 )
 
 
-def _apply_write_group(
-    t: pa.Table, *, staging: str, run_id: str, metrics: str | None = None
+def _stage_bucket(
+    out: pa.Table,
+    *,
+    bucket: int,
+    staging: str,
+    run_id: str,
+    n_events: int,
+    watermarks: str = "{}",
+    delta_tag: str | None = None,
+    bloom_cols: list[str] | None = None,
+    feed: tuple[pa.Table, str] | None = None,
+    metrics: str | None = None,
+    events: int = 0,
 ) -> pa.Table:
-    """Final apply + deterministic staged write; returns ONE manifest row.
-    ``metrics``: name of a live-counter actor to fire task-side progress
-    into (:func:`odibel_ray.monitor.record_task_metrics`) — events applied,
-    rows staged, buckets finished, visible mid-replay from any process."""
-    if len(t) == 0:
-        # a shard whose events all failed prepare's validity filter publishes
-        # nothing — skip, don't IndexError the whole run
-        return _MANIFEST_SCHEMA.empty_table()
-    delay = float(os.environ.get("ODIBEL_TEST_APPLY_DELAY", "0"))
-    if delay:  # test hook: lets the kill-resume test catch the run mid-publish
-        import time
-
-        time.sleep(delay)
-    t = t.combine_chunks()
-    bucket = int(t["bucket"][0].as_py())
-    n_events = len(t)
-    wms = _bucket_watermarks(t)
-
-    t = t.take(pc.sort_indices(t, sort_keys=_SORT_KEYS))
-    t = t.filter(pa.array(_keep_last_mask(t)))
-    t = t.filter(pc.not_equal(t["op"], "D"))
-
-    out = pa.table(
-        {
-            "conv_id": t["conv_id"],
-            "turn_idx": t["turn_idx"],
-            "role": t["role"],
-            "text": t["text"],
-            "tool_name": t["tool_name"],
-            "score": t["score"],
-            "ts": t["ts"],
-            "_lsn": t["lsn"],
-            "_part": t["part"],
-            "_bucket": t["bucket"],
-        }
-    )
-    fname = _bucket_filename(bucket, run_id)
+    """The one bucket writer: stage ``out`` under a deterministic name and
+    return the bucket's ONE manifest row. Without ``delta_tag`` the file is
+    the bucket's next base (``part-<bucket>-<run_id>``, copy-on-write); with
+    it, a merge-on-read delta (``delta-<bucket>-<tag>``) that the publish
+    appends to the bucket's manifest. ``bloom_cols`` writes the base file's
+    bloom sidecar. ``feed=(table, final_path)`` stages the bucket's change
+    feed next to its data; the publish moves it into place in the same
+    per-bucket step. ``metrics`` names a live-counter actor that gets the
+    task-side progress (:func:`odibel_ray.monitor.record_task_metrics`):
+    ``events`` applied (event applies only), rows staged, buckets finished."""
+    if delta_tag is None:
+        fname = _bucket_filename(bucket, run_id)
+    else:
+        fname = f"delta-{bucket:06d}-{delta_tag}.parquet"
     staged = os.path.join(staging, fname)
     _write_data_file(out, staged)
+    if bloom_cols:
+        from odibel_ray.cdc.skipping import BLOOM_SUFFIX, build_bloom_sidecar
 
+        build_bloom_sidecar(out, bloom_cols, staged + BLOOM_SUFFIX)
+    feed_staged, feed_final = "", ""
+    if feed is not None:
+        feed_staged = os.path.join(staging, f"feed-{bucket:06d}.parquet")
+        feed_final = feed[1]
+        _write_data_file(feed[0], feed_staged)
     if metrics:
         from odibel_ray.monitor import record_task_metrics
 
-        record_task_metrics(
-            metrics, events=n_events, rows=len(out), buckets_staged=1
-        )
+        counts = {"events": events} if events else {}
+        record_task_metrics(metrics, **counts, rows=len(out), buckets_staged=1)
     return pa.table(
         {
             "bucket": pa.array([bucket], pa.int64()),
@@ -368,12 +398,90 @@ def _apply_write_group(
             "n_events": pa.array([n_events], pa.int64()),
             "file": pa.array([fname], pa.string()),
             "staged": pa.array([staged], pa.string()),
-            "watermarks": pa.array([json.dumps(wms)], pa.string()),
+            "watermarks": pa.array([watermarks], pa.string()),
             "run_id": pa.array([run_id], pa.string()),
-            "feed_staged": pa.array([""], pa.string()),
-            "feed_final": pa.array([""], pa.string()),
+            "feed_staged": pa.array([feed_staged], pa.string()),
+            "feed_final": pa.array([feed_final], pa.string()),
         }
     )
+
+
+def _apply_write_group(
+    t: pa.Table,
+    *,
+    staging: str,
+    run_id: str,
+    metrics: str | None = None,
+    base_wms: dict[int, dict[str, int]] | None = None,
+    feed: dict | None = None,
+) -> pa.Table:
+    """Final LWW apply of one bucket's events + deterministic staged write;
+    returns ONE manifest row.
+
+    ``base_wms`` (merge-on-read, the published buckets' watermarks): a
+    bucket that already has a base stages only its compacted new events as
+    a DELTA — no base read, no base rewrite. Tombstones are RETAINED
+    (``_op = 'D'``) so the reader's merge can shadow base rows. The delta
+    filename is derived from the bucket's post-apply watermark STATE, not
+    the run_id, so a crash-resume that re-applies the same events under a
+    fresh run_id overwrites the crashed run's delta instead of stacking a
+    duplicate. A bucket with no published base gets an ordinary base write.
+
+    ``feed`` (``{dir, values, lsn}``, copy-on-write only): the group carries
+    a ``_base`` side marker, and the bucket's change-data feed stages with
+    its data (see :func:`incremental_apply`)."""
+    if len(t) == 0:
+        # a shard whose events all failed prepare's validity filter publishes
+        # nothing — skip, don't IndexError the whole run
+        return _MANIFEST_SCHEMA.empty_table()
+    delay = float(os.environ.get("ODIBEL_TEST_APPLY_DELAY", "0"))
+    if delay:  # test hook: lets the kill-resume test catch the run mid-publish
+        time.sleep(delay)
+    t = t.combine_chunks()
+    bucket = int(t["bucket"][0].as_py())
+    n_events = len(t)
+    wms = _bucket_watermarks(t)
+    delta = base_wms is not None and bucket in base_wms
+    feed_out = None
+    if feed is not None:
+        from odibel_ray.cdc.apply import feed_table
+
+        feed_t = feed_table(
+            t, mask_col="_base", values=feed["values"] or ("text",),
+            with_lsn=feed["lsn"],
+        )
+        # feed filename is derived from the bucket's post-apply watermark
+        # STATE, not the run_id: a crash between feed publish and the
+        # bucket manifest write makes the resume re-apply the same events
+        # (same watermark map) under a fresh run_id — a deterministic
+        # name means the resume OVERWRITES the crashed run's feed file
+        # instead of double-counting its change rows. Two different
+        # applies of a bucket always advance some part's max LSN, so the
+        # watermark map (hashed, since parts can also drop out when all
+        # their rows are deleted) uniquely tags each state transition.
+        tag = hashlib.sha1(json.dumps(wms).encode()).hexdigest()[:16]
+        feed_out = (
+            feed_t, os.path.join(feed["dir"], f"bucket={bucket}", f"state-{tag}.parquet")
+        )
+
+    t = t.take(pc.sort_indices(t, sort_keys=_SORT_KEYS))
+    t = t.filter(pa.array(_keep_last_mask(t)))
+    if not delta:
+        t = t.filter(pc.not_equal(t["op"], "D"))
+    cols = {c: t[c] for c in LOGICAL_COLUMNS}
+    cols.update(_lsn=t["lsn"], _part=t["part"], _bucket=t["bucket"])
+    if delta:
+        cols["_op"] = t["op"]
+    out = pa.table(cols)
+    kw = dict(bucket=bucket, staging=staging, run_id=run_id, n_events=n_events,
+              metrics=metrics, events=n_events)
+    if delta:
+        # effective watermarks: merged(base, every delta) — keeps
+        # _watermark_matrix and the next run's idempotence filter exact
+        merged = _merged_watermarks(base_wms[bucket], wms)
+        tag = hashlib.sha1(json.dumps(merged, sort_keys=True).encode()).hexdigest()[:16]
+        return _stage_bucket(out, watermarks=json.dumps(merged), delta_tag=tag, **kw)
+    return _stage_bucket(out, watermarks=json.dumps(wms), feed=feed_out, **kw)
 
 
 def _bucket_filename(bucket: int, run_id: str) -> str:
@@ -440,134 +548,47 @@ def merge_base_deltas(
     return t.drop_columns(drop)
 
 
+def _read_bucket(
+    out_dir: str,
+    m: dict,
+    keys: Sequence[str],
+    columns: list[str] | None = None,
+    filters: list | None = None,
+) -> pa.Table:
+    """The one per-bucket read: bucket manifest ``m``'s base file, LWW-merged
+    with its merge-on-read deltas on ``keys`` when it has any. ``columns``
+    projects the result; the merge still reads the key + ``_lsn`` (base)
+    and ``_op`` (deltas) it needs, then projects. ``filters`` pushes a
+    conjunctive pyarrow filter into every file read — only valid for
+    predicates on ``keys``, which a merge never changes."""
+    base_path = os.path.join(out_dir, m["file"])
+    if not m.get("deltas"):
+        return pq.read_table(base_path, columns=columns, filters=filters)
+    merge_cols = bcols = None
+    if columns is not None:
+        merge_cols = list(
+            dict.fromkeys(c for c in [*columns, *keys, "_lsn"] if c != "_op")
+        )
+        have = set(pq.read_schema(base_path).names)  # generic bases lack _lsn
+        bcols = [c for c in merge_cols if c in have]
+    base = pq.read_table(base_path, columns=bcols, filters=filters)
+    deltas = [
+        pq.read_table(
+            os.path.join(out_dir, d["file"]),
+            columns=None if merge_cols is None else [*merge_cols, "_op"],
+            filters=filters,
+        )
+        for d in m["deltas"]
+    ]
+    t = merge_base_deltas(base, deltas, keys=keys)
+    return t if columns is None else t.select(columns)
+
+
 def _merged_watermarks(old: dict[str, int] | None, new: dict[str, int]) -> dict[str, int]:
     out = dict(old or {})
     for p, l in new.items():
         out[p] = max(int(l), int(out.get(p, -1)))
     return out
-
-
-def _delta_write_group(
-    t: pa.Table,
-    *,
-    staging: str,
-    run_id: str,
-    base_buckets: frozenset[int],
-    base_wms: dict[int, dict[str, int]],
-    metrics: str | None = None,
-) -> pa.Table:
-    """Merge-on-read apply: stage one bucket's NEW events as a delta file —
-    no base read, no base rewrite (the write-amplification win over the
-    copy-on-write path at high update frequency). Tombstones are RETAINED
-    (``_op = 'D'``) so the reader's merge can shadow base rows. A bucket with
-    no published base yet degenerates to an ordinary base write.
-
-    The delta filename is derived from the bucket's post-apply watermark
-    STATE (not the run_id), so a crash-resume that re-applies the same events
-    under a fresh run_id overwrites the crashed run's delta instead of
-    stacking a duplicate."""
-    if len(t) == 0:
-        return _MANIFEST_SCHEMA.empty_table()
-    t = t.combine_chunks()
-    bucket = int(t["bucket"][0].as_py())
-    if bucket not in base_buckets:
-        return _apply_write_group(t, staging=staging, run_id=run_id, metrics=metrics)
-    n_events = len(t)
-    merged_wm = _merged_watermarks(base_wms.get(bucket), _bucket_watermarks(t))
-
-    t = t.take(pc.sort_indices(t, sort_keys=_SORT_KEYS))
-    t = t.filter(pa.array(_keep_last_mask(t)))
-    out = pa.table(
-        {
-            "conv_id": t["conv_id"],
-            "turn_idx": t["turn_idx"],
-            "role": t["role"],
-            "text": t["text"],
-            "tool_name": t["tool_name"],
-            "score": t["score"],
-            "ts": t["ts"],
-            "_lsn": t["lsn"],
-            "_part": t["part"],
-            "_bucket": t["bucket"],
-            "_op": t["op"],
-        }
-    )
-    import hashlib
-
-    tag = hashlib.sha1(
-        json.dumps(merged_wm, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    fname = f"delta-{bucket:06d}-{tag}.parquet"
-    staged = os.path.join(staging, fname)
-    _write_data_file(out, staged)
-    if metrics:
-        from odibel_ray.monitor import record_task_metrics
-
-        record_task_metrics(metrics, events=n_events, rows=len(out), buckets_staged=1)
-    return pa.table(
-        {
-            "bucket": pa.array([bucket], pa.int64()),
-            "rows_out": pa.array([len(out)], pa.int64()),
-            "n_events": pa.array([n_events], pa.int64()),
-            "file": pa.array([fname], pa.string()),
-            "staged": pa.array([staged], pa.string()),
-            "watermarks": pa.array([json.dumps(merged_wm)], pa.string()),
-            "run_id": pa.array([run_id], pa.string()),
-            "feed_staged": pa.array([""], pa.string()),
-            "feed_final": pa.array([""], pa.string()),
-        }
-    )
-
-
-def _publish_mor_stream(manifest_ds, out_dir: str) -> list[dict]:
-    """Publish stream for merge-on-read applies: ``delta-*`` rows append a
-    delta descriptor to the bucket's existing manifest (and advance its
-    effective watermarks); base rows (buckets with no published base yet) go
-    through the ordinary copy-on-write base publish."""
-    published = []
-    publish_delay = float(os.environ.get("ODIBEL_TEST_PUBLISH_DELAY", "0"))
-    retained = _retained_files(out_dir)
-    for row in manifest_ds.iter_rows():
-        if publish_delay:  # test hook (see _publish_stream)
-            time.sleep(publish_delay)
-        if not row["file"].startswith("delta-"):
-            published.append(_publish_base_row(row, out_dir, retained=retained))
-            continue
-        staged = _audit_staged(row)
-        final_path = os.path.join(out_dir, row["file"])
-        os.replace(staged, final_path)
-        mpath = os.path.join(out_dir, MANIFEST_DIR, f"bucket-{int(row['bucket']):06d}.json")
-        with open(mpath) as f:
-            manifest = json.load(f)
-        deltas = manifest.setdefault("deltas", [])
-        if not any(d["file"] == row["file"] for d in deltas):
-            deltas.append(
-                {
-                    "file": row["file"],
-                    "rows_out": int(row["rows_out"]),
-                    "n_events": int(row["n_events"]),
-                    "run_id": row["run_id"],
-                }
-            )
-        # effective watermarks: merged(base, every delta) — keeps
-        # _watermark_matrix and the next run's idempotence filter exact
-        manifest["watermarks"] = json.loads(row["watermarks"])
-        manifest["last_delta_run_id"] = row["run_id"]
-        # the manifest write IS the publish (atomic pointer flip); the delta
-        # file landed first, so a crash in between leaves an orphan file
-        # (vacuumed later), never a dangling reference
-        _atomic_write_json(mpath, manifest)
-        published.append(
-            {
-                "bucket": int(row["bucket"]),
-                "kind": "delta",
-                "file": row["file"],
-                "rows_out": int(row["rows_out"]),
-                "n_events": int(row["n_events"]),
-                "run_id": row["run_id"],
-            }
-        )
-    return published
 
 
 def load_manifests(out_dir: str) -> dict[int, dict]:
@@ -708,10 +729,11 @@ def _retained_files(out_dir: str) -> frozenset[str]:
 def record_snapshot(out_dir: str, op: str) -> dict | None:
     """Freeze the table's current manifest set as the next version (no-op
     unless snapshots are enabled), then expire beyond the policy's
-    ``keep_last``. Called by every publish op after its last manifest flip;
-    a crash before this point simply means the next successful op records
-    the state — retained files from prior snapshots are never at risk
-    because the in-publish sweep keeps everything ``_retained_files`` lists."""
+    ``keep_last``. Called by every publish op after its last manifest flip
+    (:func:`_commit_table`); a crash before this point simply means the next
+    successful op records the state — retained files from prior snapshots
+    are never at risk because the in-publish sweep keeps everything
+    ``_retained_files`` lists."""
     keep_last = snapshot_policy(out_dir)
     if keep_last is None:
         return None
@@ -758,20 +780,37 @@ def expire_snapshots(out_dir: str, keep_last: int | None = None) -> dict:
             removed["snapshots"] += 1
         except OSError:
             pass
-    if not removed["snapshots"]:
-        return removed
+    if removed["snapshots"]:
+        removed["files"] = _sweep_orphans(out_dir)
+    return removed
+
+
+def _sweep_orphans(out_dir: str) -> int:
+    """Remove the table's root data/delta files that neither a live bucket
+    manifest nor a retained snapshot references; returns how many."""
+    keep = _manifest_files(load_manifests(out_dir)) | _retained_files(out_dir)
+    return _sweep_unkept(out_dir, "*", keep)
+
+
+def _sweep_unkept(out_dir: str, bucket_glob: str, keep: set[str]) -> int:
+    """Best-effort removal of the data/delta files of the buckets matching
+    ``bucket_glob`` that are not in ``keep``; returns how many."""
     import glob as _glob
 
-    keep = _manifest_files(load_manifests(out_dir)) | _retained_files(out_dir)
-    for pat in ("part-*.parquet", "delta-*.parquet"):
-        for f in _glob.glob(os.path.join(out_dir, pat)):
-            if os.path.basename(f) not in keep:
+    n = 0
+    for pat in (f"part-{bucket_glob}.parquet", f"delta-{bucket_glob}.parquet"):
+        for stale in _glob.glob(os.path.join(out_dir, pat)):
+            if os.path.basename(stale) not in keep:
                 try:
-                    os.remove(f)
-                    removed["files"] += 1
+                    os.remove(stale)
+                    n += 1
                 except OSError:
                     pass
-    return removed
+                try:  # bloom sidecar dies with its data file
+                    os.remove(stale + ".bloom")
+                except OSError:
+                    pass
+    return n
 
 
 def _audit_staged(row) -> str:
@@ -789,24 +828,39 @@ def _audit_staged(row) -> str:
 def _sweep_bucket_versions(out_dir: str, bucket: int, keep: set[str]) -> None:
     """Best-effort removal of this bucket's superseded data/delta files
     (everything not in ``keep``) after a manifest pointer flip."""
-    import glob as _glob
-
-    for pat in (f"part-{bucket:06d}*.parquet", f"delta-{bucket:06d}*.parquet"):
-        for stale in _glob.glob(os.path.join(out_dir, pat)):
-            if os.path.basename(stale) not in keep:
-                try:
-                    os.remove(stale)
-                except OSError:
-                    pass
-                try:  # bloom sidecar dies with its data file
-                    os.remove(stale + ".bloom")
-                except OSError:
-                    pass
+    _sweep_unkept(out_dir, f"{bucket:06d}*", keep)
 
 
-def _publish_base_row(
-    row, out_dir: str, extra: dict | None = None, retained: frozenset[str] = frozenset()
-) -> dict:
+def _publish_delta_row(row, out_dir: str) -> dict:
+    """Audit + atomically publish one bucket's DELTA manifest row: the delta
+    file moves into place, then its descriptor is appended to the bucket's
+    existing manifest (advancing its effective watermarks)."""
+    staged = _audit_staged(row)
+    os.replace(staged, os.path.join(out_dir, row["file"]))
+    mpath = os.path.join(out_dir, MANIFEST_DIR, f"bucket-{int(row['bucket']):06d}.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    desc = {
+        "file": row["file"],
+        "rows_out": int(row["rows_out"]),
+        "n_events": int(row["n_events"]),
+        "run_id": row["run_id"],
+    }
+    deltas = manifest.setdefault("deltas", [])
+    if not any(d["file"] == row["file"] for d in deltas):
+        deltas.append(desc)
+    # effective watermarks: merged(base, every delta) — keeps
+    # _watermark_matrix and the next run's idempotence filter exact
+    manifest["watermarks"] = json.loads(row["watermarks"])
+    manifest["last_delta_run_id"] = row["run_id"]
+    # the manifest write IS the publish (atomic pointer flip); the delta
+    # file landed first, so a crash in between leaves an orphan file
+    # (vacuumed later), never a dangling reference
+    _atomic_write_json(mpath, manifest)
+    return {"bucket": int(row["bucket"]), "kind": "delta", **desc}
+
+
+def _publish_base_row(row, out_dir: str, retained: frozenset[str] = frozenset()) -> dict:
     """Audit + atomically publish one bucket's BASE manifest row: move the
     data file into place, flip the manifest pointer, sweep old versions
     (including any merge-on-read deltas the fresh base supersedes)."""
@@ -832,7 +886,6 @@ def _publish_base_row(
         "file": row["file"],
         "watermarks": json.loads(row["watermarks"]),
         "run_id": row["run_id"],
-        **(extra or {}),
     }
     # the manifest write IS the publish: data lands under a versioned
     # name first (copy-on-write), so until this atomic pointer flip the
@@ -848,16 +901,52 @@ def _publish_base_row(
     return manifest
 
 
-def _publish_stream(manifest_ds, out_dir: str, extra: dict | None = None) -> list[dict]:
-    """Stream manifest rows as groups finish; audit + atomically publish each."""
+def _publish_stream(manifest_ds, out_dir: str) -> list[dict]:
+    """Stream manifest rows as groups finish; audit + atomically publish
+    each — ``delta-*`` rows append to their bucket's manifest, base rows
+    flip it to a fresh base."""
     published = []
     publish_delay = float(os.environ.get("ODIBEL_TEST_PUBLISH_DELAY", "0"))
     retained = _retained_files(out_dir)
     for row in manifest_ds.iter_rows():
         if publish_delay:  # test hook: lets the kill-resume test land mid-publish
             time.sleep(publish_delay)
-        published.append(_publish_base_row(row, out_dir, extra, retained))
+        if row["file"].startswith("delta-"):
+            published.append(_publish_delta_row(row, out_dir))
+        else:
+            published.append(_publish_base_row(row, out_dir, retained))
     return published
+
+
+def _commit_table(out_dir: str, tman: dict, op: str, run_id: str) -> tuple[dict, int | None]:
+    """The one epilogue of every table write: refresh the TABLE manifest
+    ``tman`` from the live bucket manifests, then record a snapshot version
+    (a no-op unless snapshots are on). ``rows_total`` counts base rows
+    only — the logical count of a table with merge-on-read deltas needs the
+    merge, and compaction restores the exact figure. Returns the live
+    manifests and the new snapshot version (or None)."""
+    manifests = load_manifests(out_dir)
+    tman.update(
+        {
+            "buckets": sorted(manifests),
+            "rows_total": int(sum(m["rows_out"] for m in manifests.values())),
+            "mor_deltas": int(sum(len(m.get("deltas", [])) for m in manifests.values())),
+            "last_run_id": run_id,
+        }
+    )
+    _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
+    snap = record_snapshot(out_dir, op)
+    return manifests, (snap["version"] if snap else None)
+
+
+def _rows_as_events(t: pa.Table, bucket) -> pa.Table:
+    """Published transcript rows (system columns included) as insert events
+    at their own ``_lsn``, routed to ``bucket`` — the form the apply
+    consumes when it re-applies a base (incremental CoW, rebucket)."""
+    cols = {"op": pa.array(np.full(len(t), "I"), pa.string()), "lsn": t["_lsn"]}
+    cols.update({c: t[c] for c in LOGICAL_COLUMNS})
+    cols.update(part=t["_part"], bucket=bucket)
+    return pa.table(cols)
 
 
 def _shard_apply_write(batch: pa.Table, *, timeline: SchemaTimeline, staging: str,
@@ -867,10 +956,7 @@ def _shard_apply_write(batch: pa.Table, *, timeline: SchemaTimeline, staging: st
     shard's files → prepare → LWW apply → staged write + manifest row. Valid
     because the log is key-aligned (bucket == part); see
     :func:`odibel_ray.cdc.apply.replay_partitioned`."""
-    import pyarrow.parquet as pq_
-
     from odibel_ray.cdc.apply import limit_arrow_threads
-    from odibel_ray.cdc.apply import prepare_events as _prep
 
     limit_arrow_threads()
     outs = []
@@ -880,10 +966,10 @@ def _shard_apply_write(batch: pa.Table, *, timeline: SchemaTimeline, staging: st
             # empty part=N dir: producer created it but never wrote a file
             # (or it was vacuumed) — nothing to apply, not an error
             continue
-        tables = [pq_.read_table(f) for f in row["files"]]
+        tables = [pq.read_table(f) for f in row["files"]]
         t = pa.concat_tables(tables, promote_options="default").combine_chunks()
         t = t.append_column("part", pa.array(np.full(len(t), part, np.int64)))
-        ev = _prep(t, timeline, num_buckets=None)
+        ev = prepare_events(t, timeline, num_buckets=None)
         outs.append(_apply_write_group(ev, staging=staging, run_id=run_id, metrics=metrics))
     if not outs:
         return _MANIFEST_SCHEMA.empty_table()
@@ -967,68 +1053,42 @@ def replay_publish(
             batch_size=1,
             num_cpus=task_cpus,
         )
-        published = _publish_stream(manifest_ds, out_dir)
-        all_manifests = load_manifests(out_dir)
-        table_manifest = {
-            "num_buckets": None,
-            "buckets": sorted(all_manifests),
-            "rows_total": int(sum(m["rows_out"] for m in all_manifests.values())),
-            "timeline": timeline.to_json(),
-            "schema_version": len(timeline.changes),
-            "last_run_id": run_id,
-        }
-        _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), table_manifest)
-        snap = record_snapshot(out_dir, "replay_publish")
-        return {
-            "published_now": len(published),
-            "published_total": len(all_manifests),
-            "n_events_applied": int(sum(p["n_events"] for p in published)),
-            "rows_total": table_manifest["rows_total"],
-            "snapshot": snap["version"] if snap else None,
-            "out_dir": out_dir,
-        }
+    else:
+        ds = rd.read_parquet(log_dir)
+        ds = ds.map_batches(
+            prepare_events,
+            fn_kwargs={"timeline": timeline, "num_buckets": num_buckets},
+            batch_format="pyarrow",
+            batch_size=batch_size,
+        )
+        if done:
+            done_arr = np.array(sorted(done), dtype=np.int64)
 
-    ds = rd.read_parquet(log_dir)
-    ds = ds.map_batches(
-        prepare_events,
-        fn_kwargs={"timeline": timeline, "num_buckets": num_buckets},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    if done:
-        done_arr = np.array(sorted(done), dtype=np.int64)
+            def _drop_done(t: pa.Table) -> pa.Table:
+                keep = ~np.isin(t["bucket"].to_numpy(zero_copy_only=False), done_arr)
+                return t.filter(pa.array(keep))
 
-        def _drop_done(t: pa.Table) -> pa.Table:
-            keep = ~np.isin(t["bucket"].to_numpy(zero_copy_only=False), done_arr)
-            return t.filter(pa.array(keep))
+            ds = ds.map_batches(_drop_done, batch_format="pyarrow", batch_size=batch_size)
+        if precompact:
+            ds = ds.map_batches(compact_batch, batch_format="pyarrow", batch_size=batch_size)
 
-        ds = ds.map_batches(_drop_done, batch_format="pyarrow", batch_size=batch_size)
-    if precompact:
-        ds = ds.map_batches(compact_batch, batch_format="pyarrow", batch_size=batch_size)
-
-    manifest_ds = ds.groupby("bucket").map_groups(
-        partial(_apply_write_group, staging=staging, run_id=run_id, metrics=metrics),
-        batch_format="pyarrow",
-    )
+        manifest_ds = ds.groupby("bucket").map_groups(
+            partial(_apply_write_group, staging=staging, run_id=run_id, metrics=metrics),
+            batch_format="pyarrow",
+        )
     published = _publish_stream(manifest_ds, out_dir)
-
-    all_manifests = load_manifests(out_dir)
-    table_manifest = {
+    tman = {
         "num_buckets": num_buckets,
-        "buckets": sorted(all_manifests),
-        "rows_total": int(sum(m["rows_out"] for m in all_manifests.values())),
         "timeline": timeline.to_json(),
         "schema_version": len(timeline.changes),
-        "last_run_id": run_id,
     }
-    _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), table_manifest)
-    snap = record_snapshot(out_dir, "replay_publish")
+    all_manifests, snap = _commit_table(out_dir, tman, "replay_publish", run_id)
     return {
         "published_now": len(published),
         "published_total": len(all_manifests),
         "n_events_applied": int(sum(p["n_events"] for p in published)),
-        "rows_total": table_manifest["rows_total"],
-        "snapshot": snap["version"] if snap else None,
+        "rows_total": tman["rows_total"],
+        "snapshot": snap,
         "out_dir": out_dir,
     }
 
@@ -1094,18 +1154,14 @@ def read_published(
         raise FileNotFoundError(f"no published buckets under {out_dir}")
     if where is not None:
         where = check_where(where)
+    layout = _table_layout(out_dir)
     if columns is not None:
         final_cols = list(columns)
-    elif not system:
+    elif not system and layout["system"]:
         # transcript tables hide their _lsn/_op system columns by default;
         # GENERIC published tables (views, derived/clustered copies — any
         # schema) have no system columns to hide, so a plain read is full
-        tman_path = os.path.join(out_dir, TABLE_MANIFEST)
-        generic = False
-        if os.path.exists(tman_path):
-            with open(tman_path) as f:
-                generic = bool(json.load(f).get("generic"))
-        final_cols = None if generic else list(LOGICAL_COLUMNS)
+        final_cols = list(LOGICAL_COLUMNS)
     else:
         final_cols = None
     # schema + total-file accounting come from the FULL manifest set; the
@@ -1116,10 +1172,8 @@ def read_published(
     schema_src = os.path.join(out_dir, all_m[0][1]["file"])
     if where:
         # key-equality routing: recompute the candidate hash buckets from
-        # pinned key values (lookup_key's trick inside the general scan)
-        manifests = _bucket_prune(
-            out_dir, manifests, where, pq.read_schema(schema_src)
-        )
+        # pinned key values (lookup_key's routing inside the general scan)
+        manifests = _bucket_prune(out_dir, layout, manifests, where)
     # zero-row buckets exist for their watermarks (a bucket whose only
     # events were deletes-of-nonexistent still pins resume state) — but
     # scanning their empty files yields schema-less empty blocks from the
@@ -1206,56 +1260,27 @@ def read_published(
         kw = {"filter": where_expr(where)} if where else {}
         pieces.append(rd.read_parquet(plain, columns=final_cols, **kw))
     if mor:
-        # the per-bucket LWW merge needs the key + _lsn (base) and _op
-        # (deltas) even when the caller projected them away; generic tables
-        # merge on their layout keys and their base files carry no _lsn
-        merge_keys = ["conv_id", "turn_idx"]
-        mor_layout = os.path.join(out_dir, "_layout.json")
-        if os.path.exists(mor_layout):
-            with open(mor_layout) as f:
-                merge_keys = list(json.load(f)["key_cols"])
-        merge_cols = None
+        # merge-on-read buckets filter AFTER the merge, so they read the
+        # predicate columns too
+        read_cols = None
         if final_cols is not None:
             where_cols = [c for c, _, _ in where] if where else []
-            merge_cols = list(
-                dict.fromkeys(
-                    c
-                    for c in [*final_cols, *where_cols, *merge_keys, "_lsn"]
-                    if c != "_op"
-                )
-            )
-        descs = [
-            {
-                "base": os.path.join(out_dir, m["file"]),
-                "deltas": [os.path.join(out_dir, d["file"]) for d in m["deltas"]],
-            }
-            for m in mor
-        ]
+            read_cols = list(dict.fromkeys([*final_cols, *where_cols]))
+        keys = layout["key_cols"]
 
         def _merge_bucket(batch: pa.Table) -> pa.Table:
             from odibel_ray.cdc.apply import limit_arrow_threads
 
             limit_arrow_threads()
             outs = []
-            for row in batch.to_pylist():
-                bcols = merge_cols
-                if bcols is not None:  # generic base files have no _lsn
-                    have = set(pq.read_schema(row["base"]).names)
-                    bcols = [c for c in bcols if c in have]
-                base = pq.read_table(row["base"], columns=bcols)
-                deltas = [
-                    pq.read_table(
-                        f, columns=None if merge_cols is None else [*merge_cols, "_op"]
-                    )
-                    for f in row["deltas"]
-                ]
-                t = merge_base_deltas(base, deltas, keys=merge_keys)
+            for m in batch["m"].to_pylist():
+                t = _read_bucket(out_dir, json.loads(m), keys, columns=read_cols)
                 if where:
                     t = filter_table(t, where)
                 outs.append(t.select(final_cols) if final_cols is not None else t)
             return pa.concat_tables(outs, promote_options="default")
 
-        merged = rd.from_items(descs).map_batches(
+        merged = rd.from_items([{"m": json.dumps(m)} for m in mor]).map_batches(
             _merge_bucket, batch_format="pyarrow", batch_size=1
         )
         pieces.append(merged)
@@ -1301,24 +1326,24 @@ def lookup_key(
     rows.
 
     Layouts:
-    - hash-bucketed tables (``num_buckets`` in the table manifest): the
-      bucket id is recomputed from ``conv_id`` with the same hash the sink
-      used, and exactly that bucket's manifested file is read;
+    - hash-bucketed tables: the bucket id is recomputed from the probe with
+      the same hash the sink used (:func:`_bucket_prune`), and exactly that
+      bucket's manifested files are read. Transcript tables hash
+      ``conv_id`` only; generic tables hash every key column, so a
+      composite key routes only when ``turn_idx`` carries its second part;
     - partitioned tables (``num_buckets`` None — bucket == WAL part, whose
-      assignment belonged to the upstream producer): every bucket file's
-      footer is consulted, but bucket files are sorted by ``conv_id``
-      (``_SORT_KEYS``), so Parquet row-group statistics prune all
-      non-matching row groups before any data is read.
+      assignment belonged to the upstream producer) and range/z-clustered
+      tables: every bucket file's footer is consulted, but transcript bucket
+      files are sorted by ``conv_id`` (``_SORT_KEYS``), so Parquet row-group
+      statistics prune all non-matching row groups before any data is read.
 
     ``version=V`` answers the lookup from retained snapshot V (time travel;
     see :func:`enable_snapshots`) — same single-file access pattern.
     """
-    from odibel_ray.cdc.lww import bucket_of_keys
-
     from odibel_ray.cdc.ddl import SCHEMA_OPS, SchemaMap, load_schema_meta
 
-    with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
-        tman = json.load(f)
+    layout = _table_layout(out_dir)
+    key_cols = layout["key_cols"]
     manifests = (
         snapshot_manifests(out_dir, version) if version is not None else load_manifests(out_dir)
     )
@@ -1345,95 +1370,18 @@ def lookup_key(
         logical_cols = list(columns) if columns is not None else smap.names
         smap.check_columns(logical_cols)
         phys_cols = smap.physical_columns(logical_cols) or None
-    num_buckets = tman.get("num_buckets")
-    # generic tables pin their key columns in the layout; the transcript
-    # path's keys are (conv_id, turn_idx) — the positional args map onto
-    # the first (and optional second) key column either way
-    key_cols = ["conv_id", "turn_idx"]
-    layout_path = os.path.join(out_dir, "_layout.json")
-    if os.path.exists(layout_path):
-        with open(layout_path) as f:
-            key_cols = list(json.load(f)["key_cols"])
-    # generic tables hash ALL key columns into the bucket id — recomputing
-    # it from the first key alone would open the wrong file. With the FULL
-    # key given the bucket IS recomputable (probe values cast to the
-    # canonical key types so integer-width differences can't skew the
-    # hash); a partial composite key — or any DDL state, where file key
-    # names may differ — takes the footer-pruned scan over all candidates.
-    generic_multi = tman.get("generic") and len(key_cols) > 1
-    single_key_hash = num_buckets and not generic_multi
-    candidates = list(manifests.values())
-    if single_key_hash:
-        probe = pa.array([conv_id])
-        if manifests:
-            # Cast the probe to the CANONICAL key type before hashing:
-            # pd.util.hash_array hashes int32(-5) and int64(-5) (or s/ms
-            # timestamps) differently, so an uncast probe on a non-int64
-            # generic key would route to the wrong bucket and silently
-            # return empty. Keys are layout-pinned, so the first file's
-            # key field is authoritative even mid-DDL.
-            try:
-                canon = pq.read_schema(
-                    os.path.join(out_dir, next(iter(manifests.values()))["file"])
-                )
-                probe = probe.cast(canon.field(key_cols[0]).type)
-            except (pa.ArrowInvalid, pa.ArrowTypeError, KeyError):
-                pass  # unroutable probe type: keep the inferred type
-        b = int(bucket_of_keys(pa.table({"k": probe}), ["k"], int(num_buckets))[0])
-        candidates = [manifests[b]] if b in manifests else []
-    elif (num_buckets and generic_multi and len(key_cols) == 2
-          and turn_idx is not None and manifests
-          and smap is None and mrun is None):
-        try:
-            canon = pq.read_schema(
-                os.path.join(out_dir, next(iter(manifests.values()))["file"])
-            )
-            probe_t = pa.table({
-                k: pa.array([v]).cast(canon.field(k).type)
-                for k, v in zip(key_cols[:2], [conv_id, turn_idx])
-            })
-            b = int(bucket_of_keys(probe_t, key_cols[:2], int(num_buckets))[0])
-            candidates = [manifests[b]] if b in manifests else []
-        except (pa.ArrowInvalid, pa.ArrowTypeError, KeyError):
-            pass  # unroutable probe: fall back to the pruned full scan
+    # the positional args map onto the first (and optional second) key
+    # column; the key filter is pushed into every file read, and the same
+    # router as read_published(where=) picks the candidate buckets
     filters = [(key_cols[0], "==", conv_id)]
     if turn_idx is not None and len(key_cols) > 1:
         filters.append((key_cols[1], "==", turn_idx))
-    # buckets with merge-on-read deltas LWW-merge base ∪ deltas for the key
-    # (the merge needs the key + _lsn/_op columns even when the caller asked
-    # for fewer — read the superset, project at the end)
     tables = []
-    for m in candidates:
+    for m in _bucket_prune(out_dir, layout, manifests, filters).values():
         # flipped-by-materialize buckets are already logical on disk
         flipped = bool(mrun) and m.get("run_id") == mrun
         cols = (logical_cols if smap is not None else columns) if flipped else phys_cols
-        merge_cols = None
-        if cols is not None:
-            merge_cols = list(
-                dict.fromkeys(
-                    c for c in [*cols, *key_cols, "_lsn"] if c != "_op"
-                )
-            )
-        base_path = os.path.join(out_dir, m["file"])
-        bcols = merge_cols if m.get("deltas") else cols
-        if m.get("deltas") and bcols is not None:  # generic bases lack _lsn
-            have = set(pq.read_schema(base_path).names)
-            bcols = [c for c in bcols if c in have]
-        base_t = pq.read_table(base_path, columns=bcols, filters=filters)
-        if m.get("deltas"):
-            delta_ts = [
-                pq.read_table(
-                    os.path.join(out_dir, d["file"]),
-                    columns=None if merge_cols is None else [*merge_cols, "_op"],
-                    filters=filters,
-                )
-                for d in m["deltas"]
-            ]
-            t = merge_base_deltas(base_t, delta_ts, keys=key_cols)
-            if cols is not None:
-                t = t.select(cols)
-        else:
-            t = base_t
+        t = _read_bucket(out_dir, m, key_cols, columns=cols, filters=filters)
         if smap is not None and not flipped:
             t = smap.adapt(t, logical_cols)
         tables.append(t)
@@ -1453,7 +1401,7 @@ def lookup_key(
         out = pa.concat_tables(tables, promote_options="default")
     if smap is not None:
         return out
-    if not system and columns is None and not tman.get("generic"):
+    if not system and columns is None and layout["system"]:
         # transcript tables hide _lsn/_op by default; GENERIC tables have no
         # system columns — a plain lookup returns their full row
         keep = [c for c in LOGICAL_COLUMNS if c in out.column_names]
@@ -1492,21 +1440,12 @@ def restore_snapshot(out_dir: str, version: int, *, run_id: str = "restore-0") -
             pass
     with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
         tman = json.load(f)
-    tman.update(
-        {
-            "buckets": sorted(target),
-            "rows_total": int(sum(m["rows_out"] for m in target.values())),
-            "mor_deltas": int(sum(len(m.get("deltas", [])) for m in target.values())),
-            "last_run_id": run_id,
-        }
-    )
-    _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
-    snap = record_snapshot(out_dir, "restore")
+    _, snap = _commit_table(out_dir, tman, "restore", run_id)
     return {
         "restored_to": int(version),
         "published_total": len(target),
         "rows_total": tman["rows_total"],
-        "snapshot": snap["version"] if snap else None,
+        "snapshot": snap,
         "out_dir": out_dir,
     }
 
@@ -1531,15 +1470,11 @@ def table_changes(
     exactly those columns."""
     from odibel_ray.cdc.lww import change_feed
 
-    generic = os.path.exists(os.path.join(out_dir, "_layout.json"))
+    layout = _table_layout(out_dir)
     if keys is None:
-        if generic:
-            with open(os.path.join(out_dir, "_layout.json")) as f:
-                keys = list(json.load(f)["key_cols"])
-        else:
-            keys = ["conv_id", "turn_idx"]
+        keys = layout["key_cols"]
     if values is None:
-        if generic:
+        if not layout["system"]:
             # generic tables have no 'text' column by contract — default to
             # every non-key, non-system column (footer-only schema probe)
             mans = load_manifests(out_dir)
@@ -1664,24 +1599,15 @@ def lineage_table(out_dir: str) -> pa.Table:
     return pa.Table.from_pylist(rows)
 
 
-def _stats_schema_ops(out_dir: str) -> list[dict]:
-    from odibel_ray.cdc.ddl import load_schema_ops
-
-    return load_schema_ops(out_dir)
-
-
-def _stats_expectations(out_dir: str) -> list[list]:
-    from odibel_ray.cdc.quality import get_expectations
-
-    return get_expectations(out_dir)
-
-
 def table_stats(out_dir: str) -> dict:
     """Physical health report of a published table — the operator's
     ``DESCRIBE``: logical/physical row counts, bytes, merge-on-read delta
     backlog, bucket skew, watermark spread. Metadata-only (manifests +
     Parquet footers; no data read, no Ray session), so it is cheap at any
     table size and safe to run concurrently with a writer."""
+    from odibel_ray.cdc.ddl import load_schema_ops
+    from odibel_ray.cdc.quality import get_expectations
+
     with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
         tman = json.load(f)
     manifests = load_manifests(out_dir)
@@ -1731,8 +1657,8 @@ def table_stats(out_dir: str) -> dict:
         "cluster_by": tman.get("cluster_by"),
         # pending metadata-only DDL ops and the CHECK constraint, so DESCRIBE
         # shows the table's full logical contract, not just its bytes
-        "schema_ops": _stats_schema_ops(out_dir),
-        "expectations": _stats_expectations(out_dir),
+        "schema_ops": load_schema_ops(out_dir),
+        "expectations": get_expectations(out_dir),
         "snapshot_policy": snapshot_policy(out_dir),
         "snapshots": [
             {"version": s["version"], "op": s["op"], "rows_total": s["rows_total"]}
@@ -1786,24 +1712,8 @@ def vacuum(
         for run_dir in os.listdir(fdir):
             shutil.rmtree(os.path.join(fdir, run_dir), ignore_errors=True)
             removed["feed_dirs"] += 1
-    live: set[str] = set()
-    for m in load_manifests(out_dir).values():
-        live.add(m["file"])
-        live.update(d["file"] for d in m.get("deltas", []))
     # files pinned by retained snapshots are not orphans (time travel)
-    live |= _retained_files(out_dir)
-    for pat in ("part-*.parquet", "delta-*.parquet"):
-        for f in _glob.glob(os.path.join(out_dir, pat)):
-            if os.path.basename(f) not in live:
-                try:
-                    os.remove(f)
-                    removed["orphan_files"] += 1
-                except OSError:
-                    pass
-                try:
-                    os.remove(f + ".bloom")
-                except OSError:
-                    pass
+    removed["orphan_files"] = _sweep_orphans(out_dir)
     # widowed bloom sidecars (data file gone, e.g. removed pre-upgrade)
     for f in _glob.glob(os.path.join(out_dir, "part-*.parquet.bloom")):
         if not os.path.exists(f[: -len(".bloom")]):
@@ -1848,18 +1758,9 @@ def count_published(out_dir: str, where=None, *, version: int | None = None) -> 
     if mor:
         # a delta may supersede or tombstone base rows — count those
         # buckets through the LWW merge (still only the delta-bearing ones)
-        layout_path = os.path.join(out_dir, "_layout.json")
-        keys = ["conv_id", "turn_idx"]
-        if os.path.exists(layout_path):
-            with open(layout_path) as f:
-                keys = list(json.load(f)["key_cols"])
+        keys = _table_layout(out_dir)["key_cols"]
         for b in mor:
-            m = manifests[b]
-            base = pq.read_table(os.path.join(out_dir, m["file"]))
-            deltas = [
-                pq.read_table(os.path.join(out_dir, d["file"])) for d in m["deltas"]
-            ]
-            total += len(merge_base_deltas(base, deltas, keys=keys))
+            total += len(_read_bucket(out_dir, manifests[b], keys))
     return int(total)
 
 
@@ -1867,43 +1768,26 @@ _BUCKET_PRUNE_MAX_PROBES = 64
 
 
 def _bucket_prune(
-    out_dir: str, manifests: dict[int, dict], where, schema: pa.Schema
+    out_dir: str, layout: dict, manifests: dict[int, dict], where
 ) -> dict[int, dict]:
-    """Hash-layout bucket pruning: when a conjunctive ``where`` pins every
-    bucket-hash key column with ``==`` (or a small ``in``), the candidate
-    buckets are recomputable from the probe values — the same routing
-    :func:`lookup_key` uses, applied inside the general scan. Exact (hash
+    """The one key router (``read_published(where=)`` and
+    :func:`lookup_key`): when a conjunctive ``where`` pins every hash
+    column of a hash-bucketed layout with ``==`` (or a small ``in``), the
+    candidate buckets are recomputable from the probe values. Exact (hash
     identity, no false positives beyond hash-bucket sharing) and free of
     sidecar state; zone maps and blooms still apply to the survivors.
-    Returns ``manifests`` unchanged whenever the layout doesn't allow it
-    (clustered, schema-op log pending, keys not fully pinned)."""
+    Pending schema ops do not matter: key columns are layout-pinned, so
+    alter_published can neither rename, drop nor widen them. Returns
+    ``manifests`` unchanged whenever the layout doesn't allow routing
+    (partitioned or clustered, keys not fully pinned, probe values not of
+    the key's type)."""
     from itertools import product
 
-    from odibel_ray.cdc.ddl import SCHEMA_OPS
     from odibel_ray.cdc.lww import bucket_of_keys
 
-    if not manifests or not where:
+    if not manifests or not where or not layout["num_buckets"] or layout["cluster_by"]:
         return manifests
-    if os.path.exists(os.path.join(out_dir, SCHEMA_OPS)):
-        return manifests  # logical->physical key renames: stay conservative
-    layout_path = os.path.join(out_dir, "_layout.json")
-    if os.path.exists(layout_path):
-        with open(layout_path) as f:
-            layout = json.load(f)
-        if layout.get("cluster_by"):
-            return manifests
-        hash_keys = list(layout["key_cols"])
-        num_buckets = int(layout["num_buckets"])
-    else:
-        tman_path = os.path.join(out_dir, TABLE_MANIFEST)
-        if not os.path.exists(tman_path):
-            return manifests
-        with open(tman_path) as f:
-            tman = json.load(f)
-        if tman.get("generic") or not tman.get("num_buckets"):
-            return manifests
-        hash_keys = ["conv_id"]  # transcript layout hashes the conv only
-        num_buckets = int(tman["num_buckets"])
+    hash_keys = layout["hash_cols"]
     probes: list[list] = []
     for k in hash_keys:
         vals = None
@@ -1921,6 +1805,10 @@ def _bucket_prune(
     combos = list(product(*probes))
     if not combos or len(combos) > _BUCKET_PRUNE_MAX_PROBES:
         return manifests
+    # Cast the probe to the CANONICAL key type before hashing:
+    # pd.util.hash_array hashes int32(-5) and int64(-5) (or s/ms timestamps)
+    # differently, so an uncast probe would route to the wrong bucket.
+    schema = pq.read_schema(os.path.join(out_dir, manifests[min(manifests)]["file"]))
     try:
         probe_t = pa.table({
             k: pa.array([c[i] for c in combos]).cast(schema.field(k).type)
@@ -1928,7 +1816,7 @@ def _bucket_prune(
         })
     except (pa.ArrowInvalid, pa.ArrowTypeError, KeyError):
         return manifests  # probe value can't be the key's type: no pruning
-    keep = set(bucket_of_keys(probe_t, hash_keys, num_buckets).tolist())
+    keep = set(bucket_of_keys(probe_t, hash_keys, int(layout["num_buckets"])).tolist())
     return {b: m for b, m in manifests.items() if b in keep}
 
 
@@ -1936,15 +1824,13 @@ def _join_side_meta(out_dir: str) -> dict:
     """Layout + manifest facts one side of a storage-partitioned join needs."""
     from odibel_ray.cdc.ddl import SCHEMA_OPS, load_schema_meta
 
-    layout_path = os.path.join(out_dir, "_layout.json")
-    if not os.path.exists(layout_path):
+    layout = _table_layout(out_dir)
+    if layout["system"]:
         raise FileNotFoundError(
             f"{out_dir} has no _layout.json — join_published needs generic "
             "published tables (publish_dataset layouts)"
         )
-    with open(layout_path) as f:
-        layout = json.load(f)
-    if layout.get("cluster_by"):
+    if layout["cluster_by"]:
         raise ValueError(
             f"{out_dir} is range/z-clustered; storage-partitioned joins need "
             "the hash-bucketed layout (keep the primary hash table for joins)"
@@ -1961,8 +1847,8 @@ def _join_side_meta(out_dir: str) -> dict:
     any_file = os.path.join(out_dir, next(iter(manifests.values()))["file"])
     return {
         "dir": out_dir,
-        "key_cols": list(layout["key_cols"]),
-        "num_buckets": int(layout["num_buckets"]),
+        "key_cols": layout["key_cols"],
+        "num_buckets": layout["num_buckets"],
         "manifests": manifests,
         "schema": pq.read_schema(any_file),
     }
@@ -2038,60 +1924,42 @@ def join_published(
             s = pa.schema([s.field(c) for c in cols])
         return s.empty_table()
 
-    descs = []
+    buckets = []
     for b in sorted(set(left["manifests"]) | set(right["manifests"])):
-        lm = left["manifests"].get(b)
-        rm = right["manifests"].get(b)
-        if lm is None and join_type in ("inner", "left outer", "left semi", "left anti"):
+        if b not in left["manifests"] and join_type in (
+            "inner", "left outer", "left semi", "left anti"
+        ):
             continue  # no left rows ⇒ nothing to emit for these join types
-        if rm is None and join_type in ("inner", "left semi"):
+        if b not in right["manifests"] and join_type in ("inner", "left semi"):
             continue
-        descs.append(
-            {
-                "bucket": int(b),
-                "left_file": os.path.join(left_dir, lm["file"]) if lm else "",
-                "left_deltas": [
-                    os.path.join(left_dir, d["file"]) for d in (lm or {}).get("deltas", [])
-                ],
-                "right_file": os.path.join(right_dir, rm["file"]) if rm else "",
-                "right_deltas": [
-                    os.path.join(right_dir, d["file"]) for d in (rm or {}).get("deltas", [])
-                ],
-            }
-        )
+        buckets.append({"bucket": int(b)})
     joined_schema = empty_side(left, lcols).join(
         empty_side(right, rcols), keys=keys, join_type=join_type,
         right_suffix=right_suffix,
     ).schema
-    if not descs:
+    if not buckets:
         return rd.from_arrow(joined_schema.empty_table())
 
-    def read_side(file, deltas, meta, cols):
-        if not file:
-            t = empty_side(meta, None)
-        elif deltas:
-            base = pq.read_table(file)
-            t = merge_base_deltas(base, [pq.read_table(f) for f in deltas], keys=keys)
-        else:
-            t = pq.read_table(file, columns=cols)
-        if cols is not None:
-            t = t.select(cols)
-        return t
+    def read_side(meta, b, cols):
+        m = meta["manifests"].get(b)
+        if m is None:
+            return empty_side(meta, cols)
+        return _read_bucket(meta["dir"], m, keys, columns=cols)
 
     def join_bucket(batch: pa.Table) -> pa.Table:
         from odibel_ray.cdc.apply import limit_arrow_threads
 
         limit_arrow_threads()
         outs = []
-        for row in batch.to_pylist():
-            lt = read_side(row["left_file"], row["left_deltas"], left, lcols)
-            rt = read_side(row["right_file"], row["right_deltas"], right, rcols)
+        for b in batch["bucket"].to_pylist():
+            lt = read_side(left, b, lcols)
+            rt = read_side(right, b, rcols)
             j = lt.join(rt, keys=keys, join_type=join_type,
                         right_suffix=right_suffix)
             outs.append(j.select(joined_schema.names).cast(joined_schema))
         return pa.concat_tables(outs) if outs else joined_schema.empty_table()
 
-    return rd.from_items(descs).map_batches(
+    return rd.from_items(buckets).map_batches(
         join_bucket, batch_format="pyarrow", batch_size=1
     )
 
@@ -2139,23 +2007,8 @@ def rebucket_published(
 
     def to_events(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
-        conv = t["conv_id"].to_numpy(zero_copy_only=False)
-        bucket = bucket_of_conv(conv, num_buckets)
-        out = pa.table(
-            {
-                "op": pa.array(np.full(len(t), "I"), pa.string()),
-                "lsn": t["_lsn"],
-                "conv_id": t["conv_id"],
-                "turn_idx": t["turn_idx"],
-                "role": t["role"],
-                "text": t["text"],
-                "tool_name": t["tool_name"],
-                "score": t["score"],
-                "ts": t["ts"],
-                "part": t["_part"],
-                "bucket": pa.array(bucket),
-            }
-        )
+        bucket = bucket_of_conv(t["conv_id"].to_numpy(zero_copy_only=False), num_buckets)
+        out = _rows_as_events(t, pa.array(bucket))
         if len(done_arr):
             out = out.filter(pa.array(~np.isin(bucket, done_arr)))
         return out
@@ -2166,21 +2019,12 @@ def rebucket_published(
         batch_format="pyarrow",
     )
     published = _publish_stream(manifest_ds, dst_dir)
-
-    all_manifests = load_manifests(dst_dir)
-    new_tman = {
-        **tman,
-        "num_buckets": num_buckets,
-        "buckets": sorted(all_manifests),
-        "rows_total": int(sum(m["rows_out"] for m in all_manifests.values())),
-        "last_run_id": run_id,
-        "rebucketed_from": src_dir,
-    }
-    _atomic_write_json(os.path.join(dst_dir, TABLE_MANIFEST), new_tman)
+    tman.update({"num_buckets": num_buckets, "rebucketed_from": src_dir})
+    all_manifests, _ = _commit_table(dst_dir, tman, "rebucket_published", run_id)
     return {
         "published_now": len(published),
         "published_total": len(all_manifests),
-        "rows_total": new_tman["rows_total"],
+        "rows_total": tman["rows_total"],
         "out_dir": dst_dir,
     }
 
@@ -2221,94 +2065,41 @@ def compact_published(
         }
     staging = os.path.join(out_dir, STAGING_DIR, run_id)
     os.makedirs(staging, exist_ok=True)
-    descs = [
-        {
-            "bucket": int(b),
-            "base": os.path.join(out_dir, m["file"]),
-            "deltas": [os.path.join(out_dir, d["file"]) for d in m["deltas"]],
-            # events that ever contributed to this bucket (lineage continuity)
-            "n_events": int(m["n_events"])
-            + sum(int(d["n_events"]) for d in m["deltas"]),
-            # effective watermarks are already merged over base ∪ deltas —
-            # carried verbatim, so the next incremental filter stays exact
-            "watermarks": json.dumps(m["watermarks"]),
-        }
-        for b, m in sorted(targets.items())
-    ]
-
-    compact_keys = ["conv_id", "turn_idx"]
-    compact_blooms: list[str] | None = None
-    layout_path = os.path.join(out_dir, "_layout.json")
-    if os.path.exists(layout_path):
-        with open(layout_path) as f:
-            _lay = json.load(f)
-        compact_keys = list(_lay["key_cols"])
-        compact_blooms = _lay.get("bloom_cols")
+    layout = _table_layout(out_dir)
 
     def _compact_bucket(batch: pa.Table) -> pa.Table:
         from odibel_ray.cdc.apply import limit_arrow_threads
 
         limit_arrow_threads()
         outs = []
-        for row in batch.to_pylist():
-            bucket = int(row["bucket"])
-            base = pq.read_table(row["base"])
-            deltas = [pq.read_table(f) for f in row["deltas"]]
-            out = merge_base_deltas(base, deltas, keys=compact_keys)
-            fname = _bucket_filename(bucket, run_id)
-            staged = os.path.join(staging, fname)
-            _write_data_file(out, staged)
-            if compact_blooms:
-                from odibel_ray.cdc.skipping import (
-                    BLOOM_SUFFIX,
-                    build_bloom_sidecar,
-                )
-
-                build_bloom_sidecar(out, compact_blooms, staged + BLOOM_SUFFIX)
-            if metrics:
-                from odibel_ray.monitor import record_task_metrics
-
-                record_task_metrics(metrics, rows=len(out), buckets_staged=1)
-            outs.append(
-                pa.table(
-                    {
-                        "bucket": pa.array([bucket], pa.int64()),
-                        "rows_out": pa.array([len(out)], pa.int64()),
-                        "n_events": pa.array([int(row["n_events"])], pa.int64()),
-                        "file": pa.array([fname], pa.string()),
-                        "staged": pa.array([staged], pa.string()),
-                        "watermarks": pa.array([row["watermarks"]], pa.string()),
-                        "run_id": pa.array([run_id], pa.string()),
-                        "feed_staged": pa.array([""], pa.string()),
-                        "feed_final": pa.array([""], pa.string()),
-                    }
-                )
-            )
+        for m in map(json.loads, batch["m"].to_pylist()):
+            outs.append(_stage_bucket(
+                _read_bucket(out_dir, m, layout["key_cols"]),
+                bucket=int(m["bucket"]),
+                staging=staging,
+                run_id=run_id,
+                # events that ever contributed to this bucket (lineage continuity)
+                n_events=int(m["n_events"])
+                + sum(int(d["n_events"]) for d in m.get("deltas", [])),
+                # effective watermarks are already merged over base ∪ deltas —
+                # carried verbatim, so the next incremental filter stays exact
+                watermarks=json.dumps(m["watermarks"]),
+                bloom_cols=layout["bloom_cols"],
+                metrics=metrics,
+            ))
         return pa.concat_tables(outs)
 
-    manifest_ds = rd.from_items(descs).map_batches(
+    items = [{"m": json.dumps(m)} for _, m in sorted(targets.items())]
+    manifest_ds = rd.from_items(items).map_batches(
         _compact_bucket, batch_format="pyarrow", batch_size=1
     )
     published = _publish_stream(manifest_ds, out_dir)
-
-    all_manifests = load_manifests(out_dir)
-    tman.update(
-        {
-            "buckets": sorted(all_manifests),
-            "rows_total": int(sum(m["rows_out"] for m in all_manifests.values())),
-            "mor_deltas": int(
-                sum(len(m.get("deltas", [])) for m in all_manifests.values())
-            ),
-            "last_run_id": run_id,
-        }
-    )
-    _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
-    snap = record_snapshot(out_dir, "compact_published")
+    all_manifests, snap = _commit_table(out_dir, tman, "compact_published", run_id)
     return {
         "compacted": len(published),
         "published_total": len(all_manifests),
         "rows_total": tman["rows_total"],
-        "snapshot": snap["version"] if snap else None,
+        "snapshot": snap,
         "deltas_total": tman["mor_deltas"],
         "out_dir": out_dir,
     }
@@ -2415,12 +2206,9 @@ def incremental_apply(
     # a deduplicated monotone union, so a timeline that runs ahead of a fully
     # failed apply only pre-records S events the next run re-merges
     # idempotently.
+    tman.update({"timeline": timeline.to_json(), "schema_version": len(timeline.changes)})
     if len(timeline.changes) != len(old_tl.changes):
-        tman_early = dict(tman)
-        tman_early["timeline"] = timeline.to_json()
-        tman_early["schema_version"] = len(timeline.changes)
-        _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman_early)
-        tman = tman_early
+        _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
 
     # materialized once: both the touched-bucket scan and the merge consume it
     # from the object store — without this the full log would be read and
@@ -2440,243 +2228,167 @@ def incremental_apply(
         return {"published_now": 0, "published_total": len(manifests), "touched": 0,
                 "rows_total": tman["rows_total"], "snapshot": None, "out_dir": out_dir}
 
+    staging = os.path.join(out_dir, STAGING_DIR, run_id)
+    os.makedirs(staging, exist_ok=True)
+    group_kw = dict(staging=staging, run_id=run_id, metrics=metrics)
     if mode == "mor":
-        staging = os.path.join(out_dir, STAGING_DIR, run_id)
-        os.makedirs(staging, exist_ok=True)
-        base_wms = {b: dict(m["watermarks"]) for b, m in manifests.items()}
         merged = new_ev.map_batches(
             compact_batch, batch_format="pyarrow", batch_size=batch_size
         )
-        manifest_ds = merged.groupby("bucket").map_groups(
-            partial(
-                _delta_write_group,
-                staging=staging,
-                run_id=run_id,
-                base_buckets=frozenset(manifests),
-                base_wms=base_wms,
-                metrics=metrics,
-            ),
-            batch_format="pyarrow",
-        )
-        published = _publish_mor_stream(manifest_ds, out_dir)
-        all_manifests = load_manifests(out_dir)
-        tman.update(
-            {
-                "buckets": sorted(all_manifests),
-                # base rows only — the logical count of a MOR table needs the
-                # merge; compact_published restores the exact figure
-                "rows_total": int(sum(m["rows_out"] for m in all_manifests.values())),
-                "mor_deltas": int(
-                    sum(len(m.get("deltas", [])) for m in all_manifests.values())
-                ),
-                "timeline": timeline.to_json(),
-                "schema_version": len(timeline.changes),
-                "last_run_id": run_id,
-            }
-        )
-        _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
-        snap = record_snapshot(out_dir, "incremental_apply_mor")
-        return {
-            "published_now": len(published),
-            "published_total": len(all_manifests),
-            "touched": int(len(touched)),
-            "n_events_applied": int(sum(p["n_events"] for p in published)),
-            "rows_total": tman["rows_total"],
-            "snapshot": snap["version"] if snap else None,
-            "deltas_total": tman["mor_deltas"],
-            "out_dir": out_dir,
-        }
+        group_kw["base_wms"] = {b: dict(m["watermarks"]) for b, m in manifests.items()}
+    else:
+        # a table bootstrapped by a schema-only/malformed-only publish has a
+        # TABLE manifest (carrying the timeline) but ZERO bucket manifests —
+        # there is no base to fold in, the apply runs on the new events alone
+        base = read_published(out_dir, system=True) if manifests else None
 
-    # a table bootstrapped by a schema-only/malformed-only publish has a
-    # TABLE manifest (carrying the timeline) but ZERO bucket manifests —
-    # there is no base to fold in, the apply runs on the new events alone
-    base = read_published(out_dir, system=True) if manifests else None
+        def _base_as_events(t: pa.Table) -> pa.Table:
+            keep = np.isin(t["_bucket"].to_numpy(zero_copy_only=False), touched)
+            t = t.filter(pa.array(keep))
+            ev = _rows_as_events(t, t["_bucket"])
+            if feed_dir:
+                ev = ev.append_column("_base", pa.array(np.ones(len(t), dtype=bool)))
+            return ev
 
-    def _base_as_events(t: pa.Table) -> pa.Table:
-        keep = np.isin(t["_bucket"].to_numpy(zero_copy_only=False), touched)
-        t = t.filter(pa.array(keep))
-        cols = {
-            "op": pa.array(["I"] * len(t), pa.string()),
-            "lsn": t["_lsn"],
-            "conv_id": t["conv_id"],
-            "turn_idx": t["turn_idx"],
-            "role": t["role"],
-            "text": t["text"],
-            "tool_name": t["tool_name"],
-            "score": t["score"],
-            "ts": t["ts"],
-            "part": t["_part"],
-            "bucket": t["_bucket"],
-        }
+        base_ev = (
+            base.map_batches(_base_as_events, batch_format="pyarrow",
+                             batch_size=batch_size)
+            if base is not None
+            else None
+        )
         if feed_dir:
-            cols["_base"] = pa.array(np.ones(len(t), dtype=bool))
-        return pa.table(cols)
+            def _mark_new(t: pa.Table) -> pa.Table:
+                return t.append_column("_base", pa.array(np.zeros(len(t), dtype=bool)))
 
-    base_ev = (
-        base.map_batches(_base_as_events, batch_format="pyarrow",
-                         batch_size=batch_size)
-        if base is not None
-        else None
+            new_side = new_ev.map_batches(_mark_new, batch_format="pyarrow",
+                                          batch_size=batch_size)
+        else:
+            new_side = new_ev
+        merged = new_side.union(base_ev) if base_ev is not None else new_side
+        if feed_dir:
+            # side-aware combiner: keep the max-LSN row per (key, base-vs-new)
+            # so the before-state survives compaction alongside the winning
+            # event
+            def _compact_keep_base(t: pa.Table) -> pa.Table:
+                if len(t) == 0:
+                    return t
+                t = t.combine_chunks()
+                t = t.take(pc.sort_indices(t, sort_keys=_SORT_KEYS))
+                keep = np.ones(len(t), dtype=bool)
+                keep[:-1] = ~_same_next_key_mask(t, [*TRANSCRIPT_KEYS, "_base"])
+                return t.filter(pa.array(keep))
+
+            merged = merged.map_batches(
+                _compact_keep_base, batch_format="pyarrow", batch_size=batch_size
+            )
+            group_kw["feed"] = {"dir": feed_dir, "values": feed_values, "lsn": feed_lsn}
+        else:
+            merged = merged.map_batches(compact_batch, batch_format="pyarrow",
+                                        batch_size=batch_size)
+    manifest_ds = merged.groupby("bucket").map_groups(
+        partial(_apply_write_group, **group_kw), batch_format="pyarrow"
     )
-    if feed_dir:
-        def _mark_new(t: pa.Table) -> pa.Table:
-            return t.append_column("_base", pa.array(np.zeros(len(t), dtype=bool)))
-
-        new_side = new_ev.map_batches(_mark_new, batch_format="pyarrow", batch_size=batch_size)
-    else:
-        new_side = new_ev
-    merged = new_side.union(base_ev) if base_ev is not None else new_side
-    if feed_dir:
-        # side-aware combiner: keep the max-LSN row per (key, base-vs-new) so
-        # the before-state survives compaction alongside the winning event
-        def _compact_keep_base(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return t
-            t = t.combine_chunks()
-            t = t.take(pc.sort_indices(t, sort_keys=_SORT_KEYS))
-            n = len(t)
-            keep = np.ones(n, dtype=bool)
-            if n > 1:
-                conv, turn = t["conv_id"], t["turn_idx"]
-                same_next = pc.fill_null(
-                    pc.and_(
-                        pc.equal(conv.slice(1), conv.slice(0, n - 1)),
-                        pc.equal(turn.slice(1), turn.slice(0, n - 1)),
-                    ),
-                    False,
-                ).to_numpy(zero_copy_only=False)
-                b = t["_base"].to_numpy(zero_copy_only=False).astype(bool)
-                keep[: n - 1] = ~(same_next & (b[:-1] == b[1:]))
-            return t.filter(pa.array(keep))
-
-        merged = merged.map_batches(
-            _compact_keep_base, batch_format="pyarrow", batch_size=batch_size
-        )
-    else:
-        merged = merged.map_batches(compact_batch, batch_format="pyarrow", batch_size=batch_size)
-
-    staging = os.path.join(out_dir, STAGING_DIR, run_id)
-    os.makedirs(staging, exist_ok=True)
-    if feed_dir:
-        from odibel_ray.cdc.apply import feed_table
-
-        def _apply_with_feed(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return _MANIFEST_SCHEMA.empty_table()
-            bucket = int(t["bucket"][0].as_py())
-            feed = feed_table(
-                t, mask_col="_base", values=feed_values or ("text",),
-                with_lsn=feed_lsn,
-            )
-            # stage the feed next to the bucket's staged data; _publish_stream
-            # moves it into feed_dir inside the bucket's atomic publish step,
-            # so feed rows never describe state that isn't visible yet
-            feed_staged = os.path.join(staging, f"feed-{bucket:06d}.parquet")
-            _write_data_file(feed, feed_staged)
-            row = _apply_write_group(
-                t.drop_columns(["_base"]), staging=staging, run_id=run_id,
-                metrics=metrics,
-            )
-            # feed filename is derived from the bucket's post-apply watermark
-            # STATE, not the run_id: a crash between feed publish and the
-            # bucket manifest write makes the resume re-apply the same events
-            # (same watermark map) under a fresh run_id — a deterministic
-            # name means the resume OVERWRITES the crashed run's feed file
-            # instead of double-counting its change rows. Two different
-            # applies of a bucket always advance some part's max LSN, so the
-            # watermark map (hashed, since parts can also drop out when all
-            # their rows are deleted) uniquely tags each state transition.
-            import hashlib
-
-            tag = hashlib.sha1(
-                row["watermarks"][0].as_py().encode()
-            ).hexdigest()[:16]
-            feed_final = os.path.join(
-                feed_dir, f"bucket={bucket}", f"state-{tag}.parquet"
-            )
-            i_fs = row.schema.get_field_index("feed_staged")
-            row = row.set_column(
-                i_fs, "feed_staged", pa.array([feed_staged], pa.string())
-            )
-            i_ff = row.schema.get_field_index("feed_final")
-            return row.set_column(
-                i_ff, "feed_final", pa.array([feed_final], pa.string())
-            )
-
-        group_fn = _apply_with_feed
-    else:
-        group_fn = partial(
-            _apply_write_group, staging=staging, run_id=run_id, metrics=metrics
-        )
-    manifest_ds = merged.groupby("bucket").map_groups(group_fn, batch_format="pyarrow")
     published = _publish_stream(manifest_ds, out_dir)
-
-    all_manifests = load_manifests(out_dir)
-    tman.update(
-        {
-            "buckets": sorted(all_manifests),
-            "rows_total": int(sum(m["rows_out"] for m in all_manifests.values())),
-            "timeline": timeline.to_json(),
-            "schema_version": len(timeline.changes),
-            "last_run_id": run_id,
-        }
-    )
-    _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
-    snap = record_snapshot(out_dir, "incremental_apply")
+    op = "incremental_apply_mor" if mode == "mor" else "incremental_apply"
+    all_manifests, snap = _commit_table(out_dir, tman, op, run_id)
     return {
         "published_now": len(published),
         "published_total": len(all_manifests),
         "touched": int(len(touched)),
         "n_events_applied": int(sum(p["n_events"] for p in published)),
         "rows_total": tman["rows_total"],
-        "snapshot": snap["version"] if snap else None,
+        "snapshot": snap,
+        "deltas_total": tman["mor_deltas"],
         "out_dir": out_dir,
     }
 
 
-def _generic_write_group(
-    t: pa.Table, *, staging: str, run_id: str, metrics: str | None = None,
-    sort_by: str | None = None, bloom_cols: list[str] | None = None,
+def _keyed_write_group(
+    t: pa.Table,
+    *,
+    staging: str,
+    run_id: str,
+    key_cols: list[str],
+    out_dir: str = "",
+    bucket_files: dict[int, str] | None = None,
+    mode: str = "cow",
+    seq: int = 0,
+    sort_by: str | None = None,
+    bloom_cols: list[str] | None = None,
+    feed_dir: str | None = None,
+    feed_values: list[str] | None = None,
+    metrics: str | None = None,
 ) -> pa.Table:
-    """Stage one pre-bucketed group of an arbitrary table (any schema,
-    including nested ``list<struct>`` columns) and emit its manifest row.
-    The write-audit-publish contract is identical to the transcript path:
-    deterministic staged filename, row-count audit, atomic publish.
-    ``sort_by`` (range-clustered layouts) sorts the bucket file by the
-    cluster column so its Parquet row-group stats stay tight."""
+    """Stage one pre-bucketed group of a generic keyed table (any schema,
+    including nested ``list<struct>`` columns) and emit its manifest row —
+    the bucket write of :func:`publish_dataset` and
+    :func:`upsert_published`.
+
+    Rows carry ``_bucket`` and, for upserts, a ``_delete`` flag (delete rows
+    carry their key; their other columns are null). A bucket with no published base in
+    ``bucket_files`` stages the group's live rows as its base. Otherwise
+    ``mode="cow"`` rewrites the base: base rows whose key the group touches
+    are dropped and the update rows appended, so re-running the same
+    updates converges to the same file contents. ``mode="mor"`` stages the
+    group as a DELTA of ``_lsn = seq`` rows with tombstones retained
+    (``_op = 'D'``) — no base read, no base rewrite. A group that updates
+    AND deletes one key keeps the update, in both modes. ``sort_by``
+    (range-clustered layouts) sorts the bucket file by the cluster column so
+    its Parquet row-group stats stay tight. With ``feed_dir`` (copy-on-write
+    only) the bucket's row-level change feed stages alongside and publishes
+    in the same atomic pointer flip."""
+    from odibel_ray.cdc.apply import limit_arrow_threads
+
     if len(t) == 0:
         return _MANIFEST_SCHEMA.empty_table()
+    limit_arrow_threads()
     t = t.combine_chunks()
     bucket = int(t["_bucket"][0].as_py())
-    out = t.drop_columns(["_bucket"])
+    n_events = len(t)
     if sort_by is not None:
-        out = out.take(pc.sort_indices(out, sort_keys=[(sort_by, "ascending")]))
-    if "_z" in out.column_names:  # zorder sort helper, never persisted
-        out = out.drop_columns(["_z"])
-    fname = _bucket_filename(bucket, run_id)
-    staged = os.path.join(staging, fname)
-    _write_data_file(out, staged)
-    if bloom_cols:
-        from odibel_ray.cdc.skipping import BLOOM_SUFFIX, build_bloom_sidecar
-
-        build_bloom_sidecar(out, bloom_cols, staged + BLOOM_SUFFIX)
-    if metrics:
-        from odibel_ray.monitor import record_task_metrics
-
-        record_task_metrics(metrics, rows=len(out), buckets_staged=1)
-    return pa.table(
-        {
-            "bucket": pa.array([bucket], pa.int64()),
-            "rows_out": pa.array([len(out)], pa.int64()),
-            "n_events": pa.array([len(out)], pa.int64()),
-            "file": pa.array([fname], pa.string()),
-            "staged": pa.array([staged], pa.string()),
-            "watermarks": pa.array(["{}"], pa.string()),
-            "run_id": pa.array([run_id], pa.string()),
-            "feed_staged": pa.array([""], pa.string()),
-            "feed_final": pa.array([""], pa.string()),
-        }
-    )
+        t = t.take(pc.sort_indices(t, sort_keys=[(sort_by, "ascending")]))
+    ups, dels = t, t.slice(0, 0)
+    if "_delete" in t.column_names:
+        dmask = pc.fill_null(t["_delete"], False)
+        ups, dels = t.filter(pc.invert(dmask)), t.filter(dmask)
+    # _z is the z-order sort helper, never persisted
+    drop = [c for c in ("_bucket", "_delete", "_z") if c in t.column_names]
+    ups, dels = ups.drop_columns(drop), dels.drop_columns(drop)
+    if len(ups) and len(dels):
+        # the update wins: drop the tombstones of updated keys (the join
+        # runs on the keys only — Arrow joins reject nested payload columns)
+        probe = dels.select(key_cols).append_column("__row", pa.array(np.arange(len(dels))))
+        keep = probe.join(ups.select(key_cols), keys=key_cols, join_type="left anti")
+        dels = dels.take(np.sort(keep["__row"].to_numpy()))
+    old_file = (bucket_files or {}).get(bucket)
+    stage = partial(_stage_bucket, bucket=bucket, staging=staging, run_id=run_id,
+                    n_events=n_events, metrics=metrics)
+    if old_file is not None and mode == "mor":
+        out = pa.concat_tables([ups, dels])
+        out = out.append_column("_lsn", pa.array(np.full(len(out), seq, np.int64)))
+        out = out.append_column("_op", pa.array(["U"] * len(ups) + ["D"] * len(dels)))
+        # named by (write_seq, run_id): a resume of the same run overwrites
+        # its own delta, a later run (next write_seq) never does
+        tag = hashlib.sha1(json.dumps([seq, run_id]).encode()).hexdigest()[:16]
+        return stage(out, delta_tag=tag)
+    if old_file is None and len(ups) == 0:
+        # delete-only group aimed at a bucket that was never published:
+        # nothing to remove, nothing to write — publishing here would pin a
+        # phantom zero-row bucket file that every future read opens
+        return _MANIFEST_SCHEMA.empty_table()
+    old = None
+    new = ups
+    if old_file is not None:
+        old = pq.read_table(os.path.join(out_dir, old_file))
+        touched = pa.concat_tables([ups.select(key_cols), dels.select(key_cols)])
+        survivors = old.join(touched, keys=key_cols, join_type="left anti")
+        new = pa.concat_tables([survivors, ups], promote_options="default").combine_chunks()
+    feed = None
+    if feed_dir is not None:
+        feed_t = _upsert_feed_table(old, ups, dels.select(key_cols), key_cols, feed_values, seq)
+        if feed_t is not None:
+            feed = (feed_t, os.path.join(feed_dir, f"bucket={bucket}", f"upsert-{run_id}.parquet"))
+    return stage(new, bloom_cols=bloom_cols, feed=feed)
 
 
 @_single_writer("out_dir")
@@ -2754,10 +2466,8 @@ def publish_dataset(
     if snapshots is not None:
         os.makedirs(out_dir, exist_ok=True)
         enable_snapshots(out_dir, keep_last=snapshots)
-    layout_path = os.path.join(out_dir, "_layout.json")
-    if os.path.exists(layout_path):
-        with open(layout_path) as f:
-            layout = json.load(f)
+    layout = _table_layout(out_dir)["pinned"]
+    if layout is not None:
         if num_buckets is not None and int(layout["num_buckets"]) != num_buckets:
             raise ValueError(
                 f"table at {out_dir} was laid out with num_buckets="
@@ -2798,7 +2508,7 @@ def publish_dataset(
             layout.update({"cluster_by": cluster_by, "bounds": bounds})
         if bloom_cols:
             layout["bloom_cols"] = list(bloom_cols)
-        _atomic_write_json(layout_path, layout)
+        _atomic_write_json(os.path.join(out_dir, LAYOUT_FILE), layout)
     os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
     staging = os.path.join(out_dir, STAGING_DIR, run_id)
     os.makedirs(staging, exist_ok=True)
@@ -2844,9 +2554,10 @@ def publish_dataset(
     tagged = ds.map_batches(tag, batch_format="pyarrow", batch_size=batch_size)
     manifest_ds = tagged.groupby("_bucket").map_groups(
         partial(
-            _generic_write_group,
+            _keyed_write_group,
             staging=staging,
             run_id=run_id,
+            key_cols=list(key_cols),
             metrics=metrics,
             sort_by="_z" if zcols is not None else cluster_by,
             bloom_cols=bloom_cols,
@@ -2854,26 +2565,21 @@ def publish_dataset(
         batch_format="pyarrow",
     )
     published = _publish_stream(manifest_ds, out_dir)
-    all_manifests = load_manifests(out_dir)
     tman = {
         # clustered layouts advertise no key-hash modulus: a key's bucket is
         # not derivable from the key, so lookup_key falls back to its
         # footer-stats pruning path over all buckets
         "num_buckets": None if (cluster_by is not None or zcols is not None) else num_buckets,
-        "buckets": sorted(all_manifests),
-        "rows_total": int(sum(m["rows_out"] for m in all_manifests.values())),
-        "last_run_id": run_id,
         "generic": True,
     }
     if cluster_by is not None or zcols is not None:
         tman["cluster_by"] = zcols if zcols is not None else cluster_by
-    _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
-    snap = record_snapshot(out_dir, "publish_dataset")
+    all_manifests, snap = _commit_table(out_dir, tman, "publish_dataset", run_id)
     return {
         "published_now": len(published),
         "published_total": len(all_manifests),
         "rows_total": tman["rows_total"],
-        "snapshot": snap["version"] if snap else None,
+        "snapshot": snap,
         "out_dir": out_dir,
     }
 
@@ -2989,141 +2695,6 @@ def _upsert_feed_table(
     return feed.append_column("_lsn", pa.array(np.full(len(feed), feed_seq, np.int64)))
 
 
-def _generic_delta_group(
-    t: pa.Table,
-    *,
-    staging: str,
-    run_id: str,
-    bucket_files: dict[int, str],
-    seq: int,
-    metrics: str | None = None,
-) -> pa.Table:
-    """Merge-on-read upsert of ONE bucket: stage this run's replacement rows
-    (tombstones retained, ``_op='D'``) as a delta file tagged ``_lsn=seq`` —
-    no base read, no base rewrite (write cost O(updates), the fit for
-    high-frequency maintained-table refreshes). A bucket with no published
-    base degenerates to an ordinary base write of the update rows."""
-    import hashlib
-
-    from odibel_ray.cdc.apply import limit_arrow_threads
-
-    if len(t) == 0:
-        return _MANIFEST_SCHEMA.empty_table()
-    limit_arrow_threads()
-    t = t.combine_chunks()
-    bucket = int(t["_bucket"][0].as_py())
-    dmask = pc.fill_null(t["_delete"], False)
-    if bucket not in bucket_files:
-        live = t.filter(pc.invert(dmask)).drop_columns(["_delete"])
-        return _generic_write_group(live, staging=staging, run_id=run_id, metrics=metrics)
-    out = t.drop_columns(["_bucket", "_delete"])
-    out = out.append_column("_lsn", pa.array(np.full(len(out), seq, np.int64)))
-    out = out.append_column(
-        "_op", pa.array(np.where(dmask.to_numpy(zero_copy_only=False), "D", "U"))
-    )
-    tag = hashlib.sha1(run_id.encode()).hexdigest()[:16]
-    fname = f"delta-{bucket:06d}-{tag}.parquet"
-    staged = os.path.join(staging, fname)
-    _write_data_file(out, staged)
-    if metrics:
-        from odibel_ray.monitor import record_task_metrics
-
-        record_task_metrics(metrics, rows=len(out), buckets_staged=1)
-    return pa.table(
-        {
-            "bucket": pa.array([bucket], pa.int64()),
-            "rows_out": pa.array([len(out)], pa.int64()),
-            "n_events": pa.array([len(t)], pa.int64()),
-            "file": pa.array([fname], pa.string()),
-            "staged": pa.array([staged], pa.string()),
-            "watermarks": pa.array(["{}"], pa.string()),
-            "run_id": pa.array([run_id], pa.string()),
-            "feed_staged": pa.array([""], pa.string()),
-            "feed_final": pa.array([""], pa.string()),
-        }
-    )
-
-
-def _upsert_write_group(
-    t: pa.Table,
-    *,
-    staging: str,
-    run_id: str,
-    out_dir: str,
-    bucket_files: dict[int, str],
-    key_cols: list[str],
-    metrics: str | None = None,
-    feed_dir: str | None = None,
-    feed_values: list[str] | None = None,
-    feed_seq: int = 0,
-    bloom_cols: list[str] | None = None,
-) -> pa.Table:
-    """Rewrite ONE bucket under upsert semantics: current published rows whose
-    key appears in this group's updates are dropped, surviving updates are
-    appended, and the result stages under a run-versioned name (idempotent —
-    re-running the same updates over an already-updated bucket converges to
-    the same file contents). With ``feed_dir``, the bucket's row-level change
-    feed stages alongside and publishes in the same atomic pointer flip."""
-    from odibel_ray.cdc.apply import limit_arrow_threads
-
-    if len(t) == 0:
-        return _MANIFEST_SCHEMA.empty_table()
-    limit_arrow_threads()
-    t = t.combine_chunks()
-    bucket = int(t["_bucket"][0].as_py())
-    touched = t.select(key_cols).group_by(key_cols).aggregate([])
-    dmask = pc.fill_null(t["_delete"], False)
-    ups = t.filter(pc.invert(dmask)).drop_columns(["_bucket", "_delete"])
-    old_file = bucket_files.get(bucket)
-    old = None
-    if old_file is not None:
-        old = pq.read_table(os.path.join(out_dir, old_file))
-    if old is None and len(ups) == 0:
-        # delete-only group aimed at a bucket that was never published:
-        # nothing to remove, nothing to write — publishing here would pin a
-        # phantom zero-row bucket file that every future read opens
-        return _MANIFEST_SCHEMA.empty_table()
-    if old is not None:
-        survivors = old.join(touched, keys=key_cols, join_type="left anti")
-        new = pa.concat_tables([survivors, ups], promote_options="default")
-    else:
-        new = ups
-    new = new.combine_chunks()
-    fname = _bucket_filename(bucket, run_id)
-    staged = os.path.join(staging, fname)
-    _write_data_file(new, staged)
-    if bloom_cols:  # rewritten bucket gets a fresh bloom; untouched keep theirs
-        from odibel_ray.cdc.skipping import BLOOM_SUFFIX, build_bloom_sidecar
-
-        build_bloom_sidecar(new, bloom_cols, staged + BLOOM_SUFFIX)
-    feed_staged, feed_final = "", ""
-    if feed_dir is not None:
-        dels = t.filter(dmask).select(key_cols)
-        feed_t = _upsert_feed_table(old, ups, dels, key_cols, feed_values, feed_seq)
-        if feed_t is not None:
-            feed_name = f"upsert-{run_id}.parquet"
-            feed_staged = os.path.join(staging, f"feed-{bucket:06d}.parquet")
-            feed_final = os.path.join(feed_dir, f"bucket={bucket}", feed_name)
-            _write_data_file(feed_t, feed_staged)
-    if metrics:
-        from odibel_ray.monitor import record_task_metrics
-
-        record_task_metrics(metrics, rows=len(new), buckets_staged=1)
-    return pa.table(
-        {
-            "bucket": pa.array([bucket], pa.int64()),
-            "rows_out": pa.array([len(new)], pa.int64()),
-            "n_events": pa.array([len(t)], pa.int64()),
-            "file": pa.array([fname], pa.string()),
-            "staged": pa.array([staged], pa.string()),
-            "watermarks": pa.array(["{}"], pa.string()),
-            "run_id": pa.array([run_id], pa.string()),
-            "feed_staged": pa.array([feed_staged], pa.string()),
-            "feed_final": pa.array([feed_final], pa.string()),
-        }
-    )
-
-
 @_single_writer("out_dir")
 def upsert_published(
     updates,
@@ -3145,9 +2716,11 @@ def upsert_published(
 
     ``updates`` rows are full replacement rows for their key (at most one row
     per key); ``deletes`` is an optional Dataset carrying (at least) the key
-    columns of rows to remove. Untouched buckets keep their current files.
-    Idempotent: re-running the same updates/deletes over an already-updated
-    table converges to the same state, so a crash-resume just re-runs.
+    columns of rows to remove. A key that is both updated and deleted in one
+    call keeps its update row, in both modes. Untouched buckets keep their
+    current files. Idempotent: re-running the same updates/deletes over an
+    already-updated table converges to the same state, so a crash-resume
+    just re-runs.
     Cost is O(touched buckets), never O(table).
 
     ``mode``: ``"cow"`` (default) rewrites each touched bucket;
@@ -3172,22 +2745,20 @@ def upsert_published(
     """
     from odibel_ray.cdc.lww import bucket_of_keys
 
-    layout_path = os.path.join(out_dir, "_layout.json")
-    if not os.path.exists(layout_path):
+    layout = _table_layout(out_dir)
+    if layout["system"]:
         raise FileNotFoundError(
             f"{out_dir} is not a generic published table (no _layout.json; "
             "upsert_published only targets publish_dataset tables)"
         )
-    with open(layout_path) as f:
-        layout = json.load(f)
-    if layout.get("cluster_by"):
+    if layout["cluster_by"]:
         raise ValueError(
             "upsert_published cannot target a range-clustered table (a key's "
             "bucket is not derivable from the key); maintain the hash-bucketed "
             "primary and republish the clustered serving copy"
         )
-    key_cols = list(layout["key_cols"])
-    num_buckets = int(layout["num_buckets"])
+    key_cols = layout["key_cols"]
+    num_buckets = layout["num_buckets"]
     if mode not in ("cow", "mor"):
         raise ValueError("mode must be 'cow' or 'mor'")
     if mode == "mor" and feed_dir:
@@ -3241,17 +2812,17 @@ def upsert_published(
                 f"upsert violates the table expectation {expect}: {bad} row(s); "
                 "fix the rows or drop_expectations() first"
             )
-    feed_seq = 0
-    if feed_dir is not None or mode == "mor":
-        if feed_dir is not None:
-            if feed_values is None:
-                feed_values = [c for c in canon_names if c not in key_cols]
-            else:
-                feed_values = list(feed_values)
-        # write sequence: constant within a run, increasing across runs —
-        # the ordering feed consumers / the MOR delta merge need
-        with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
-            feed_seq = int(json.load(f).get("write_seq", 0)) + 1
+    if feed_dir is not None:
+        if feed_values is None:
+            feed_values = [c for c in canon_names if c not in key_cols]
+        else:
+            feed_values = list(feed_values)
+    # write sequence: constant within a run, increasing across runs — the
+    # ordering feed consumers and the MOR delta merge need
+    with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
+        tman = json.load(f)
+    prev_seq = int(tman.get("write_seq", 0))
+    seq = prev_seq + 1
 
     staging = os.path.join(out_dir, STAGING_DIR, run_id)
     os.makedirs(staging, exist_ok=True)
@@ -3291,60 +2862,31 @@ def upsert_published(
             tag_deletes, batch_format="pyarrow", batch_size=batch_size
         )
         tagged = tag_d if tagged is None else tagged.union(tag_d)
-    if mode == "mor":
-        group_fn = partial(
-            _generic_delta_group,
-            staging=staging,
-            run_id=run_id,
-            bucket_files=bucket_files,
-            seq=feed_seq,
-            metrics=metrics,
-        )
-    else:
-        group_fn = partial(
-            _upsert_write_group,
-            staging=staging,
-            run_id=run_id,
-            out_dir=out_dir,
-            bucket_files=bucket_files,
-            key_cols=key_cols,
-            metrics=metrics,
-            feed_dir=feed_dir,
-            feed_values=feed_values,
-            feed_seq=feed_seq,
-            bloom_cols=layout.get("bloom_cols"),
-        )
+    group_fn = partial(
+        _keyed_write_group,
+        staging=staging,
+        run_id=run_id,
+        key_cols=key_cols,
+        out_dir=out_dir,
+        bucket_files=bucket_files,
+        mode=mode,
+        seq=seq,
+        bloom_cols=layout["bloom_cols"],
+        feed_dir=feed_dir,
+        feed_values=feed_values,
+        metrics=metrics,
+    )
     manifest_ds = tagged.groupby("_bucket").map_groups(group_fn, batch_format="pyarrow")
-    published = (
-        _publish_mor_stream(manifest_ds, out_dir)
-        if mode == "mor"
-        else _publish_stream(manifest_ds, out_dir)
-    )
-    all_manifests = load_manifests(out_dir)
-    tman = {
-        "num_buckets": num_buckets,
-        "buckets": sorted(all_manifests),
-        "rows_total": int(sum(m["rows_out"] for m in all_manifests.values())),
-        "last_run_id": run_id,
-        "generic": True,
-    }
-    tman["mor_deltas"] = int(
-        sum(len(m.get("deltas", [])) for m in all_manifests.values())
-    )
-    if feed_dir is not None or mode == "mor":
-        tman["write_seq"] = feed_seq
-    else:  # keep the sequence monotonic across feed-less writes too
-        with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
-            prev_seq = int(json.load(f).get("write_seq", 0))
-        if prev_seq:
-            tman["write_seq"] = prev_seq + 1
-    _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
-    snap = record_snapshot(out_dir, "upsert_published")
+    published = _publish_stream(manifest_ds, out_dir)
+    if feed_dir is not None or mode == "mor" or prev_seq:
+        # keep the sequence monotonic across feed-less writes too
+        tman["write_seq"] = seq
+    all_manifests, snap = _commit_table(out_dir, tman, "upsert_published", run_id)
     return {
         "buckets_rewritten": len(published),
         "published_total": len(all_manifests),
         "rows_total": tman["rows_total"],
         "deltas_total": tman["mor_deltas"],
-        "snapshot": snap["version"] if snap else None,
+        "snapshot": snap,
         "out_dir": out_dir,
     }

@@ -187,12 +187,6 @@ def file_may_match(path: str, where: Sequence[Sequence], metadata=None) -> bool:
     return False
 
 
-def prune_files(paths: list[str], where: Sequence[Sequence]) -> list[str]:
-    """File-level zone-map prune: the manifested files that may hold a
-    matching row."""
-    return [p for p in paths if file_may_match(p, where)]
-
-
 def _thin_list(vals: list, cap: int) -> list:
     import numpy as np
 
@@ -410,16 +404,6 @@ def zorder_layout(ds, cols: list[str], num_buckets: int) -> dict:
         if not bounds or v > bounds[-1]:
             bounds.append(v)
     return {"zref": zref, "bounds": bounds}
-
-
-def bucket_of_zorder(t: pa.Table, cols: list[str], zref: dict[str, list],
-                     bounds: list) -> "np.ndarray":
-    import numpy as np
-
-    z = zvalue_of(t, cols, zref)
-    if not bounds:
-        return np.zeros(len(t), dtype=np.int64)
-    return np.searchsorted(np.asarray(bounds, dtype=np.int64), z, side="left")
 
 
 # ---------------------------------------------------------------------------

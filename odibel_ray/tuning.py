@@ -10,8 +10,7 @@ initialised — with env overrides for operators pinning a fleet-wide setting:
 - ``ODIBEL_NUM_BUCKETS`` — force every default bucket count.
 - ``ODIBEL_EFFECTIVE_CORES`` — the host's *real* parallel capacity when the
   advertised CPU count oversubscribes it (this sandbox: 32 advertised, ~8
-  real; see BASELINE.md "Hardware note"). Used by bench.py for per-task CPU
-  sizing; here it only caps actor-pool widths.
+  real; see BASELINE.md "Hardware note"). It caps actor-pool widths.
 
 Callers pass ``num_buckets=None`` to mean "size for this cluster"; an explicit
 integer always wins (tests pin small counts for determinism of *layout*, never

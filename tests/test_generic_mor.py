@@ -151,3 +151,42 @@ def test_generic_lookup_plain_returns_full_row(ray_session, gen):
     transcript logical columns (regression: returned zero columns)."""
     t = lookup_key(gen, "b")
     assert t.column_names == ["k", "v"] and t.to_pylist() == [{"k": "b", "v": 2.0}]
+
+
+def test_mor_default_run_id_repeats_keep_every_delta(ray_session, tmp_path):
+    """Two MOR upserts under the default run_id each stage their own delta:
+    the second must not overwrite the first (losing its update), and a third
+    with a different row count must not break the manifest row-count audit
+    (which would drop the bucket from reads)."""
+    out = str(tmp_path / "one")
+    publish_dataset(
+        rd.from_arrow(pa.table({"k": ["a", "b", "c"], "v": [1.0, 2.0, 3.0]})),
+        out, key_cols=["k"], num_buckets=1, run_id="p1",
+    )
+    upsert_published(rd.from_arrow(pa.table({"k": ["a"], "v": [10.0]})), out, mode="mor")
+    upsert_published(rd.from_arrow(pa.table({"k": ["b"], "v": [20.0]})), out, mode="mor")
+    df = _df(read_published(out))
+    assert df.v.tolist() == [10.0, 20.0, 3.0]
+    upsert_published(
+        rd.from_arrow(pa.table({"k": ["c", "d"], "v": [30.0, 4.0]})), out, mode="mor"
+    )
+    assert len(load_manifests(out)[0]["deltas"]) == 3
+    df = _df(read_published(out))
+    assert df.k.tolist() == ["a", "b", "c", "d"]
+    assert df.v.tolist() == [10.0, 20.0, 30.0, 4.0]
+
+
+@pytest.mark.parametrize("mode", ["cow", "mor"])
+def test_update_wins_over_delete_of_same_key(ray_session, gen, mode):
+    """One upsert that updates AND deletes a key keeps the update — the same
+    rule in copy-on-write and merge-on-read."""
+    upsert_published(
+        rd.from_arrow(pa.table({"k": ["a"], "v": [10.0]})), gen,
+        deletes=rd.from_arrow(pa.table({"k": ["a", "c"]})), run_id="u1", mode=mode,
+    )
+    df = _df(read_published(gen))
+    assert df.k.tolist() == ["a", "b"]
+    assert df.v.tolist() == [10.0, 2.0]
+    assert lookup_key(gen, "a")["v"].to_pylist() == [10.0]
+    compact_published(gen, run_id="c1")
+    assert _df(read_published(gen)).v.tolist() == [10.0, 2.0]

@@ -255,7 +255,7 @@ def test_zorder_resume_reuses_layout(ray_session, tmp_path):
                         run_id="p3", cluster_by=["cat", "x"])
 
 
-def test_bucket_prune_key_equality(ray_session, published, tmp_path):
+def test_bucket_prune_key_equality(ray_session, published, tmp_path, monkeypatch):
     """Pinned hash-key equality routes the scan to the candidate bucket(s)
     only — lookup_key's bucket recomputation inside the general read."""
     log, out = published["log"], published["out"]
@@ -311,3 +311,57 @@ def test_bucket_prune_key_equality(ray_session, published, tmp_path):
                                     ("turn_idx", "==", 0)],
                         prune_stats=stats)
     assert ds.count() == 0 and stats["files_read"] <= 1
+
+    # lookup_key routes through the same router: a pq.read_table spy sees
+    # exactly the routed bucket's files (base + deltas) on every hash layout
+    import ray.data as rd
+
+    from odibel_ray.cdc import sink as sink_mod
+    from odibel_ray.cdc.ddl import alter_published
+    from odibel_ray.cdc.lww import bucket_of_keys
+    from odibel_ray.cdc.sink import load_manifests, lookup_key
+
+    reads = []
+    real_read = pq.read_table
+
+    def spy(path, *a, **k):
+        reads.append(os.path.basename(path))
+        return real_read(path, *a, **k)
+
+    monkeypatch.setattr(sink_mod.pq, "read_table", spy)
+
+    def routed_lookup(table, num_buckets, hash_probe, *args, **kw):
+        mans = load_manifests(table)
+        schema = pq.read_schema(os.path.join(table, mans[min(mans)]["file"]))
+        probe_t = pa.table({k: pa.array([v]).cast(schema.field(k).type)
+                            for k, v in hash_probe.items()})
+        m = mans[int(bucket_of_keys(probe_t, list(hash_probe), num_buckets)[0])]
+        reads.clear()
+        got = lookup_key(table, *args, **kw)
+        assert sorted(reads) == sorted([m["file"], *(d["file"] for d in m.get("deltas", []))])
+        return got
+
+    # transcript table with num_buckets: hashes conv_id only
+    got = routed_lookup(out, 4, {"conv_id": conv}, conv)
+    assert len(got) == (full["conv_id"] == conv).sum()
+    # two-key generic table probed with the full key
+    got = routed_lookup(gen, 8, {"conv_id": row["conv_id"], "turn_idx": int(row["turn_idx"])},
+                        row["conv_id"], turn_idx=int(row["turn_idx"]))
+    assert got["text"].to_pylist() == [row["text"]]
+    # single-key generic table, with a merge-on-read delta on the key's bucket
+    one = str(tmp_path / "one")
+    keys = [f"k{i}" for i in range(40)]
+    publish_dataset(rd.from_arrow(pa.table({"k": keys, "v": list(range(40))})), one,
+                    key_cols=["k"], num_buckets=4, run_id="o1")
+    upsert_published(rd.from_arrow(pa.table({"k": ["k7"], "v": [70]})), one,
+                     run_id="o2", mode="mor")
+    got = routed_lookup(one, 4, {"k": "k7"}, "k7")
+    assert got.to_pylist() == [{"k": "k7", "v": 70}]
+    assert len(reads) == 2  # base + its delta
+    # ... and with a pending (metadata-only) rename of a non-key column
+    alter_published(one, rename={"v": "w"})
+    got = routed_lookup(one, 4, {"k": "k7"}, "k7")
+    assert got.to_pylist() == [{"k": "k7", "w": 70}]
+    stats = {}
+    ds = read_published(one, where=[("k", "==", "k7")], prune_stats=stats)
+    assert ds.take_all() == [{"k": "k7", "w": 70}] and stats["files_read"] == 2
