@@ -59,6 +59,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from odibel_ray.cdc.lww import _same_next_key_mask
+
 if TYPE_CHECKING:  # pragma: no cover
     import ray.data
 
@@ -256,12 +258,7 @@ def _latest_transition(t: pa.Table, keys: list[str]) -> pa.Table:
     if has_lsn:
         sort_keys.append(("_lsn", "ascending"))
     t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
-    same_next = np.ones(n - 1, dtype=bool)
-    for k in keys:
-        c = t[k]
-        eq = pc.fill_null(pc.equal(c.slice(1), c.slice(0, n - 1)), False)
-        both_null = pc.and_(pc.is_null(c.slice(1)), pc.is_null(c.slice(0, n - 1)))
-        same_next &= pc.or_(eq, both_null).to_numpy(zero_copy_only=False)
+    same_next = _same_next_key_mask(t, keys)
     if same_next.any() and not has_lsn:
         raise ValueError(
             "feed contains several transitions for one key but no _lsn "

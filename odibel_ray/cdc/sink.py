@@ -39,7 +39,8 @@ import hashlib
 import json
 import os
 import time
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +53,14 @@ from odibel_ray.cdc.apply import (
     _SORT_KEYS,
     compact_batch,
     prepare_events,
+)
+from odibel_ray.cdc.ddl import (
+    SCHEMA_OPS,
+    SchemaMap,
+    _ddl_adapt,
+    load_schema_meta,
+    load_schema_ops,
+    schema_map,
 )
 from odibel_ray.cdc.lww import _same_next_key_mask
 from odibel_ray.cdc.schema import SchemaTimeline, extract_timeline
@@ -591,27 +600,35 @@ def _merged_watermarks(old: dict[str, int] | None, new: dict[str, int]) -> dict[
     return out
 
 
-def load_manifests(out_dir: str) -> dict[int, dict]:
+def _bucket_manifest_files(out_dir: str) -> list[dict]:
+    """Every bucket manifest under ``_manifests/``, unchecked."""
     mdir = os.path.join(out_dir, MANIFEST_DIR)
-    got: dict[int, dict] = {}
-    if not os.path.isdir(mdir):
-        return got
-    for fn in os.listdir(mdir):
+    out = []
+    for fn in sorted(os.listdir(mdir)) if os.path.isdir(mdir) else []:
         if fn.startswith("bucket-") and fn.endswith(".json"):
             with open(os.path.join(mdir, fn)) as f:
-                m = json.load(f)
-            # trust only manifests whose data files (base AND every
-            # merge-on-read delta) exist with matching rows
-            fpath = os.path.join(out_dir, m["file"])
-            ok = os.path.exists(fpath) and pq.read_metadata(fpath).num_rows == m["rows_out"]
-            for d in m.get("deltas", []):
-                dpath = os.path.join(out_dir, d["file"])
-                ok = ok and os.path.exists(dpath) and (
-                    pq.read_metadata(dpath).num_rows == d["rows_out"]
-                )
-            if ok:
-                got[int(m["bucket"])] = m
-    return got
+                out.append(json.load(f))
+    return out
+
+
+def _manifest_problems(out_dir: str, m: dict):
+    """The one validity check of a bucket manifest: its base file and every
+    merge-on-read delta exist with the manifested row count. Lazy, so a
+    caller that stops at the first problem opens no further footer."""
+    files = [("base", m["file"], m["rows_out"])]
+    files += [("delta", d["file"], d["rows_out"]) for d in m.get("deltas", [])]
+    for kind, path, rows in files:
+        full = os.path.join(out_dir, path)
+        if not os.path.exists(full):
+            yield f"bucket {m['bucket']}: {kind} file missing: {path}"
+        elif (have := pq.read_metadata(full).num_rows) != int(rows):
+            yield f"bucket {m['bucket']}: {kind} {path} has {have} rows, manifest says {rows}"
+
+
+def load_manifests(out_dir: str) -> dict[int, dict]:
+    """The bucket manifests readers may trust; fsck reports the others."""
+    return {int(m["bucket"]): m for m in _bucket_manifest_files(out_dir)
+            if next(_manifest_problems(out_dir, m), None) is None}
 
 
 # ---------------------------------------------------------------------------
@@ -1093,6 +1110,86 @@ def replay_publish(
     }
 
 
+@dataclass
+class _ReadPlan:
+    """One table read, resolved once by :func:`_read_plan` and executed by
+    the Ray Data scan (:func:`read_published`) or the in-process point read
+    (:func:`lookup_key`). ``flipped`` buckets were already rewritten by an
+    in-flight ``materialize_ddl`` (logical on disk); the others fold the
+    schema-op log ``ops``. The footer is opened lazily, once."""
+
+    out_dir: str
+    manifests: dict[int, dict]
+    layout: dict
+    ops: list[dict]
+    flipped: set[int]
+    requested: list[str] | None
+
+    @cached_property
+    def schema(self) -> pa.Schema:
+        """Physical schema of the buckets that fold ``ops`` (of any bucket
+        when all are flipped; key column types agree across buckets)."""
+        pending = [b for b in self.manifests if b not in self.flipped]
+        m = self.manifests[min(pending or self.manifests)]
+        return pq.read_schema(os.path.join(self.out_dir, m["file"]))
+
+    @cached_property
+    def smap(self) -> SchemaMap | None:
+        """``ops`` folded over :attr:`schema`, from every bucket of the
+        version (not only routed ones, so a routed miss is typed logically)."""
+        if not self.ops or len(self.flipped) == len(self.manifests):
+            return None
+        return SchemaMap(self.schema, self.ops)
+
+    @cached_property
+    def columns(self) -> list[str] | None:
+        """Logical output columns; None = every column of the files."""
+        if self.smap is None:
+            return self.requested
+        cols = self.requested if self.requested is not None else self.smap.names
+        self.smap.check_columns(cols)
+        return cols
+
+    @property
+    def physical(self) -> list[str] | None:
+        """Columns a bucket that folds the op log reads; None = all."""
+        if self.smap is None:
+            return self.columns
+        return self.smap.physical_columns(self.columns) or None
+
+    def empty(self) -> pa.Table:
+        """The typed empty result of a read that matches nothing."""
+        if self.smap is not None:
+            return self.smap.logical_schema(self.columns).empty_table()
+        if self.columns is None:
+            return self.schema.empty_table()
+        return pa.schema([self.schema.field(c) for c in self.columns]).empty_table()
+
+
+def _read_plan(out_dir: str, *, version: int | None = None, as_of=None,
+               columns: list[str] | None = None, system: bool = False) -> _ReadPlan:
+    """Resolve one read of a table (live, or retained snapshot ``version`` /
+    ``as_of``). Transcript tables hide their system columns unless
+    ``system`` or ``columns`` ask for them; GENERIC tables have none."""
+    if as_of is not None:
+        if version is not None:
+            raise ValueError("pass version= or as_of=, not both")
+        version = version_at(out_dir, as_of)
+    manifests = (
+        snapshot_manifests(out_dir, version) if version is not None else load_manifests(out_dir)
+    )
+    if not manifests:
+        raise FileNotFoundError(f"no published buckets under {out_dir}")
+    layout = _table_layout(out_dir)
+    meta = load_schema_meta(out_dir)
+    mrun = meta.get("materialized_run")
+    flipped = {b for b, m in manifests.items() if mrun and m.get("run_id") == mrun}
+    if columns is None and layout["system"] and not system:
+        columns = LOGICAL_COLUMNS
+    return _ReadPlan(out_dir, manifests, layout, meta["ops"], flipped,
+                     None if columns is None else list(columns))
+
+
 def read_published(
     out_dir: str,
     *,
@@ -1143,118 +1240,67 @@ def read_published(
         where_expr,
     )
 
-    if as_of is not None:
-        if version is not None:
-            raise ValueError("pass version= or as_of=, not both")
-        version = version_at(out_dir, as_of)
-    manifests = (
-        snapshot_manifests(out_dir, version) if version is not None else load_manifests(out_dir)
-    )
-    if not manifests:
-        raise FileNotFoundError(f"no published buckets under {out_dir}")
+    plan = _read_plan(out_dir, version=version, as_of=as_of, columns=columns, system=system)
     if where is not None:
         where = check_where(where)
-    layout = _table_layout(out_dir)
-    if columns is not None:
-        final_cols = list(columns)
-    elif not system and layout["system"]:
-        # transcript tables hide their _lsn/_op system columns by default;
-        # GENERIC published tables (views, derived/clustered copies — any
-        # schema) have no system columns to hide, so a plain read is full
-        final_cols = list(LOGICAL_COLUMNS)
-    else:
-        final_cols = None
-    # schema + total-file accounting come from the FULL manifest set; the
-    # bucket-hash pruning below may drop every bucket and the read must
-    # still type its empty result
-    all_m = sorted(manifests.items())
-    files_total = sum(1 + len(m.get("deltas", [])) for _, m in all_m)
-    schema_src = os.path.join(out_dir, all_m[0][1]["file"])
+    manifests = plan.manifests
+    files_total = sum(1 + len(m.get("deltas", [])) for m in manifests.values())
     if where:
         # key-equality routing: recompute the candidate hash buckets from
         # pinned key values (lookup_key's routing inside the general scan)
-        manifests = _bucket_prune(out_dir, layout, manifests, where)
+        manifests = _bucket_prune(plan, where)
     # zero-row buckets exist for their watermarks (a bucket whose only
     # events were deletes-of-nonexistent still pins resume state) — but
     # scanning their empty files yields schema-less empty blocks from the
     # parquet reader, which poison any downstream concat; the manifest
     # already knows they contribute no rows, so skip them at the scan
-    plain_m = [m for _, m in sorted(manifests.items())
-               if not m.get("deltas") and m.get("rows_out", 1) != 0]
-    mor = [m for _, m in sorted(manifests.items()) if m.get("deltas")]
-    plain = [os.path.join(out_dir, m["file"]) for m in plain_m]
-    # metadata-only DDL (generic tables): resolve the op log once, then run
-    # the whole prune/pushdown machinery in PHYSICAL column space and
-    # re-label batches to the logical schema at the end (cdc/ddl.py). While
-    # a materialize_ddl rewrite is in flight, buckets stamped with its run
-    # id are ALREADY logical on disk — they read directly (`done`), the
-    # rest still fold the op log, so a reader mid-rewrite (or after a
-    # crash) sees the correct logical table either way.
-    from odibel_ray.cdc.ddl import SCHEMA_OPS, SchemaMap, load_schema_meta
-
-    smap = None
-    logical_cols = None
-    done: list[str] = []
+    plain, done, mor = [], [], []
+    for b, m in sorted(manifests.items()):
+        if m.get("deltas"):
+            mor.append(m)
+        elif m.get("rows_out", 1) != 0:
+            (done if b in plan.flipped else plain).append(os.path.join(out_dir, m["file"]))
+    # metadata-only DDL (generic tables): the prune/pushdown machinery runs
+    # in PHYSICAL column space and batches are re-labelled to the logical
+    # schema at the end (cdc/ddl.py); flipped buckets (`done`) are already
+    # logical on disk and read directly, so a reader mid-rewrite (or after
+    # a crash) sees the correct logical table either way
+    smap = plan.smap
+    final_cols = plan.physical
     where_logical = where
-    if os.path.exists(os.path.join(out_dir, SCHEMA_OPS)):
-        smeta = load_schema_meta(out_dir)
-        mrun = smeta.get("materialized_run")
-        if mrun:
-            done = [os.path.join(out_dir, m["file"]) for m in plain_m
-                    if m.get("run_id") == mrun]
-            plain = [os.path.join(out_dir, m["file"]) for m in plain_m
-                     if m.get("run_id") != mrun]
-        if smeta["ops"] and (plain or mor):
-            src = plain[0] if plain else os.path.join(out_dir, mor[0]["file"])
-            smap = SchemaMap(pq.read_schema(src), smeta["ops"])
-    if smap is not None:
-        logical_cols = final_cols if final_cols is not None else smap.names
-        smap.check_columns(logical_cols)
-        if where:
-            where, feasible = smap.translate_where(where)
-            if not feasible:
-                # value predicate on an unmaterialized column: pending
-                # (physical) files provably match nothing; flipped files
-                # carry the column and answer through the logical filter
-                plain, mor, where = [], [], None
-            else:
-                where = where or None
-        final_cols = smap.physical_columns(logical_cols)
-    if where:
+    if smap is not None and where:
+        where, feasible = smap.translate_where(where)
+        if not feasible:
+            # value predicate on an unmaterialized column: pending
+            # (physical) files provably match nothing; flipped files
+            # carry the column and answer through the logical filter
+            plain, mor, where = [], [], None
+        else:
+            where = where or None
+
+    def may_match(paths: list[str], w) -> list[str]:
         # zone maps (footer min/max) first, then bloom sidecars (equality
         # probes on bloom-indexed columns); blooms only ever add pruning
-        plain = [p for p in plain if file_may_match(p, where)
-                 and bloom_may_match(p, where)]
+        return [p for p in paths if file_may_match(p, w) and bloom_may_match(p, w)]
+
+    if where:
+        plain = may_match(plain, where)
         # a MOR bucket is prunable only when base AND every delta fail the
         # stats check (the merge never synthesizes values, so no file with
         # a possible match ⇒ no merged match); delta files carry no blooms,
         # so bloom pruning does not apply to MOR buckets
-        mor = [
-            m
-            for m in mor
-            if file_may_match(os.path.join(out_dir, m["file"]), where)
-            or any(
-                file_may_match(os.path.join(out_dir, d["file"]), where)
-                for d in m["deltas"]
-            )
-        ]
+        mor = [m for m in mor if any(
+            file_may_match(os.path.join(out_dir, f), where)
+            for f in [m["file"], *(d["file"] for d in m["deltas"])])]
     if where_logical and done:
-        done = [p for p in done if file_may_match(p, where_logical)
-                and bloom_may_match(p, where_logical)]
+        done = may_match(done, where_logical)
     if prune_stats is not None:
         prune_stats["files_total"] = files_total
         prune_stats["files_read"] = (
             len(plain) + len(done) + sum(1 + len(m["deltas"]) for m in mor)
         )
     if not plain and not mor and not done:
-        # everything pruned: a typed empty Dataset from a manifested schema
-        if smap is not None:
-            schema = smap.logical_schema(logical_cols)
-        else:
-            schema = pq.read_schema(schema_src)
-            if final_cols is not None:
-                schema = pa.schema([schema.field(c) for c in final_cols])
-        return rd.from_arrow(schema.empty_table())
+        return rd.from_arrow(plan.empty())
     pieces = []
     if plain:
         kw = {"filter": where_expr(where)} if where else {}
@@ -1266,7 +1312,7 @@ def read_published(
         if final_cols is not None:
             where_cols = [c for c, _, _ in where] if where else []
             read_cols = list(dict.fromkeys([*final_cols, *where_cols]))
-        keys = layout["key_cols"]
+        keys = plan.layout["key_cols"]
 
         def _merge_bucket(batch: pa.Table) -> pa.Table:
             from odibel_ray.cdc.apply import limit_arrow_threads
@@ -1288,23 +1334,19 @@ def read_published(
     if pieces:
         ds = pieces[0] if len(pieces) == 1 else pieces[0].union(*pieces[1:])
         if smap is not None:
-            from odibel_ray.cdc.ddl import _ddl_adapt
-
             # zero-copy relabel physical → logical (renames are relabels,
             # added columns are null arrays, widened columns cast)
             ds = ds.map_batches(
-                partial(_ddl_adapt, smap=smap, columns=logical_cols),
+                partial(_ddl_adapt, smap=smap, columns=plan.columns),
                 batch_format="pyarrow",
             )
         elif final_cols is not None:
             ds = ds.select_columns(final_cols)
     if done:
-        # mid-materialize buckets already rewritten to the logical schema
-        dcols = logical_cols if smap is not None else final_cols
         kw = {"filter": where_expr(where_logical)} if where_logical else {}
-        dpiece = rd.read_parquet(done, columns=dcols, **kw)
-        if dcols is not None:
-            dpiece = dpiece.select_columns(dcols)  # pin column order for union
+        dpiece = rd.read_parquet(done, columns=plan.columns, **kw)
+        if plan.columns is not None:
+            dpiece = dpiece.select_columns(plan.columns)  # pin column order for union
         ds = dpiece if ds is None else ds.union(dpiece)
     return ds
 
@@ -1323,7 +1365,8 @@ def lookup_key(
     part-aligned layouts, prunes by Parquet footer stats) instead of
     scanning the table, so a CDC-serving lookup is O(one row group), not a
     distributed job. Driver-side on purpose: the result is a handful of
-    rows.
+    rows. It executes the same plan as ``read_published(where=<key ==>)``
+    and returns the same rows and schema.
 
     Layouts:
     - hash-bucketed tables: the bucket id is recomputed from the probe with
@@ -1340,73 +1383,31 @@ def lookup_key(
     ``version=V`` answers the lookup from retained snapshot V (time travel;
     see :func:`enable_snapshots`) — same single-file access pattern.
     """
-    from odibel_ray.cdc.ddl import SCHEMA_OPS, SchemaMap, load_schema_meta
-
-    layout = _table_layout(out_dir)
-    key_cols = layout["key_cols"]
-    manifests = (
-        snapshot_manifests(out_dir, version) if version is not None else load_manifests(out_dir)
-    )
-    smap = None
-    mrun = None
-    if manifests and os.path.exists(os.path.join(out_dir, SCHEMA_OPS)):
-        smeta = load_schema_meta(out_dir)
-        # buckets already flipped by an in-flight materialize_ddl are
-        # logical on disk; the rest still fold the op log
-        mrun = smeta.get("materialized_run")
-        pending_m = [
-            m for m in manifests.values() if not (mrun and m.get("run_id") == mrun)
-        ]
-        if smeta["ops"] and pending_m:
-            smap = SchemaMap(
-                pq.read_schema(os.path.join(out_dir, pending_m[0]["file"])),
-                smeta["ops"],
-            )
-    logical_cols = None
-    phys_cols = columns
-    if smap is not None:
-        # requested columns are logical; pending files carry physical names
-        # (keys are layout-pinned so the filters below stay valid)
-        logical_cols = list(columns) if columns is not None else smap.names
-        smap.check_columns(logical_cols)
-        phys_cols = smap.physical_columns(logical_cols) or None
+    plan = _read_plan(out_dir, version=version, columns=columns, system=system)
+    keys = plan.layout["key_cols"]
     # the positional args map onto the first (and optional second) key
-    # column; the key filter is pushed into every file read, and the same
-    # router as read_published(where=) picks the candidate buckets
-    filters = [(key_cols[0], "==", conv_id)]
-    if turn_idx is not None and len(key_cols) > 1:
-        filters.append((key_cols[1], "==", turn_idx))
+    # column; the key filter is pushed into every file read (keys are
+    # layout-pinned, so physical and logical names agree)
+    filters = [(keys[0], "==", conv_id)]
+    if turn_idx is not None and len(keys) > 1:
+        filters.append((keys[1], "==", turn_idx))
     tables = []
-    for m in _bucket_prune(out_dir, layout, manifests, filters).values():
-        # flipped-by-materialize buckets are already logical on disk
-        flipped = bool(mrun) and m.get("run_id") == mrun
-        cols = (logical_cols if smap is not None else columns) if flipped else phys_cols
-        t = _read_bucket(out_dir, m, key_cols, columns=cols, filters=filters)
-        if smap is not None and not flipped:
-            t = smap.adapt(t, logical_cols)
-        tables.append(t)
-    tables = [t for t in tables if len(t)]
+    for b, m in sorted(_bucket_prune(plan, filters).items()):
+        if plan.smap is not None and b not in plan.flipped:
+            t = _read_bucket(out_dir, m, keys, columns=plan.physical, filters=filters)
+            t = plan.smap.adapt(t, plan.columns)
+        else:
+            # logical on disk; only the caller's columns are pushed into the
+            # read (a projected merge-on-read read opens its base footer
+            # first), the system columns are hidden after the merge
+            t = _read_bucket(out_dir, m, keys, columns=columns, filters=filters)
+            if plan.columns is not None:
+                t = t.select(plan.columns)
+        if len(t):
+            tables.append(t)
     if not tables:
-        if smap is not None:
-            return smap.logical_schema(logical_cols).empty_table()
-        # typed empty result from any manifested file's schema
-        any_m = next(iter(manifests.values()), None)
-        if any_m is None:
-            raise FileNotFoundError(f"no published buckets under {out_dir}")
-        schema = pq.read_schema(os.path.join(out_dir, any_m["file"]))
-        if columns:
-            schema = pa.schema([schema.field(c) for c in columns])
-        out = schema.empty_table()
-    else:
-        out = pa.concat_tables(tables, promote_options="default")
-    if smap is not None:
-        return out
-    if not system and columns is None and layout["system"]:
-        # transcript tables hide _lsn/_op by default; GENERIC tables have no
-        # system columns — a plain lookup returns their full row
-        keep = [c for c in LOGICAL_COLUMNS if c in out.column_names]
-        out = out.select(keep)
-    return out
+        return plan.empty()
+    return pa.concat_tables(tables, promote_options="default")
 
 
 @_single_writer("out_dir")
@@ -1423,12 +1424,12 @@ def restore_snapshot(out_dir: str, version: int, *, run_id: str = "restore-0") -
     and the next apply re-derives watermarks from the restored manifests."""
     target = snapshot_manifests(out_dir, version)
     for m in target.values():
-        for f in [m["file"], *(d["file"] for d in m.get("deltas", []))]:
-            if not os.path.exists(os.path.join(out_dir, f)):
-                raise FileNotFoundError(
-                    f"snapshot v{version} data file {f} missing — retention was "
-                    "broken (expire/vacuum raced a writer?); restore aborted"
-                )
+        problem = next(_manifest_problems(out_dir, m), None)
+        if problem is not None:
+            raise FileNotFoundError(
+                f"snapshot v{version} {problem} — retention was broken "
+                "(expire/vacuum raced a writer?); restore aborted"
+            )
     live = load_manifests(out_dir)
     mdir = os.path.join(out_dir, MANIFEST_DIR)
     for b, m in sorted(target.items()):
@@ -1470,21 +1471,17 @@ def table_changes(
     exactly those columns."""
     from odibel_ray.cdc.lww import change_feed
 
-    layout = _table_layout(out_dir)
+    plan = _read_plan(out_dir, version=to_version, system=True)
     if keys is None:
-        keys = layout["key_cols"]
+        keys = plan.layout["key_cols"]
     if values is None:
-        if not layout["system"]:
-            # generic tables have no 'text' column by contract — default to
-            # every non-key, non-system column (footer-only schema probe)
-            mans = load_manifests(out_dir)
-            names: list[str] = []
-            if mans:
-                first = next(iter(mans.values()))
-                names = pq.read_schema(os.path.join(out_dir, first["file"])).names
-            values = [c for c in names if c not in keys and not c.startswith("_")]
-        else:
+        if plan.layout["system"]:
             values = ["text"]
+        else:
+            # generic tables have no 'text' column by contract — default to
+            # every non-key, non-system LOGICAL column (footer-only probe)
+            names = plan.empty().column_names
+            values = [c for c in names if c not in keys and not c.startswith("_")]
     cols = keys + values
     old = read_published(out_dir, version=from_version, columns=cols, system=True)
     new = read_published(out_dir, version=to_version, columns=cols, system=True)
@@ -1509,31 +1506,17 @@ def fsck_table(out_dir: str) -> dict:
     errors (warnings allowed)."""
     errors: list[str] = []
     warnings: list[str] = []
-    mdir = os.path.join(out_dir, MANIFEST_DIR)
-    if not os.path.isdir(mdir):
+    if not os.path.isdir(os.path.join(out_dir, MANIFEST_DIR)):
         return {"ok": False, "errors": [f"no manifest dir under {out_dir}"], "warnings": []}
 
     referenced: set[str] = set()
     base_files: list[str] = []
-    for fn in sorted(os.listdir(mdir)):
-        if not (fn.startswith("bucket-") and fn.endswith(".json")):
-            continue
-        with open(os.path.join(mdir, fn)) as f:
-            m = json.load(f)
-        entries = [(m["file"], int(m["rows_out"]), "base")]
-        entries += [(d["file"], int(d["rows_out"]), "delta") for d in m.get("deltas", [])]
-        for path, rows, kind in entries:
-            referenced.add(path)
-            full = os.path.join(out_dir, path)
-            if not os.path.exists(full):
-                errors.append(f"bucket {m['bucket']}: {kind} file missing: {path}")
-            elif pq.read_metadata(full).num_rows != rows:
-                errors.append(
-                    f"bucket {m['bucket']}: {kind} {path} has "
-                    f"{pq.read_metadata(full).num_rows} rows, manifest says {rows}"
-                )
-            elif kind == "base":
-                base_files.append(full)
+    for m in _bucket_manifest_files(out_dir):
+        referenced |= _manifest_files({m["bucket"]: m})
+        problems = list(_manifest_problems(out_dir, m))
+        errors += problems
+        if not problems:  # the schema check covers the buckets readers trust
+            base_files.append(os.path.join(out_dir, m["file"]))
 
     for snap in list_snapshots(out_dir):
         for b, m in snap["buckets"].items():
@@ -1545,8 +1528,6 @@ def fsck_table(out_dir: str) -> dict:
                     )
 
     # one-physical-schema invariant (DDL generations excepted)
-    from odibel_ray.cdc.ddl import SCHEMA_OPS
-
     if base_files and not os.path.exists(os.path.join(out_dir, SCHEMA_OPS)):
         schemas = {str(pq.read_schema(f)) for f in base_files}
         if len(schemas) > 1:
@@ -1605,7 +1586,6 @@ def table_stats(out_dir: str) -> dict:
     backlog, bucket skew, watermark spread. Metadata-only (manifests +
     Parquet footers; no data read, no Ray session), so it is cheap at any
     table size and safe to run concurrently with a writer."""
-    from odibel_ray.cdc.ddl import load_schema_ops
     from odibel_ray.cdc.quality import get_expectations
 
     with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
@@ -1746,30 +1726,20 @@ def count_published(out_dir: str, where=None, *, version: int | None = None) -> 
     over the pruned read (bucket routing + zone maps + blooms first)."""
     if where is not None:
         return int(read_published(out_dir, where=where, version=version).count())
-    manifests = (
-        snapshot_manifests(out_dir, version)
-        if version is not None
-        else load_manifests(out_dir)
+    plan = _read_plan(out_dir, version=version)
+    # a delta may supersede or tombstone base rows — count those buckets
+    # through the LWW merge (still only the delta-bearing ones)
+    return sum(
+        len(_read_bucket(out_dir, m, plan.layout["key_cols"])) if m.get("deltas")
+        else int(m["rows_out"])
+        for m in plan.manifests.values()
     )
-    if not manifests:
-        raise FileNotFoundError(f"no published buckets under {out_dir}")
-    mor = [b for b, m in manifests.items() if m.get("deltas")]
-    total = sum(int(m["rows_out"]) for b, m in manifests.items() if b not in set(mor))
-    if mor:
-        # a delta may supersede or tombstone base rows — count those
-        # buckets through the LWW merge (still only the delta-bearing ones)
-        keys = _table_layout(out_dir)["key_cols"]
-        for b in mor:
-            total += len(_read_bucket(out_dir, manifests[b], keys))
-    return int(total)
 
 
 _BUCKET_PRUNE_MAX_PROBES = 64
 
 
-def _bucket_prune(
-    out_dir: str, layout: dict, manifests: dict[int, dict], where
-) -> dict[int, dict]:
+def _bucket_prune(plan: _ReadPlan, where) -> dict[int, dict]:
     """The one key router (``read_published(where=)`` and
     :func:`lookup_key`): when a conjunctive ``where`` pins every hash
     column of a hash-bucketed layout with ``==`` (or a small ``in``), the
@@ -1785,7 +1755,8 @@ def _bucket_prune(
 
     from odibel_ray.cdc.lww import bucket_of_keys
 
-    if not manifests or not where or not layout["num_buckets"] or layout["cluster_by"]:
+    layout, manifests = plan.layout, plan.manifests
+    if not where or not layout["num_buckets"] or layout["cluster_by"]:
         return manifests
     hash_keys = layout["hash_cols"]
     probes: list[list] = []
@@ -1808,10 +1779,9 @@ def _bucket_prune(
     # Cast the probe to the CANONICAL key type before hashing:
     # pd.util.hash_array hashes int32(-5) and int64(-5) (or s/ms timestamps)
     # differently, so an uncast probe would route to the wrong bucket.
-    schema = pq.read_schema(os.path.join(out_dir, manifests[min(manifests)]["file"]))
     try:
         probe_t = pa.table({
-            k: pa.array([c[i] for c in combos]).cast(schema.field(k).type)
+            k: pa.array([c[i] for c in combos]).cast(plan.schema.field(k).type)
             for i, k in enumerate(hash_keys)
         })
     except (pa.ArrowInvalid, pa.ArrowTypeError, KeyError):
@@ -1820,11 +1790,11 @@ def _bucket_prune(
     return {b: m for b, m in manifests.items() if b in keep}
 
 
-def _join_side_meta(out_dir: str) -> dict:
-    """Layout + manifest facts one side of a storage-partitioned join needs."""
-    from odibel_ray.cdc.ddl import SCHEMA_OPS, load_schema_meta
-
-    layout = _table_layout(out_dir)
+def _join_side(out_dir: str, want: list[str] | None) -> _ReadPlan:
+    """The read plan of one side of a storage-partitioned join: its join
+    keys plus the ``want`` columns (None = every column)."""
+    plan = _read_plan(out_dir, system=True)
+    layout = plan.layout
     if layout["system"]:
         raise FileNotFoundError(
             f"{out_dir} has no _layout.json — join_published needs generic "
@@ -1835,23 +1805,18 @@ def _join_side_meta(out_dir: str) -> dict:
             f"{out_dir} is range/z-clustered; storage-partitioned joins need "
             "the hash-bucketed layout (keep the primary hash table for joins)"
         )
-    if os.path.exists(os.path.join(out_dir, SCHEMA_OPS)):
-        if load_schema_meta(out_dir).get("ops"):
-            raise ValueError(
-                f"{out_dir} has a pending schema op log; materialize_ddl "
-                "before joining (the join reads physical files directly)"
-            )
-    manifests = load_manifests(out_dir)
-    if not manifests:
-        raise FileNotFoundError(f"no published buckets under {out_dir}")
-    any_file = os.path.join(out_dir, next(iter(manifests.values()))["file"])
-    return {
-        "dir": out_dir,
-        "key_cols": layout["key_cols"],
-        "num_buckets": layout["num_buckets"],
-        "manifests": manifests,
-        "schema": pq.read_schema(any_file),
-    }
+    if plan.ops:
+        raise ValueError(
+            f"{out_dir} has a pending schema op log; materialize_ddl "
+            "before joining (the join reads physical files directly)"
+        )
+    if want is not None:
+        missing = [c for c in want if c not in plan.schema.names]
+        if missing:
+            raise ValueError(f"{out_dir} has no columns {missing}")
+        # keys first, deduped; set before the plan's columns are first read
+        plan.requested = list(dict.fromkeys([*layout["key_cols"], *want]))
+    return plan
 
 
 def join_published(
@@ -1893,58 +1858,40 @@ def join_published(
     if how not in how_map:
         raise ValueError(f"how must be one of {sorted(how_map)}")
     join_type = how_map[how]
-    left = _join_side_meta(left_dir)
-    right = _join_side_meta(right_dir)
-    if left["key_cols"] != right["key_cols"]:
+    left = _join_side(left_dir, left_columns)
+    right = _join_side(right_dir, right_columns)
+    keys, r_keys = left.layout["key_cols"], right.layout["key_cols"]
+    if keys != r_keys:
         raise ValueError(
-            f"key_cols differ: {left['key_cols']} vs {right['key_cols']} — "
+            f"key_cols differ: {keys} vs {r_keys} — "
             "storage-partitioned joins need identical layouts"
         )
-    if left["num_buckets"] != right["num_buckets"]:
+    if left.layout["num_buckets"] != right.layout["num_buckets"]:
         raise ValueError(
-            f"num_buckets differ: {left['num_buckets']} vs "
-            f"{right['num_buckets']}; rebucket_published one side first"
+            f"num_buckets differ: {left.layout['num_buckets']} vs "
+            f"{right.layout['num_buckets']}; rebucket_published one side first"
         )
-    keys = left["key_cols"]
-
-    def side_cols(meta, want):
-        if want is None:
-            return None
-        missing = [c for c in want if c not in meta["schema"].names]
-        if missing:
-            raise ValueError(f"{meta['dir']} has no columns {missing}")
-        return list(dict.fromkeys([*keys, *want]))  # keys first, deduped
-
-    lcols = side_cols(left, left_columns)
-    rcols = side_cols(right, right_columns)
-
-    def empty_side(meta, cols):
-        s = meta["schema"]
-        if cols is not None:
-            s = pa.schema([s.field(c) for c in cols])
-        return s.empty_table()
 
     buckets = []
-    for b in sorted(set(left["manifests"]) | set(right["manifests"])):
-        if b not in left["manifests"] and join_type in (
+    for b in sorted(set(left.manifests) | set(right.manifests)):
+        if b not in left.manifests and join_type in (
             "inner", "left outer", "left semi", "left anti"
         ):
             continue  # no left rows ⇒ nothing to emit for these join types
-        if b not in right["manifests"] and join_type in ("inner", "left semi"):
+        if b not in right.manifests and join_type in ("inner", "left semi"):
             continue
         buckets.append({"bucket": int(b)})
-    joined_schema = empty_side(left, lcols).join(
-        empty_side(right, rcols), keys=keys, join_type=join_type,
-        right_suffix=right_suffix,
+    joined_schema = left.empty().join(
+        right.empty(), keys=keys, join_type=join_type, right_suffix=right_suffix,
     ).schema
     if not buckets:
         return rd.from_arrow(joined_schema.empty_table())
 
-    def read_side(meta, b, cols):
-        m = meta["manifests"].get(b)
+    def read_side(plan: _ReadPlan, b: int) -> pa.Table:
+        m = plan.manifests.get(b)
         if m is None:
-            return empty_side(meta, cols)
-        return _read_bucket(meta["dir"], m, keys, columns=cols)
+            return plan.empty()
+        return _read_bucket(plan.out_dir, m, keys, columns=plan.columns)
 
     def join_bucket(batch: pa.Table) -> pa.Table:
         from odibel_ray.cdc.apply import limit_arrow_threads
@@ -1952,8 +1899,8 @@ def join_published(
         limit_arrow_threads()
         outs = []
         for b in batch["bucket"].to_pylist():
-            lt = read_side(left, b, lcols)
-            rt = read_side(right, b, rcols)
+            lt = read_side(left, b)
+            rt = read_side(right, b)
             j = lt.join(rt, keys=keys, join_type=join_type,
                         right_suffix=right_suffix)
             outs.append(j.select(joined_schema.names).cast(joined_schema))
@@ -2784,8 +2731,6 @@ def upsert_published(
     canon_names = list(canon.names)
     # metadata-only DDL: updates arrive with LOGICAL names; files keep ONE
     # physical schema, so translate logical→physical on write (cdc/ddl.py)
-    from odibel_ray.cdc.ddl import SCHEMA_OPS, load_schema_meta, schema_map
-
     smap = None
     if bucket_files and os.path.exists(os.path.join(out_dir, SCHEMA_OPS)):
         if load_schema_meta(out_dir).get("materialized_run"):

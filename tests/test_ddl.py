@@ -104,6 +104,23 @@ def test_lookup_key_applies_mapping(ray_session, gen):
     assert t2.column_names == ["value"]
 
 
+def test_routed_miss_under_pending_op_is_logical(ray_session, tmp_path):
+    """A key read routed to a bucket that was never published matches
+    nothing, and its empty result carries the LOGICAL schema like the full
+    read and the lookup do (the schema map comes from every published
+    bucket, not from the ones that survive routing)."""
+    import ray.data as rd
+
+    out = str(tmp_path / "t")
+    publish_dataset(rd.from_arrow(pa.table({"k": ["a"], "v": [1.0]})), out,
+                    key_cols=["k"], num_buckets=8, run_id="p1")
+    alter_published(out, rename={"v": "w"})
+    miss = read_published(out, where=[("k", "==", "b")])
+    assert miss.count() == 0 and miss.schema().names == ["k", "w"]
+    assert read_published(out).schema().names == ["k", "w"]
+    assert lookup_key(out, "b").column_names == ["k", "w"]
+
+
 def test_alter_validation(ray_session, gen):
     with pytest.raises(ValueError, match="key column"):
         alter_published(gen, rename={"k": "kk"})
@@ -310,6 +327,20 @@ def test_materialize_crash_window_reads(ray_session, gen, monkeypatch):
     for key in ["a", "b", "c", "d"]:
         t = lookup_key(gen, key, system=True)
         assert t.column_names == ["k", "value", "label", "note"] and len(t) == 1
+    # misses routed to the rolled-back bucket and to the flipped one are
+    # typed logically too, by the lookup and by the routed read
+    from odibel_ray.cdc.lww import bucket_of_keys
+
+    cands = [f"zz{i}" for i in range(16)]
+    routed = bucket_of_keys(pa.table({"k": cands}), ["k"], 2).tolist()
+    misses = {b: k for b, k in zip(routed, cands)}
+    assert sorted(misses) == [0, 1]
+    for key in misses.values():
+        t = lookup_key(gen, key)
+        assert len(t) == 0 and t.column_names == ["k", "value", "label", "note"]
+        ds = read_published(gen, where=[("k", "==", key)])
+        assert ds.count() == 0
+        assert ds.schema().names == ["k", "value", "label", "note"]
     # writers are refused while the stamp is in flight
     with pytest.raises(Exception, match="in flight"):
         upsert_published(

@@ -179,3 +179,23 @@ def test_table_changes_generic_default_values(ray_session, tmp_path):
     # both non-key columns were picked up as diffed values
     for col in ("score", "n"):
         assert any(c.startswith(col) for c in feed.columns), feed.columns
+
+
+def test_table_changes_default_values_under_pending_rename(ray_session, tmp_path):
+    """The default diffed values are the LOGICAL non-key columns: a pending
+    rename must not make the diff ask for the physical name."""
+    from odibel_ray.cdc import alter_published
+    from odibel_ray.cdc.sink import enable_snapshots
+
+    out = str(tmp_path / "t")
+    publish_dataset(
+        rd.from_arrow(pa.table({"k": ["a", "b"], "v": [1.0, 2.0]})),
+        out, key_cols=["k"], num_buckets=8, run_id="p1",
+    )
+    enable_snapshots(out, keep_last=4)
+    alter_published(out, rename={"v": "w"})
+    upsert_published(rd.from_arrow(pa.table({"k": ["b"], "w": [20.0]})), out, run_id="u1")
+    feed = table_changes(out, 1).to_pandas()
+    assert feed.k.tolist() == ["b"]
+    assert any(c.startswith("w") for c in feed.columns), feed.columns
+    assert not any(c.startswith("v") for c in feed.columns), feed.columns

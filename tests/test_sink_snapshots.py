@@ -308,3 +308,21 @@ def test_fsck_table(ray_session, small_log, tmp_path):
     pq.write_table(pa.table({"x": [1]}), _os.path.join(out, m["file"]))
     res = fsck_table(out)
     assert not res["ok"] and any("rows" in e or "missing" in e for e in res["errors"])
+    # error: a deleted merge-on-read delta — fsck names it and readers
+    # stop trusting its bucket (one shared manifest check)
+    import ray.data as rd
+
+    from odibel_ray.cdc.sink import publish_dataset, upsert_published
+
+    gen = str(tmp_path / "g")
+    publish_dataset(rd.from_arrow(pa.table({"k": ["a", "b", "c"], "v": [1, 2, 3]})),
+                    gen, key_cols=["k"], num_buckets=2, run_id="p1")
+    upsert_published(rd.from_arrow(pa.table({"k": ["a"], "v": [10]})), gen,
+                     run_id="u1", mode="mor")
+    b, m = next((b, m) for b, m in load_manifests(gen).items() if m.get("deltas"))
+    delta = m["deltas"][0]["file"]
+    _os.remove(_os.path.join(gen, delta))
+    res = fsck_table(gen)
+    assert not res["ok"]
+    assert res["errors"] == [f"bucket {b}: delta file missing: {delta}"]
+    assert b not in load_manifests(gen) and len(load_manifests(gen)) == 1
