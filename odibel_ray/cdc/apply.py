@@ -860,26 +860,46 @@ def limit_arrow_threads(n: int = 1, io: int = 2) -> None:
         pass
 
 
+def _wal_parts(log_dir: str) -> list[dict]:
+    """The partitioned WAL's shards, ``[{"part": k, "files": [...]}]`` in
+    part order, each shard's ``part=<k>/*.parquet`` files in name (= write)
+    order. Hidden and ``_``-prefixed files are not listed, as in Ray Data's
+    ``read_parquet``."""
+    import glob as _glob
+
+    items = []
+    for pdir in sorted(_glob.glob(os.path.join(log_dir, "part=*"))):
+        part = int(os.path.basename(pdir).split("=", 1)[1])
+        files = sorted(f for f in _glob.glob(os.path.join(pdir, "*.parquet"))
+                       if not os.path.basename(f).startswith("_"))
+        items.append({"part": part, "files": files})
+    return items
+
+
+def _read_wal_part(part: int, files: list[str]) -> pa.Table:
+    """Ordered read of one WAL shard's files, with its int64 ``part``
+    column. An empty ``part=<k>`` dir (producer died before its first file)
+    gives a typed empty batch, so the shard contributes schema, not a
+    concat crash."""
+    import pyarrow.parquet as pq
+
+    if not files:
+        return _empty_log_table()
+    tables = [pq.read_table(f) for f in files]
+    t = pa.concat_tables(tables, promote_options="default").combine_chunks()
+    return t.append_column("part", pa.array(np.full(len(t), part, np.int64)))
+
+
 def _replay_shard(batch: pa.Table, *, timeline: SchemaTimeline, history: bool,
                   columns: list[str] | None = None) -> pa.Table:
     """Replay one WAL partition end-to-end inside a single task: ordered read
     of the shard's files → prepare → apply. The reference's per-shard
     ``mapPartitions`` replay (``DBpediaTKGExtractionSpark.scala:34-43`` over
     ``IOUtil.readFilesSequentially``), Ray-Data-shaped."""
-    import pyarrow.parquet as pq
-
     limit_arrow_threads()
     outs = []
     for row in batch.to_pylist():
-        part = int(row["part"])
-        if row["files"]:
-            tables = [pq.read_table(f) for f in row["files"]]
-            t = pa.concat_tables(tables, promote_options="default").combine_chunks()
-            t = t.append_column("part", pa.array(np.full(len(t), part, np.int64)))
-        else:
-            # empty part=N dir (producer died pre-first-file): typed empty
-            # batch so the shard contributes schema, not a concat crash
-            t = _empty_log_table()
+        t = _read_wal_part(int(row["part"]), row["files"])
         ev = prepare_events(t, timeline, num_buckets=None)
         outs.append(apply_group_history(ev) if history else apply_group_final(ev))
     return pa.concat_tables(outs, promote_options="default")
@@ -903,17 +923,11 @@ def replay_partitioned(
     converged state must fit a worker (at 100 TB: tens of thousands of
     partitions, exactly like the sink's buckets).
     """
-    import glob as _glob
-
     import ray.data as rd
 
     from odibel_ray.cdc.schema import extract_timeline
 
-    items = []
-    for pdir in sorted(_glob.glob(os.path.join(log_dir, "part=*"))):
-        part = int(os.path.basename(pdir).split("=", 1)[1])
-        files = sorted(_glob.glob(os.path.join(pdir, "*.parquet")))
-        items.append({"part": part, "files": files})
+    items = _wal_parts(log_dir)
     if not items:
         raise FileNotFoundError(
             f"no WAL partitions (part=*/) found under {log_dir!r} — wrong "

@@ -409,7 +409,7 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
             manifest_ds = rd.from_items(items).map_batches(
                 _rewrite, batch_format="pyarrow", batch_size=1
             )
-            n_done = len(_publish_stream(manifest_ds, out_dir))
+            n_done = len(_publish_stream(manifest_ds.iter_rows(), out_dir))
         os.remove(_ops_path(out_dir))
         with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
             tman = json.load(f)

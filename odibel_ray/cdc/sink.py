@@ -50,7 +50,9 @@ import pyarrow.parquet as pq
 
 from odibel_ray.cdc.apply import (
     _keep_last_mask,
+    _read_wal_part,
     _SORT_KEYS,
+    _wal_parts,
     compact_batch,
     prepare_events,
 )
@@ -76,6 +78,20 @@ LAYOUT_FILE = "_layout.json"
 #: A transcript table is a keyed table with this key, hashed on its first
 #: column only, that carries the ``_lsn``/``_part``/``_bucket`` system columns.
 TRANSCRIPT_KEYS = ["conv_id", "turn_idx"]
+#: Input size, in Parquet bytes, up to which :func:`incremental_apply` and
+#: :func:`compact_published` run their kernels in the driver instead of as a
+#: Ray Data job. Measured on a 1-CPU host (``tools/measure_cutover.py``,
+#: figures in CHANGES.md): the driver's wall time on a 5 MB log reaches the
+#: Ray Data path's fixed cost on a tiny one (about 0.39 s); compaction
+#: crosses over later, near 7 MB, so the smaller figure serves both.
+DRIVER_MAX_BYTES = 5_000_000
+
+
+def _executor_for(paths: list[str]) -> str:
+    """``"driver"`` when the files ``paths`` total at most
+    :data:`DRIVER_MAX_BYTES`, else ``"ray_data"``."""
+    small = sum(os.path.getsize(p) for p in paths) <= DRIVER_MAX_BYTES
+    return "driver" if small else "ray_data"
 
 
 def _table_layout(out_dir: str) -> dict:
@@ -751,10 +767,17 @@ def record_snapshot(out_dir: str, op: str) -> dict | None:
     successful op records the state — retained files from prior snapshots
     are never at risk because the in-publish sweep keeps everything
     ``_retained_files`` lists."""
+    return _record_snapshot(out_dir, op, None)
+
+
+def _record_snapshot(out_dir: str, op: str, manifests: dict[int, dict] | None) -> dict | None:
+    """:func:`record_snapshot` over the live bucket ``manifests`` when the
+    caller already holds them (None: load them)."""
     keep_last = snapshot_policy(out_dir)
     if keep_last is None:
         return None
-    manifests = load_manifests(out_dir)
+    if manifests is None:
+        manifests = load_manifests(out_dir)
     if not manifests:
         return None
     snaps = list_snapshots(out_dir)
@@ -848,10 +871,11 @@ def _sweep_bucket_versions(out_dir: str, bucket: int, keep: set[str]) -> None:
     _sweep_unkept(out_dir, f"{bucket:06d}*", keep)
 
 
-def _publish_delta_row(row, out_dir: str) -> dict:
+def _publish_delta_row(row, out_dir: str) -> tuple[dict, dict]:
     """Audit + atomically publish one bucket's DELTA manifest row: the delta
     file moves into place, then its descriptor is appended to the bucket's
-    existing manifest (advancing its effective watermarks)."""
+    existing manifest (advancing its effective watermarks). Returns the
+    delta's record and the bucket manifest written."""
     staged = _audit_staged(row)
     os.replace(staged, os.path.join(out_dir, row["file"]))
     mpath = os.path.join(out_dir, MANIFEST_DIR, f"bucket-{int(row['bucket']):06d}.json")
@@ -874,7 +898,7 @@ def _publish_delta_row(row, out_dir: str) -> dict:
     # file landed first, so a crash in between leaves an orphan file
     # (vacuumed later), never a dangling reference
     _atomic_write_json(mpath, manifest)
-    return {"bucket": int(row["bucket"]), "kind": "delta", **desc}
+    return {"bucket": int(row["bucket"]), "kind": "delta", **desc}, manifest
 
 
 def _publish_base_row(row, out_dir: str, retained: frozenset[str] = frozenset()) -> dict:
@@ -918,31 +942,39 @@ def _publish_base_row(row, out_dir: str, retained: frozenset[str] = frozenset())
     return manifest
 
 
-def _publish_stream(manifest_ds, out_dir: str) -> list[dict]:
-    """Stream manifest rows as groups finish; audit + atomically publish
-    each — ``delta-*`` rows append to their bucket's manifest, base rows
-    flip it to a fresh base."""
+def _publish_stream(rows, out_dir: str, live: dict[int, dict] | None = None) -> list[dict]:
+    """Audit + atomically publish each manifest row of ``rows`` (an
+    iterable, consumed as groups finish) — ``delta-*`` rows append to their
+    bucket's manifest, base rows flip it to a fresh base. ``live``: the
+    bucket manifests the op loaded at its start; every flip updates it in
+    place, so :func:`_commit_table` needs no reload."""
     published = []
     publish_delay = float(os.environ.get("ODIBEL_TEST_PUBLISH_DELAY", "0"))
     retained = _retained_files(out_dir)
-    for row in manifest_ds.iter_rows():
+    for row in rows:
         if publish_delay:  # test hook: lets the kill-resume test land mid-publish
             time.sleep(publish_delay)
         if row["file"].startswith("delta-"):
-            published.append(_publish_delta_row(row, out_dir))
+            rec, manifest = _publish_delta_row(row, out_dir)
         else:
-            published.append(_publish_base_row(row, out_dir, retained))
+            rec = manifest = _publish_base_row(row, out_dir, retained)
+        published.append(rec)
+        if live is not None:
+            live[manifest["bucket"]] = manifest
     return published
 
 
-def _commit_table(out_dir: str, tman: dict, op: str, run_id: str) -> tuple[dict, int | None]:
+def _commit_table(out_dir: str, tman: dict, op: str, run_id: str,
+                  live: dict[int, dict] | None = None) -> tuple[dict, int | None]:
     """The one epilogue of every table write: refresh the TABLE manifest
     ``tman`` from the live bucket manifests, then record a snapshot version
     (a no-op unless snapshots are on). ``rows_total`` counts base rows
     only — the logical count of a table with merge-on-read deltas needs the
-    merge, and compaction restores the exact figure. Returns the live
-    manifests and the new snapshot version (or None)."""
-    manifests = load_manifests(out_dir)
+    merge, and compaction restores the exact figure. ``live``: the
+    manifests :func:`_publish_stream` kept current (audited at load or at
+    staging); without it they are reloaded. Returns the live manifests and
+    the new snapshot version (or None)."""
+    manifests = load_manifests(out_dir) if live is None else dict(sorted(live.items()))
     tman.update(
         {
             "buckets": sorted(manifests),
@@ -952,7 +984,7 @@ def _commit_table(out_dir: str, tman: dict, op: str, run_id: str) -> tuple[dict,
         }
     )
     _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
-    snap = record_snapshot(out_dir, op)
+    snap = _record_snapshot(out_dir, op, manifests)
     return manifests, (snap["version"] if snap else None)
 
 
@@ -983,10 +1015,7 @@ def _shard_apply_write(batch: pa.Table, *, timeline: SchemaTimeline, staging: st
             # empty part=N dir: producer created it but never wrote a file
             # (or it was vacuumed) — nothing to apply, not an error
             continue
-        tables = [pq.read_table(f) for f in row["files"]]
-        t = pa.concat_tables(tables, promote_options="default").combine_chunks()
-        t = t.append_column("part", pa.array(np.full(len(t), part, np.int64)))
-        ev = prepare_events(t, timeline, num_buckets=None)
+        ev = prepare_events(_read_wal_part(part, row["files"]), timeline, num_buckets=None)
         outs.append(_apply_write_group(ev, staging=staging, run_id=run_id, metrics=metrics))
     if not outs:
         return _MANIFEST_SCHEMA.empty_table()
@@ -1050,13 +1079,7 @@ def replay_publish(
     if partitioned:
         if num_buckets is not None:
             raise ValueError("partitioned sink requires num_buckets=None (bucket == WAL part)")
-        import glob as _glob
-
-        items = []
-        for pdir in sorted(_glob.glob(os.path.join(log_dir, "part=*"))):
-            part = int(os.path.basename(pdir).split("=", 1)[1])
-            files = sorted(_glob.glob(os.path.join(pdir, "*.parquet")))
-            items.append({"part": part, "files": files})
+        items = _wal_parts(log_dir)
         # max(.., 1): an empty log dir (no part=* yet) must publish zero
         # buckets, not crash from_items with override_num_blocks=0
         shard_ds = rd.from_items(items, override_num_blocks=max(len(items), 1))
@@ -1093,7 +1116,7 @@ def replay_publish(
             partial(_apply_write_group, staging=staging, run_id=run_id, metrics=metrics),
             batch_format="pyarrow",
         )
-    published = _publish_stream(manifest_ds, out_dir)
+    published = _publish_stream(manifest_ds.iter_rows(), out_dir)
     tman = {
         "num_buckets": num_buckets,
         "timeline": timeline.to_json(),
@@ -1965,7 +1988,7 @@ def rebucket_published(
         partial(_apply_write_group, staging=staging, run_id=run_id),
         batch_format="pyarrow",
     )
-    published = _publish_stream(manifest_ds, dst_dir)
+    published = _publish_stream(manifest_ds.iter_rows(), dst_dir)
     tman.update({"num_buckets": num_buckets, "rebucketed_from": src_dir})
     all_manifests, _ = _commit_table(dst_dir, tman, "rebucket_published", run_id)
     return {
@@ -1992,7 +2015,12 @@ def compact_published(
     write-audit-publish pointer flip clears the manifest's delta list and
     sweeps the folded files. Resumable: a killed compaction left either the
     old manifest (deltas intact — recompact) or the new one (already clean);
-    ``min_deltas`` skips buckets not worth rewriting yet."""
+    ``min_deltas`` skips buckets not worth rewriting yet.
+
+    Like :func:`incremental_apply`, two executors: when the target buckets'
+    base and delta bytes are at most :data:`DRIVER_MAX_BYTES` the driver
+    compacts them one after another, otherwise a Ray Data task per bucket
+    does; the result's ``executor`` says which ran."""
     import ray.data as rd
 
     if snapshots is not None:
@@ -2008,46 +2036,55 @@ def compact_published(
             "compacted": 0,
             "published_total": len(manifests),
             "rows_total": tman["rows_total"],
+            "executor": None,
             "out_dir": out_dir,
         }
     staging = os.path.join(out_dir, STAGING_DIR, run_id)
     os.makedirs(staging, exist_ok=True)
     layout = _table_layout(out_dir)
 
-    def _compact_bucket(batch: pa.Table) -> pa.Table:
+    def _compact_bucket(m: dict) -> pa.Table:
+        return _stage_bucket(
+            _read_bucket(out_dir, m, layout["key_cols"]),
+            bucket=int(m["bucket"]),
+            staging=staging,
+            run_id=run_id,
+            # events that ever contributed to this bucket (lineage continuity)
+            n_events=int(m["n_events"])
+            + sum(int(d["n_events"]) for d in m.get("deltas", [])),
+            # effective watermarks are already merged over base ∪ deltas —
+            # carried verbatim, so the next incremental filter stays exact
+            watermarks=json.dumps(m["watermarks"]),
+            bloom_cols=layout["bloom_cols"],
+            metrics=metrics,
+        )
+
+    def _compact_batch(batch: pa.Table) -> pa.Table:
         from odibel_ray.cdc.apply import limit_arrow_threads
 
         limit_arrow_threads()
-        outs = []
-        for m in map(json.loads, batch["m"].to_pylist()):
-            outs.append(_stage_bucket(
-                _read_bucket(out_dir, m, layout["key_cols"]),
-                bucket=int(m["bucket"]),
-                staging=staging,
-                run_id=run_id,
-                # events that ever contributed to this bucket (lineage continuity)
-                n_events=int(m["n_events"])
-                + sum(int(d["n_events"]) for d in m.get("deltas", [])),
-                # effective watermarks are already merged over base ∪ deltas —
-                # carried verbatim, so the next incremental filter stays exact
-                watermarks=json.dumps(m["watermarks"]),
-                bloom_cols=layout["bloom_cols"],
-                metrics=metrics,
-            ))
-        return pa.concat_tables(outs)
+        return pa.concat_tables(
+            [_compact_bucket(json.loads(m)) for m in batch["m"].to_pylist()]
+        )
 
-    items = [{"m": json.dumps(m)} for _, m in sorted(targets.items())]
-    manifest_ds = rd.from_items(items).map_batches(
-        _compact_bucket, batch_format="pyarrow", batch_size=1
-    )
-    published = _publish_stream(manifest_ds, out_dir)
-    all_manifests, snap = _commit_table(out_dir, tman, "compact_published", run_id)
+    ordered = [m for _, m in sorted(targets.items())]
+    executor = _executor_for([os.path.join(out_dir, f) for f in _manifest_files(targets)])
+    if executor == "driver":
+        rows = (r for m in ordered for r in _compact_bucket(m).to_pylist())
+    else:
+        rows = rd.from_items([{"m": json.dumps(m)} for m in ordered]).map_batches(
+            _compact_batch, batch_format="pyarrow", batch_size=1
+        ).iter_rows()
+    live = dict(manifests)
+    published = _publish_stream(rows, out_dir, live)
+    all_manifests, snap = _commit_table(out_dir, tman, "compact_published", run_id, live)
     return {
         "compacted": len(published),
         "published_total": len(all_manifests),
         "rows_total": tman["rows_total"],
         "snapshot": snap,
         "deltas_total": tman["mor_deltas"],
+        "executor": executor,
         "out_dir": out_dir,
     }
 
@@ -2117,6 +2154,18 @@ def incremental_apply(
     The Hudi/Delta MOR trade expressed over this sink's manifests. CDF
     (``feed_dir``) requires the base row for before-values, so it is
     CoW-only.
+
+    Two executors run the same kernels (``prepare_events``, then
+    :func:`_apply_write_group` once per touched bucket) and share the lease,
+    staging, audit, per-bucket manifest flip and epilogue. When the log's
+    ``part=*/*.parquet`` bytes — plus, for ``"cow"``, the table's base and
+    delta bytes — are at most :data:`DRIVER_MAX_BYTES`, the driver reads
+    and applies the micro-batch itself, with no Ray Data job; above it, a
+    Ray Data pipeline (read → prepare → combiner → ``groupby("bucket")``)
+    does. The result's ``executor`` says which ran (``"driver"`` or
+    ``"ray_data"``). Manifest ``n_events`` counts a bucket's events after
+    the Ray Data combiner, so it may differ between the two; data, files
+    and watermarks do not.
     """
     import ray.data as rd
 
@@ -2157,43 +2206,119 @@ def incremental_apply(
     if len(timeline.changes) != len(old_tl.changes):
         _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
 
-    # materialized once: both the touched-bucket scan and the merge consume it
-    # from the object store — without this the full log would be read and
-    # prepared twice (once for bucket ids, once for the merge)
-    new_ev = rd.read_parquet(log_dir).map_batches(
-        prepare_events,
-        fn_kwargs={"timeline": timeline, "num_buckets": num_buckets, "watermarks": wm},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    ).materialize()
-
-    # which buckets actually have new events (tiny aggregate — bucket ids only)
-    touched_vals = new_ev.select_columns(["bucket"]).unique("bucket") or []
-    touched = np.array(sorted(int(b) for b in touched_vals), dtype=np.int64)
+    parts = _wal_parts(log_dir)
+    if not parts:
+        raise FileNotFoundError(f"no WAL partitions (part=*/) found under {log_dir!r}")
+    inputs = [f for p in parts for f in p["files"]]
+    if mode == "cow":
+        inputs += [os.path.join(out_dir, f) for f in _manifest_files(manifests)]
+    executor = _executor_for(inputs)
+    prep_kw = {"timeline": timeline, "num_buckets": num_buckets, "watermarks": wm}
+    if executor == "driver":
+        log = pa.concat_tables([_read_wal_part(**p) for p in parts], promote_options="default")
+        groups = _split_by_bucket(prepare_events(log, **prep_kw))
+        touched = np.array(sorted(groups), dtype=np.int64)
+    else:
+        # materialized once: both the touched-bucket scan and the merge
+        # consume it from the object store — without this the full log
+        # would be read and prepared twice (once for bucket ids, once for
+        # the merge)
+        new_ev = rd.read_parquet(log_dir).map_batches(
+            prepare_events, fn_kwargs=prep_kw, batch_format="pyarrow",
+            batch_size=batch_size,
+        ).materialize()
+        # which buckets actually have new events (tiny aggregate — bucket ids only)
+        touched_vals = new_ev.select_columns(["bucket"]).unique("bucket") or []
+        touched = np.array(sorted(int(b) for b in touched_vals), dtype=np.int64)
     if len(touched) == 0:
         # nothing applied → table state unchanged → no new snapshot version
         return {"published_now": 0, "published_total": len(manifests), "touched": 0,
-                "rows_total": tman["rows_total"], "snapshot": None, "out_dir": out_dir}
+                "rows_total": tman["rows_total"], "snapshot": None,
+                "executor": executor, "out_dir": out_dir}
 
     staging = os.path.join(out_dir, STAGING_DIR, run_id)
     os.makedirs(staging, exist_ok=True)
     group_kw = dict(staging=staging, run_id=run_id, metrics=metrics)
     if mode == "mor":
+        group_kw["base_wms"] = {b: dict(m["watermarks"]) for b, m in manifests.items()}
+    if feed_dir:
+        group_kw["feed"] = {"dir": feed_dir, "values": feed_values, "lsn": feed_lsn}
+    if executor == "driver":
+        rows = _driver_apply_rows(groups, out_dir, manifests if mode == "cow" else {},
+                                  group_kw)
+    else:
+        rows = _ray_apply_ds(new_ev, out_dir, mode, bool(manifests), touched, batch_size,
+                             group_kw).iter_rows()
+    live = dict(manifests)
+    published = _publish_stream(rows, out_dir, live)
+    op = "incremental_apply_mor" if mode == "mor" else "incremental_apply"
+    all_manifests, snap = _commit_table(out_dir, tman, op, run_id, live)
+    return {
+        "published_now": len(published),
+        "published_total": len(all_manifests),
+        "touched": int(len(touched)),
+        "n_events_applied": int(sum(p["n_events"] for p in published)),
+        "rows_total": tman["rows_total"],
+        "snapshot": snap,
+        "deltas_total": tman["mor_deltas"],
+        "executor": executor,
+        "out_dir": out_dir,
+    }
+
+
+def _split_by_bucket(ev: pa.Table) -> dict[int, pa.Table]:
+    """Prepared events split by ``bucket``, in bucket order (the driver
+    executor's ``groupby``)."""
+    b = ev["bucket"].to_numpy(zero_copy_only=False)
+    order = np.argsort(b, kind="stable")
+    ev, b = ev.take(pa.array(order)), b[order]
+    keys, starts = np.unique(b, return_index=True)
+    ends = np.append(starts[1:], len(b))
+    return {int(k): ev.slice(lo, hi - lo) for k, lo, hi in zip(keys, starts, ends)}
+
+
+def _driver_apply_rows(groups: dict[int, pa.Table], out_dir: str, bases: dict[int, dict],
+                       group_kw: dict):
+    """The driver executor of :func:`incremental_apply`: each touched
+    bucket's new events, with its base rows (``bases``: the bucket manifests
+    a copy-on-write apply folds in) as insert events, through
+    :func:`_apply_write_group`. A change feed gets its ``_base`` side
+    marker. Yields manifest rows, one bucket at a time, so each publishes
+    before the next bucket is read."""
+    for bucket, ev in groups.items():
+        sides = [ev]
+        if bucket in bases:
+            base = _read_bucket(out_dir, bases[bucket], TRANSCRIPT_KEYS)
+            sides.append(_rows_as_events(base, base["_bucket"]))
+        if "feed" in group_kw:
+            sides = [t.append_column("_base", pa.array(np.full(len(t), i == 1)))
+                     for i, t in enumerate(sides)]
+        t = pa.concat_tables(sides, promote_options="default")
+        yield from _apply_write_group(t, **group_kw).to_pylist()
+
+
+def _ray_apply_ds(new_ev, out_dir: str, mode: str, has_base: bool, touched: np.ndarray,
+                  batch_size: int, group_kw: dict):
+    """The Ray Data executor of :func:`incremental_apply`: the prepared
+    events (with, for copy-on-write, the touched buckets' base rows) through
+    a per-batch LWW combiner and ``groupby("bucket").map_groups`` of
+    :func:`_apply_write_group`. Returns the Dataset of manifest rows."""
+    mark_base = "feed" in group_kw
+    if mode == "mor":
         merged = new_ev.map_batches(
             compact_batch, batch_format="pyarrow", batch_size=batch_size
         )
-        group_kw["base_wms"] = {b: dict(m["watermarks"]) for b, m in manifests.items()}
     else:
         # a table bootstrapped by a schema-only/malformed-only publish has a
         # TABLE manifest (carrying the timeline) but ZERO bucket manifests —
         # there is no base to fold in, the apply runs on the new events alone
-        base = read_published(out_dir, system=True) if manifests else None
+        base = read_published(out_dir, system=True) if has_base else None
 
         def _base_as_events(t: pa.Table) -> pa.Table:
             keep = np.isin(t["_bucket"].to_numpy(zero_copy_only=False), touched)
             t = t.filter(pa.array(keep))
             ev = _rows_as_events(t, t["_bucket"])
-            if feed_dir:
+            if mark_base:
                 ev = ev.append_column("_base", pa.array(np.ones(len(t), dtype=bool)))
             return ev
 
@@ -2203,7 +2328,7 @@ def incremental_apply(
             if base is not None
             else None
         )
-        if feed_dir:
+        if mark_base:
             def _mark_new(t: pa.Table) -> pa.Table:
                 return t.append_column("_base", pa.array(np.zeros(len(t), dtype=bool)))
 
@@ -2212,7 +2337,7 @@ def incremental_apply(
         else:
             new_side = new_ev
         merged = new_side.union(base_ev) if base_ev is not None else new_side
-        if feed_dir:
+        if mark_base:
             # side-aware combiner: keep the max-LSN row per (key, base-vs-new)
             # so the before-state survives compaction alongside the winning
             # event
@@ -2228,26 +2353,12 @@ def incremental_apply(
             merged = merged.map_batches(
                 _compact_keep_base, batch_format="pyarrow", batch_size=batch_size
             )
-            group_kw["feed"] = {"dir": feed_dir, "values": feed_values, "lsn": feed_lsn}
         else:
             merged = merged.map_batches(compact_batch, batch_format="pyarrow",
                                         batch_size=batch_size)
-    manifest_ds = merged.groupby("bucket").map_groups(
+    return merged.groupby("bucket").map_groups(
         partial(_apply_write_group, **group_kw), batch_format="pyarrow"
     )
-    published = _publish_stream(manifest_ds, out_dir)
-    op = "incremental_apply_mor" if mode == "mor" else "incremental_apply"
-    all_manifests, snap = _commit_table(out_dir, tman, op, run_id)
-    return {
-        "published_now": len(published),
-        "published_total": len(all_manifests),
-        "touched": int(len(touched)),
-        "n_events_applied": int(sum(p["n_events"] for p in published)),
-        "rows_total": tman["rows_total"],
-        "snapshot": snap,
-        "deltas_total": tman["mor_deltas"],
-        "out_dir": out_dir,
-    }
 
 
 def _keyed_write_group(
@@ -2511,7 +2622,7 @@ def publish_dataset(
         ),
         batch_format="pyarrow",
     )
-    published = _publish_stream(manifest_ds, out_dir)
+    published = _publish_stream(manifest_ds.iter_rows(), out_dir)
     tman = {
         # clustered layouts advertise no key-hash modulus: a key's bucket is
         # not derivable from the key, so lookup_key falls back to its
@@ -2822,7 +2933,7 @@ def upsert_published(
         metrics=metrics,
     )
     manifest_ds = tagged.groupby("_bucket").map_groups(group_fn, batch_format="pyarrow")
-    published = _publish_stream(manifest_ds, out_dir)
+    published = _publish_stream(manifest_ds.iter_rows(), out_dir)
     if feed_dir is not None or mode == "mor" or prev_seq:
         # keep the sequence monotonic across feed-less writes too
         tman["write_seq"] = seq

@@ -267,8 +267,14 @@ def spool_jsonl(
                 continue
             pdir = os.path.join(spool_dir, f"part={int(p)}")
             os.makedirs(pdir, exist_ok=True)
-            fpath = os.path.join(pdir, f"stream-{seq:06d}.parquet")
-            pq.write_table(sub, fpath, store_schema=False)
+            fname = f"stream-{seq:06d}.parquet"
+            fpath = os.path.join(pdir, fname)
+            # written under a hidden name that no ``*.parquet`` listing sees,
+            # then renamed: a crash mid-write leaves no truncated file for
+            # the next apply to choke on
+            tmp = os.path.join(pdir, f".{fname}.tmp")
+            pq.write_table(sub, tmp, store_schema=False)
+            os.replace(tmp, fpath)
             files.append(fpath)
         lsn_max = int(pa.compute.max(t["lsn"]).as_py())
         last_lsn = max(last_lsn, lsn_max)
@@ -420,7 +426,9 @@ def tail_stream(
                 pending_since = t_round
             total_events += info["n_events"]
             mon.add(info["n_events"])
-            pending_files.extend(info["files"])
+            # a re-spooled sequence number (resume after a crash mid-spool)
+            # rewrites a leftover file that is already pending
+            pending_files.extend(f for f in info["files"] if f not in pending_files)
             spooled_rounds += 1
             if spooled_rounds % rounds_per_apply == 0:
                 _apply()

@@ -21,6 +21,31 @@ def ray_session():
     ray.shutdown()
 
 
+#: size cutovers that force every incremental_apply / compact_published
+#: onto one executor: above any test input (driver) or below it (Ray Data)
+EXECUTOR_CUTOVERS = {"driver": 1 << 62, "ray_data": 0}
+
+
+@pytest.fixture(params=sorted(EXECUTOR_CUTOVERS))
+def sink_executor(request, monkeypatch):
+    """Run the test with the sink's driver/Ray Data size cutover forced to
+    one extreme; fails the test if any apply or compaction chose the other
+    executor. Yields the executor name."""
+    from odibel_ray.cdc import sink
+
+    monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", EXECUTOR_CUTOVERS[request.param])
+    chosen = []
+    choose = sink._executor_for
+
+    def recording_choose(paths):
+        chosen.append(choose(paths))
+        return chosen[-1]
+
+    monkeypatch.setattr(sink, "_executor_for", recording_choose)
+    yield request.param
+    assert set(chosen) <= {request.param}
+
+
 @pytest.fixture(scope="session")
 def small_log(tmp_path_factory):
     """Deterministic small change log shared by the suite (seed=42)."""

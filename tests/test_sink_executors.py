@@ -1,0 +1,162 @@
+"""The sink's two executors for ``incremental_apply`` and
+``compact_published``: the driver (small inputs) and Ray Data (inputs above
+``DRIVER_MAX_BYTES``) must publish the same table, and both must refresh the
+TABLE manifest without reloading the bucket manifests."""
+
+import glob
+import json
+import os
+
+import pyarrow.parquet as pq
+import pytest
+
+from odibel_ray.cdc import (
+    compact_published,
+    incremental_apply,
+    read_published,
+    replay_publish,
+    sink,
+)
+from odibel_ray.cdc.sink import TABLE_MANIFEST, load_manifests
+from odibel_ray.datagen import split_log
+from tests.conftest import EXECUTOR_CUTOVERS, collect_sorted
+
+KEYS = ["conv_id", "turn_idx"]
+
+
+def _logs(small_log, tmp_path):
+    """Prefix (half), middle (three quarters) and full change logs."""
+    logs = []
+    for name, frac in (("prefix", 0.5), ("mid", 0.75)):
+        split_log(small_log["log_dir"], str(tmp_path / name), frac=frac)
+        logs.append(str(tmp_path / name / "change_log"))
+    return logs + [small_log["log_dir"]]
+
+
+def _table_state(out: str, feed: str | None) -> dict:
+    """Everything the two executors must agree on."""
+    state = {
+        "rows": collect_sorted(read_published(out), KEYS).to_pylist(),
+        "manifests": {
+            b: (m["file"], m["rows_out"], m["watermarks"],
+                [(d["file"], d["rows_out"]) for d in m.get("deltas", [])])
+            for b, m in load_manifests(out).items()
+        },
+        "files": sorted(f for f in os.listdir(out) if f.endswith(".parquet")),
+        "table_manifest": json.load(open(os.path.join(out, TABLE_MANIFEST))),
+    }
+    if feed:
+        files = sorted(glob.glob(os.path.join(feed, "bucket=*", "*.parquet")))
+        state["feed_files"] = [os.path.relpath(f, feed) for f in files]
+        state["feed_rows"] = [
+            pq.read_table(f).sort_by([(k, "ascending") for k in KEYS]).to_pylist()
+            for f in files
+        ]
+    return state
+
+
+@pytest.mark.parametrize("mode", ["mor", "cow"])
+def test_executors_publish_identical_tables(ray_session, small_log, tmp_path, monkeypatch,
+                                            mode):
+    """Two applies (a feed alongside in copy-on-write) and a compaction, once
+    per executor: identical rows, bucket manifests (file, rows_out,
+    watermarks, delta files), data and feed file names, feed rows and
+    TABLE manifest."""
+    prefix, mid, full = _logs(small_log, tmp_path)
+    states = {}
+    for executor, cutover in EXECUTOR_CUTOVERS.items():
+        monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", cutover)
+        out = str(tmp_path / executor / "tbl")
+        feed = str(tmp_path / executor / "feed") if mode == "cow" else None
+        replay_publish(prefix, out, num_buckets=8, run_id="r1")
+        steps = []
+        for i, log in enumerate((mid, full)):
+            res = incremental_apply(log, out, run_id=f"a{i}", mode=mode, feed_dir=feed)
+            assert res["executor"] == executor and res["touched"] > 0
+            steps.append(_table_state(out, feed))
+        res = compact_published(out, run_id="c1")
+        assert res["executor"] == (executor if mode == "mor" else None)
+        steps.append(_table_state(out, feed))
+        states[executor] = steps
+    if mode == "mor":
+        assert any(deltas for *_, deltas in states["driver"][1]["manifests"].values())
+    else:
+        assert states["driver"][1]["feed_rows"]
+    assert states["driver"] == states["ray_data"]
+
+
+def test_table_manifest_needs_no_reload(ray_session, small_log, tmp_path, monkeypatch,
+                                        sink_executor):
+    """A MOR apply, a compaction and a CoW apply each load the bucket
+    manifests once, and write the TABLE manifest (and snapshot) a reload
+    would give."""
+    prefix, mid, full = _logs(small_log, tmp_path)
+    out = str(tmp_path / "tbl")
+    # retains every version the three ops record, so no expiry sweep runs
+    replay_publish(prefix, out, num_buckets=8, run_id="r1", snapshots=5)
+    loads = []
+    real_load = sink.load_manifests
+
+    def counting_load(out_dir):
+        loads.append(out_dir)
+        return real_load(out_dir)
+
+    monkeypatch.setattr(sink, "load_manifests", counting_load)
+    # the Ray Data CoW apply reads its base through read_published, whose
+    # read plan loads the manifests once more
+    cow_loads = 2 if sink_executor == "ray_data" else 1
+    ops = [(1, lambda: incremental_apply(mid, out, run_id="m1", mode="mor")),
+           (1, lambda: compact_published(out, run_id="c1")),
+           (cow_loads, lambda: incremental_apply(full, out, run_id="w1", mode="cow"))]
+    for n_loads, op in ops:
+        loads.clear()
+        res = op()
+        assert res["executor"] == sink_executor
+        assert len(loads) == n_loads
+        reloaded = real_load(out)
+        tman = json.load(open(os.path.join(out, TABLE_MANIFEST)))
+        assert tman == dict(
+            tman,
+            buckets=sorted(reloaded),
+            rows_total=sum(m["rows_out"] for m in reloaded.values()),
+            mor_deltas=sum(len(m.get("deltas", [])) for m in reloaded.values()),
+        )
+        snap = json.load(open(sink._snapshot_path(out, res["snapshot"])))
+        assert snap["buckets"] == {str(b): m for b, m in reloaded.items()}
+
+
+def test_executor_follows_the_size_cutover(ray_session, small_log, tmp_path, monkeypatch):
+    """The driver runs at or below ``DRIVER_MAX_BYTES`` of input: the log's
+    Parquet bytes for a MOR apply, plus the table's bucket files for CoW,
+    and the target buckets' base and delta bytes for a compaction. A
+    no-op apply reports the executor it read the log with."""
+    prefix, mid, full = _logs(small_log, tmp_path)
+    out = str(tmp_path / "tbl")
+    replay_publish(prefix, out, num_buckets=8, run_id="r1")
+
+    def log_bytes(log):
+        return sum(os.path.getsize(f) for f in glob.glob(os.path.join(log, "part=*", "*.parquet")))
+
+    def table_bytes(deltas_only=False):
+        files = [f for m in load_manifests(out).values() if m.get("deltas") or not deltas_only
+                 for f in [m["file"], *(d["file"] for d in m.get("deltas", []))]]
+        return sum(os.path.getsize(os.path.join(out, f)) for f in files)
+
+    def run(cutover, fn, **kw):
+        monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", cutover)
+        return fn(**kw)["executor"]
+
+    mid_apply = dict(log_dir=mid, out_dir=out, mode="mor")
+    assert run(log_bytes(mid) - 1, incremental_apply, run_id="m1", **mid_apply) == "ray_data"
+    assert run(log_bytes(mid), incremental_apply, run_id="m2", **mid_apply) == "driver"
+    assert run(table_bytes(True) - 1, compact_published, out_dir=out, run_id="c1") == "ray_data"
+
+    assert run(log_bytes(full), incremental_apply, log_dir=full, out_dir=out, run_id="m3",
+               mode="mor") == "driver"
+    assert run(table_bytes(True), compact_published, out_dir=out, run_id="c2") == "driver"
+
+    cow = dict(log_dir=full, out_dir=out, mode="cow")
+    assert run(log_bytes(full) + table_bytes() - 1, incremental_apply, run_id="w1", **cow) \
+        == "ray_data"
+    assert run(log_bytes(full) + table_bytes(), incremental_apply, run_id="w2", **cow) \
+        == "driver"

@@ -22,6 +22,7 @@ from odibel_ray.cdc import (
     incremental_apply,
     read_published,
     replay_publish,
+    sink,
 )
 from odibel_ray.cdc.sink import TABLE_MANIFEST, load_manifests, lookup_key, vacuum
 from odibel_ray.datagen import split_log
@@ -187,7 +188,8 @@ import sys, ray
 ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-from odibel_ray.cdc import incremental_apply
+from odibel_ray.cdc import incremental_apply, sink
+sink.DRIVER_MAX_BYTES = int(sys.argv[3])  # the calling test's executor cutover
 incremental_apply(sys.argv[1], sys.argv[2], run_id="victim", mode="mor")
 """
 
@@ -203,7 +205,8 @@ def test_mor_kill_resume_exactly_once(ray_session, small_log, oracle_final, tmp_
         RAY_ADDRESS="local",
     )
     proc = subprocess.Popen(
-        [sys.executable, "-c", MOR_KILL_SCRIPT, small_log["log_dir"], out],
+        [sys.executable, "-c", MOR_KILL_SCRIPT, small_log["log_dir"], out,
+         str(sink.DRIVER_MAX_BYTES)],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -456,7 +459,8 @@ import sys, ray
 ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-from odibel_ray.cdc import compact_published
+from odibel_ray.cdc import compact_published, sink
+sink.DRIVER_MAX_BYTES = int(sys.argv[2])  # the calling test's executor cutover
 compact_published(sys.argv[1], run_id="victim-compact")
 """
 
@@ -472,7 +476,7 @@ def test_compaction_kill_resume(ray_session, small_log, oracle_final, tmp_path):
 
     env = dict(os.environ, ODIBEL_TEST_PUBLISH_DELAY="1.0", RAY_ADDRESS="local")
     proc = subprocess.Popen(
-        [sys.executable, "-c", COMPACT_KILL_SCRIPT, out],
+        [sys.executable, "-c", COMPACT_KILL_SCRIPT, out, str(sink.DRIVER_MAX_BYTES)],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,

@@ -5,6 +5,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -338,3 +339,50 @@ def test_tail_stream_schema_only_first_batch_keeps_timeline(ray_session, tmp_pat
     rows = read_published(table).take_all()
     assert len(rows) == 1
     assert rows[0]["score"] == 0.75  # the evolution survived the bootstrap
+
+
+def test_spool_crash_mid_write_leaves_no_truncated_file(ray_session, tmp_path, monkeypatch):
+    """A crash inside the spool's Parquet write must not leave a truncated
+    ``stream-*.parquet``: the next tail_stream treats every such file as
+    pending, so a torn one would fail every later apply. Re-piping the
+    stream after the crash converges to the oracle."""
+    import glob
+
+    from odibel_ray.cdc.sink import read_published
+    from odibel_ray.oracle import replay_oracle
+    from odibel_ray.sources.stream import tail_stream
+    from tests.conftest import collect_sorted
+
+    log_dir, _ = _fixture_log(tmp_path)
+    payload = _jsonl_from_log(log_dir)
+    spool = str(tmp_path / "spool")
+    table = str(tmp_path / "table")
+    real_write = pq.write_table
+    spool_writes = []
+
+    def torn_write(t, where, **kw):
+        if not os.path.basename(os.path.dirname(str(where))).startswith("part="):
+            return real_write(t, where, **kw)
+        spool_writes.append(where)
+        if len(spool_writes) < 6:
+            return real_write(t, where, **kw)
+        buf = pa.BufferOutputStream()
+        real_write(t, buf, **kw)
+        data = buf.getvalue().to_pybytes()
+        with open(where, "wb") as f:
+            f.write(data[: len(data) // 2])
+        raise OSError("simulated crash mid-write")
+
+    monkeypatch.setattr(pq, "write_table", torn_write)
+    with pytest.raises(OSError, match="simulated crash"):
+        tail_stream(io.BytesIO(payload), table, spool_dir=spool, num_parts=4,
+                    batch_rows=300, num_buckets=8)
+    monkeypatch.setattr(pq, "write_table", real_write)
+
+    for f in glob.glob(os.path.join(spool, "part=*", "stream-*.parquet")):
+        pq.read_metadata(f)  # raises on a truncated file
+
+    tail_stream(io.BytesIO(payload), table, spool_dir=spool, num_parts=4,
+                batch_rows=300, num_buckets=8)
+    got = collect_sorted(read_published(table), ["conv_id", "turn_idx"])
+    assert got.equals(replay_oracle(log_dir))

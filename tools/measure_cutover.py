@@ -1,0 +1,122 @@
+"""Measure the sink's driver/Ray Data cutover (``sink.DRIVER_MAX_BYTES``).
+
+For a range of input sizes, runs the same merge-on-read ``incremental_apply``
+(a 4-bucket table of half a log, then one LSN slice of the rest) and the same
+``compact_published`` (a 16-part table with one MOR delta per bucket) through
+each executor, forced by moving the cutover to an extreme, on a fresh copy of
+the table each time. Prints one line per (op, input bytes, executor) with the
+median wall time and process-tree CPU time. The cutover is the input size at
+which the driver's wall time reaches the Ray Data path's time on the smallest
+input.
+
+    python3 tools/measure_cutover.py [--work DIR] [--reps 3]
+
+Runs on a 1-CPU local Ray session, like ``perfbench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from perfbench.harness import cpu_s_between, tree_stats  # noqa: E402
+
+APPLY_CONVS = 24_000  # a live_tail-shaped log (4 parts), 4x as many conversations
+APPLY_FRACS = (0.501, 0.505, 0.51, 0.55, 0.6, 0.7, 0.8, 0.9)  # slice (0.5, f] of it
+COMPACT_CONVS = (250, 1_000, 4_000, 8_000, 16_000, 24_000)  # serve_mixed-shaped logs
+FORCE = {"driver": 1 << 62, "ray_data": 0}
+
+
+def _nbytes(paths) -> int:
+    return sum(os.path.getsize(p) for p in paths)
+
+
+def _timed(fn) -> tuple[float, float]:
+    before, t0 = tree_stats(), time.perf_counter()
+    fn()
+    return time.perf_counter() - t0, cpu_s_between(before, tree_stats())
+
+
+def _measure(sink, op: str, nbytes: int, base: str, work: str, run, reps: int) -> None:
+    for executor, cutover in FORCE.items():
+        sink.DRIVER_MAX_BYTES = cutover
+        walls, cpus = [], []
+        for i in range(reps):
+            table = os.path.join(work, "run")
+            shutil.rmtree(table, ignore_errors=True)
+            shutil.copytree(base, table)
+            wall, cpu = _timed(lambda: run(table, f"{executor}{i}"))
+            walls.append(wall)
+            cpus.append(cpu)
+        print(f"{op:8s} {nbytes / 1e6:7.2f} MB {executor:8s} "
+              f"wall {statistics.median(walls):6.3f} s  cpu {statistics.median(cpus):6.3f} s",
+              flush=True)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--work", default=None, help="scratch directory (default: a temp dir)")
+    ap.add_argument("--reps", type=int, default=3)
+    args = ap.parse_args()
+    work = args.work or tempfile.mkdtemp(prefix="cutover-")
+
+    import ray
+    from ray.data import DataContext
+
+    ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
+             object_store_memory=512 * 1024 * 1024)
+    DataContext.get_current().enable_progress_bars = False
+
+    from odibel_ray import datagen
+    from odibel_ray.cdc import sink
+    from perfbench import fixtures
+
+    # warm the Ray worker and both executors once
+    warm = fixtures.generate_log(os.path.join(work, "warm"), 0, {**fixtures.TAIL_LOG, "n_convs": 200})
+    sl = datagen.slice_log(warm["log_dir"], os.path.join(work, "warm", "sl"), [0.5, 1.0])
+    sink.replay_publish(sl[0], os.path.join(work, "warm", "t"), num_buckets=4, run_id="w")
+    for executor, cutover in FORCE.items():
+        sink.DRIVER_MAX_BYTES = cutover
+        sink.incremental_apply(sl[1], os.path.join(work, "warm", "t"), run_id=executor, mode="mor")
+
+    info = fixtures.generate_log(os.path.join(work, "apply"), 1,
+                                 {**fixtures.TAIL_LOG, "n_convs": APPLY_CONVS})
+    base = os.path.join(work, "apply", "base")
+    for k, frac in enumerate(APPLY_FRACS):
+        # the slice (0.5, frac] is the whole log of one apply
+        prefix, log = datagen.slice_log(info["log_dir"], os.path.join(work, "apply", f"sl{k}"),
+                                        [0.5, frac])
+        if k == 0:
+            sink.replay_publish(prefix, base, num_buckets=fixtures.TAIL_BUCKETS, run_id="b")
+        n = _nbytes(glob.glob(os.path.join(log, "part=*", "*.parquet")))
+        _measure(sink, "apply", n, base, work, lambda t, r, log=log:
+                 sink.incremental_apply(log, t, run_id=r, mode="mor"), args.reps)
+
+    for n_convs in COMPACT_CONVS:
+        d = os.path.join(work, f"compact{n_convs}")
+        info = fixtures.generate_log(d, 1, {**fixtures.LOG, "n_convs": n_convs})
+        sl = datagen.slice_log(info["log_dir"], os.path.join(d, "sl"), [0.7, 0.75])
+        base = os.path.join(d, "base")
+        sink.replay_publish(sl[0], base, partitioned=True, run_id="b")
+        sink.DRIVER_MAX_BYTES = FORCE["driver"]
+        sink.incremental_apply(sl[1], base, run_id="d", mode="mor")
+        n = _nbytes(glob.glob(os.path.join(base, "*.parquet")))
+        _measure(sink, "compact", n, base, work, lambda t, r:
+                 sink.compact_published(t, run_id=r), args.reps)
+        shutil.rmtree(d, ignore_errors=True)
+
+    ray.shutdown()
+    if args.work is None:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()
