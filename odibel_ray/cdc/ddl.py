@@ -350,7 +350,9 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
             smap = SchemaMap(physical, ops)
             staging = os.path.join(out_dir, STAGING_DIR, rid)
             os.makedirs(staging, exist_ok=True)
-            layout = _table_layout(out_dir)["pinned"]
+            table_layout = _table_layout(out_dir)
+            key_col = table_layout["key_cols"][0]
+            layout = table_layout["pinned"]
             bloom_cols: list[str] = []
             if layout is not None:
                 # Translate layout column references through the rename/drop
@@ -398,6 +400,7 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
                     outs.append(_stage_bucket(
                         out,
                         bucket=int(m["bucket"]),
+                        key_col=key_col,
                         staging=staging,
                         run_id=rid,
                         n_events=int(m.get("n_events", m["rows_out"])),

@@ -487,7 +487,7 @@ def merge_published(
                 raise ValueError(f"MERGE source has multiple rows for key {dup} "
                                  "(SQL MERGE cardinality violation)")
         if b in manifests:
-            tgt = _read_bucket(out_dir, manifests[b], keys, columns=tcols_read)
+            tgt = _read_bucket(out_dir, manifests[b], layout, columns=tcols_read)
         else:
             tgt = tgt_read_schema.empty_table()
         tgt = tgt.rename_columns(keys + [_T_PREFIX + c for c in tcols_read[len(keys):]])

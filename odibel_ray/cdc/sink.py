@@ -39,7 +39,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -368,6 +368,9 @@ _MANIFEST_SCHEMA = pa.schema(
         # same per-bucket atomic step as the data file ("" when no feed)
         ("feed_staged", pa.string()),
         ("feed_final", pa.string()),
+        # the file's key filter (JSON, skipping.bloom_filter over the first
+        # key column), stored in its manifest entry by the publish
+        ("key_filter", pa.string()),
     ]
 )
 
@@ -376,6 +379,7 @@ def _stage_bucket(
     out: pa.Table,
     *,
     bucket: int,
+    key_col: str,
     staging: str,
     run_id: str,
     n_events: int,
@@ -390,12 +394,17 @@ def _stage_bucket(
     return the bucket's ONE manifest row. Without ``delta_tag`` the file is
     the bucket's next base (``part-<bucket>-<run_id>``, copy-on-write); with
     it, a merge-on-read delta (``delta-<bucket>-<tag>``) that the publish
-    appends to the bucket's manifest. ``bloom_cols`` writes the base file's
+    appends to the bucket's manifest. Every file gets a Bloom key filter
+    over ``key_col`` (the first key column), tombstone rows included; the
+    publish stores it in the file's manifest entry, where
+    :func:`_bucket_prune` probes it. ``bloom_cols`` writes the base file's
     bloom sidecar. ``feed=(table, final_path)`` stages the bucket's change
     feed next to its data; the publish moves it into place in the same
     per-bucket step. ``metrics`` names a live-counter actor that gets the
     task-side progress (:func:`odibel_ray.monitor.record_task_metrics`):
     ``events`` applied (event applies only), rows staged, buckets finished."""
+    from odibel_ray.cdc.skipping import BLOOM_SUFFIX, bloom_filter, build_bloom_sidecar
+
     if delta_tag is None:
         fname = _bucket_filename(bucket, run_id)
     else:
@@ -403,8 +412,6 @@ def _stage_bucket(
     staged = os.path.join(staging, fname)
     _write_data_file(out, staged)
     if bloom_cols:
-        from odibel_ray.cdc.skipping import BLOOM_SUFFIX, build_bloom_sidecar
-
         build_bloom_sidecar(out, bloom_cols, staged + BLOOM_SUFFIX)
     feed_staged, feed_final = "", ""
     if feed is not None:
@@ -427,6 +434,7 @@ def _stage_bucket(
             "run_id": pa.array([run_id], pa.string()),
             "feed_staged": pa.array([feed_staged], pa.string()),
             "feed_final": pa.array([feed_final], pa.string()),
+            "key_filter": pa.array([json.dumps(bloom_filter(out, [key_col]))], pa.string()),
         }
     )
 
@@ -498,8 +506,8 @@ def _apply_write_group(
     if delta:
         cols["_op"] = t["op"]
     out = pa.table(cols)
-    kw = dict(bucket=bucket, staging=staging, run_id=run_id, n_events=n_events,
-              metrics=metrics, events=n_events)
+    kw = dict(bucket=bucket, key_col=TRANSCRIPT_KEYS[0], staging=staging, run_id=run_id,
+              n_events=n_events, metrics=metrics, events=n_events)
     if delta:
         # effective watermarks: merged(base, every delta) — keeps
         # _watermark_matrix and the next run's idempotence filter exact
@@ -576,16 +584,19 @@ def merge_base_deltas(
 def _read_bucket(
     out_dir: str,
     m: dict,
-    keys: Sequence[str],
+    layout: dict,
     columns: list[str] | None = None,
     filters: list | None = None,
 ) -> pa.Table:
     """The one per-bucket read: bucket manifest ``m``'s base file, LWW-merged
-    with its merge-on-read deltas on ``keys`` when it has any. ``columns``
-    projects the result; the merge still reads the key + ``_lsn`` (base)
-    and ``_op`` (deltas) it needs, then projects. ``filters`` pushes a
-    conjunctive pyarrow filter into every file read — only valid for
-    predicates on ``keys``, which a merge never changes."""
+    with its merge-on-read deltas on the layout's key columns when it has
+    any. ``columns`` projects the result; the merge still reads the key +
+    ``_lsn`` and ``_op`` (deltas) it needs, then projects. Only bases of
+    tables with system columns carry ``_lsn``: generic bases, compacted
+    ones included, do not. ``filters`` pushes a conjunctive pyarrow filter
+    into every file read — only valid for predicates on the keys, which a
+    merge never changes."""
+    keys = layout["key_cols"]
     base_path = os.path.join(out_dir, m["file"])
     if not m.get("deltas"):
         return pq.read_table(base_path, columns=columns, filters=filters)
@@ -594,8 +605,7 @@ def _read_bucket(
         merge_cols = list(
             dict.fromkeys(c for c in [*columns, *keys, "_lsn"] if c != "_op")
         )
-        have = set(pq.read_schema(base_path).names)  # generic bases lack _lsn
-        bcols = [c for c in merge_cols if c in have]
+        bcols = [c for c in merge_cols if c != "_lsn" or layout["system"]]
     base = pq.read_table(base_path, columns=bcols, filters=filters)
     deltas = [
         pq.read_table(
@@ -873,9 +883,9 @@ def _sweep_bucket_versions(out_dir: str, bucket: int, keep: set[str]) -> None:
 
 def _publish_delta_row(row, out_dir: str) -> tuple[dict, dict]:
     """Audit + atomically publish one bucket's DELTA manifest row: the delta
-    file moves into place, then its descriptor is appended to the bucket's
-    existing manifest (advancing its effective watermarks). Returns the
-    delta's record and the bucket manifest written."""
+    file moves into place, then its descriptor and key filter are appended
+    to the bucket's existing manifest (advancing its effective watermarks).
+    Returns the delta's record and the bucket manifest written."""
     staged = _audit_staged(row)
     os.replace(staged, os.path.join(out_dir, row["file"]))
     mpath = os.path.join(out_dir, MANIFEST_DIR, f"bucket-{int(row['bucket']):06d}.json")
@@ -889,7 +899,7 @@ def _publish_delta_row(row, out_dir: str) -> tuple[dict, dict]:
     }
     deltas = manifest.setdefault("deltas", [])
     if not any(d["file"] == row["file"] for d in deltas):
-        deltas.append(desc)
+        deltas.append({**desc, "key_filter": json.loads(row["key_filter"])})
     # effective watermarks: merged(base, every delta) — keeps
     # _watermark_matrix and the next run's idempotence filter exact
     manifest["watermarks"] = json.loads(row["watermarks"])
@@ -903,7 +913,8 @@ def _publish_delta_row(row, out_dir: str) -> tuple[dict, dict]:
 
 def _publish_base_row(row, out_dir: str, retained: frozenset[str] = frozenset()) -> dict:
     """Audit + atomically publish one bucket's BASE manifest row: move the
-    data file into place, flip the manifest pointer, sweep old versions
+    data file into place, flip the manifest pointer (the new manifest
+    carries the base's key filter), sweep old versions
     (including any merge-on-read deltas the fresh base supersedes)."""
     staged = _audit_staged(row)
     final_path = os.path.join(out_dir, row["file"])
@@ -927,6 +938,7 @@ def _publish_base_row(row, out_dir: str, retained: frozenset[str] = frozenset())
         "file": row["file"],
         "watermarks": json.loads(row["watermarks"]),
         "run_id": row["run_id"],
+        "key_filter": json.loads(row["key_filter"]),
     }
     # the manifest write IS the publish: data lands under a versioned
     # name first (copy-on-write), so until this atomic pointer flip the
@@ -1138,29 +1150,88 @@ class _ReadPlan:
     """One table read, resolved once by :func:`_read_plan` and executed by
     the Ray Data scan (:func:`read_published`) or the in-process point read
     (:func:`lookup_key`). ``flipped`` buckets were already rewritten by an
-    in-flight ``materialize_ddl`` (logical on disk); the others fold the
-    schema-op log ``ops``. The footer is opened lazily, once."""
+    in-flight ``materialize_ddl`` run ``mrun`` (logical on disk); the others
+    fold the schema-op log ``ops``. Live bucket manifests are checked only
+    when a read is about to open them: a whole-table read checks every
+    bucket (:attr:`manifests`), a routed read only the buckets it keeps
+    (:func:`_bucket_prune`). A retained version's manifests (``snapshot``)
+    are trusted. The footer is opened lazily, once."""
 
     out_dir: str
-    manifests: dict[int, dict]
+    snapshot: dict[int, dict] | None
     layout: dict
     ops: list[dict]
-    flipped: set[int]
+    mrun: str | None
     requested: list[str] | None
+    _ok: dict[int, bool] = field(default_factory=dict)
+
+    @cached_property
+    def manifests(self) -> dict[int, dict]:
+        """The buckets a whole-table read opens: every one that passes the
+        manifest check."""
+        if self.snapshot is None and "listed" not in self.__dict__:
+            found = load_manifests(self.out_dir)
+            self._ok.update(dict.fromkeys(found, True))
+        else:
+            found = {b: m for b, m in self.listed.items() if self.passes(b)}
+        if not found:
+            raise FileNotFoundError(f"no published buckets under {self.out_dir}")
+        return found
+
+    @cached_property
+    def listed(self) -> dict[int, dict]:
+        """Every bucket manifest of the version, unchecked."""
+        if self.snapshot is not None:
+            return self.snapshot
+        if "manifests" in self.__dict__:
+            return self.manifests
+        found = {int(m["bucket"]): m for m in _bucket_manifest_files(self.out_dir)}
+        if not found:
+            raise FileNotFoundError(f"no published buckets under {self.out_dir}")
+        return found
+
+    def passes(self, b: int, kept: dict | None = None) -> bool:
+        """Whether bucket ``b`` passes the manifest check. ``kept``: the
+        bucket reduced to the files a routed read opens; those get the
+        check, and the files it leaves out need only exist, so a bucket with
+        a missing file drops out whole, as :func:`load_manifests` drops it."""
+        if self.snapshot is not None:
+            return True
+        m = self.listed[b]
+        if kept is not None and kept is not m:
+            left_out = _manifest_files({b: m}) - _manifest_files({b: kept})
+            return (all(os.path.exists(os.path.join(self.out_dir, f)) for f in left_out)
+                    and next(_manifest_problems(self.out_dir, kept), None) is None)
+        if b not in self._ok:
+            self._ok[b] = next(_manifest_problems(self.out_dir, m), None) is None
+        return self._ok[b]
+
+    @cached_property
+    def flipped(self) -> set[int]:
+        """Buckets the in-flight ``materialize_ddl`` run already rewrote."""
+        return {b for b, m in self.listed.items() if self.mrun and m.get("run_id") == self.mrun}
+
+    @cached_property
+    def _schema_bucket(self) -> int:
+        """The bucket :attr:`schema` comes from: the first that passes the
+        check, buckets that fold ``ops`` first."""
+        for b in sorted(self.listed, key=lambda b: (b in self.flipped, b)):
+            if self.passes(b):
+                return b
+        raise FileNotFoundError(f"no published buckets under {self.out_dir}")
 
     @cached_property
     def schema(self) -> pa.Schema:
         """Physical schema of the buckets that fold ``ops`` (of any bucket
         when all are flipped; key column types agree across buckets)."""
-        pending = [b for b in self.manifests if b not in self.flipped]
-        m = self.manifests[min(pending or self.manifests)]
+        m = self.listed[self._schema_bucket]
         return pq.read_schema(os.path.join(self.out_dir, m["file"]))
 
     @cached_property
     def smap(self) -> SchemaMap | None:
         """``ops`` folded over :attr:`schema`, from every bucket of the
         version (not only routed ones, so a routed miss is typed logically)."""
-        if not self.ops or len(self.flipped) == len(self.manifests):
+        if not self.ops or self._schema_bucket in self.flipped:
             return None
         return SchemaMap(self.schema, self.ops)
 
@@ -1198,18 +1269,16 @@ def _read_plan(out_dir: str, *, version: int | None = None, as_of=None,
         if version is not None:
             raise ValueError("pass version= or as_of=, not both")
         version = version_at(out_dir, as_of)
-    manifests = (
-        snapshot_manifests(out_dir, version) if version is not None else load_manifests(out_dir)
-    )
-    if not manifests:
-        raise FileNotFoundError(f"no published buckets under {out_dir}")
+    snapshot = None
+    if version is not None:
+        snapshot = snapshot_manifests(out_dir, version)
+        if not snapshot:
+            raise FileNotFoundError(f"no published buckets under {out_dir}")
     layout = _table_layout(out_dir)
     meta = load_schema_meta(out_dir)
-    mrun = meta.get("materialized_run")
-    flipped = {b for b, m in manifests.items() if mrun and m.get("run_id") == mrun}
     if columns is None and layout["system"] and not system:
         columns = LOGICAL_COLUMNS
-    return _ReadPlan(out_dir, manifests, layout, meta["ops"], flipped,
+    return _ReadPlan(out_dir, snapshot, layout, meta["ops"], meta.get("materialized_run"),
                      None if columns is None else list(columns))
 
 
@@ -1266,12 +1335,11 @@ def read_published(
     plan = _read_plan(out_dir, version=version, as_of=as_of, columns=columns, system=system)
     if where is not None:
         where = check_where(where)
-    manifests = plan.manifests
-    files_total = sum(1 + len(m.get("deltas", [])) for m in manifests.values())
-    if where:
-        # key-equality routing: recompute the candidate hash buckets from
-        # pinned key values (lookup_key's routing inside the general scan)
-        manifests = _bucket_prune(plan, where)
+    # key routing (lookup_key's, inside the general scan) keeps and checks
+    # only the buckets and deltas that can hold a probed key; a read
+    # without a predicate checks every bucket
+    manifests = _bucket_prune(plan, where) if where else plan.manifests
+    files_total = sum(1 + len(m.get("deltas", [])) for m in plan.listed.values())
     # zero-row buckets exist for their watermarks (a bucket whose only
     # events were deletes-of-nonexistent still pins resume state) — but
     # scanning their empty files yields schema-less empty blocks from the
@@ -1308,10 +1376,9 @@ def read_published(
 
     if where:
         plain = may_match(plain, where)
-        # a MOR bucket is prunable only when base AND every delta fail the
-        # stats check (the merge never synthesizes values, so no file with
-        # a possible match ⇒ no merged match); delta files carry no blooms,
-        # so bloom pruning does not apply to MOR buckets
+        # a MOR bucket is prunable only when its base AND every delta the
+        # router kept fail the stats check (the merge never synthesizes
+        # values, so no file with a possible match ⇒ no merged match)
         mor = [m for m in mor if any(
             file_may_match(os.path.join(out_dir, f), where)
             for f in [m["file"], *(d["file"] for d in m["deltas"])])]
@@ -1335,7 +1402,7 @@ def read_published(
         if final_cols is not None:
             where_cols = [c for c, _, _ in where] if where else []
             read_cols = list(dict.fromkeys([*final_cols, *where_cols]))
-        keys = plan.layout["key_cols"]
+        layout = plan.layout
 
         def _merge_bucket(batch: pa.Table) -> pa.Table:
             from odibel_ray.cdc.apply import limit_arrow_threads
@@ -1343,7 +1410,7 @@ def read_published(
             limit_arrow_threads()
             outs = []
             for m in batch["m"].to_pylist():
-                t = _read_bucket(out_dir, json.loads(m), keys, columns=read_cols)
+                t = _read_bucket(out_dir, json.loads(m), layout, columns=read_cols)
                 if where:
                     t = filter_table(t, where)
                 outs.append(t.select(final_cols) if final_cols is not None else t)
@@ -1391,17 +1458,25 @@ def lookup_key(
     rows. It executes the same plan as ``read_published(where=<key ==>)``
     and returns the same rows and schema.
 
-    Layouts:
-    - hash-bucketed tables: the bucket id is recomputed from the probe with
-      the same hash the sink used (:func:`_bucket_prune`), and exactly that
-      bucket's manifested files are read. Transcript tables hash
-      ``conv_id`` only; generic tables hash every key column, so a
-      composite key routes only when ``turn_idx`` carries its second part;
-    - partitioned tables (``num_buckets`` None — bucket == WAL part, whose
+    Routing (:func:`_bucket_prune`), on every layout:
+    - every base and delta file carries a Bloom key filter over the first
+      key column in its bucket manifest entry. A bucket none of whose files
+      admits the probe is never opened; a bucket that survives opens its
+      base plus only the deltas that admit the probe. This routes the
+      partitioned layout (``num_buckets`` None — bucket == WAL part, whose
       assignment belonged to the upstream producer) and range/z-clustered
-      tables: every bucket file's footer is consulted, but transcript bucket
-      files are sorted by ``conv_id`` (``_SORT_KEYS``), so Parquet row-group
-      statistics prune all non-matching row groups before any data is read.
+      tables, whose bucket is not derivable from the key;
+    - on hash-bucketed tables, when more than one bucket survives the
+      filters (false positives, or files without a filter), the bucket id
+      is recomputed from the probe with the same hash the sink used.
+      Transcript tables hash ``conv_id`` only; generic tables hash every
+      key column, so a composite key routes only when ``turn_idx`` carries
+      its second part.
+
+    Only the files the lookup opens get the manifest check. Transcript
+    bucket files are sorted by ``conv_id`` (``_SORT_KEYS``), so Parquet
+    row-group statistics prune the non-matching row groups of every file
+    read.
 
     ``version=V`` answers the lookup from retained snapshot V (time travel;
     see :func:`enable_snapshots`) — same single-file access pattern.
@@ -1417,15 +1492,11 @@ def lookup_key(
     tables = []
     for b, m in sorted(_bucket_prune(plan, filters).items()):
         if plan.smap is not None and b not in plan.flipped:
-            t = _read_bucket(out_dir, m, keys, columns=plan.physical, filters=filters)
+            t = _read_bucket(out_dir, m, plan.layout, columns=plan.physical, filters=filters)
             t = plan.smap.adapt(t, plan.columns)
         else:
-            # logical on disk; only the caller's columns are pushed into the
-            # read (a projected merge-on-read read opens its base footer
-            # first), the system columns are hidden after the merge
-            t = _read_bucket(out_dir, m, keys, columns=columns, filters=filters)
-            if plan.columns is not None:
-                t = t.select(plan.columns)
+            # logical on disk: the output columns are pushed into the read
+            t = _read_bucket(out_dir, m, plan.layout, columns=plan.columns, filters=filters)
         if len(t):
             tables.append(t)
     if not tables:
@@ -1511,13 +1582,33 @@ def table_changes(
     return change_feed(old, new, keys, values)
 
 
+def _key_filter_problems(out_dir: str, m: dict) -> list[str]:
+    """The files of bucket manifest ``m`` whose key filter rejects a key the
+    file holds."""
+    from odibel_ray.cdc.skipping import _bloom_contains
+
+    out = []
+    for kind, entry in [("base", m), *(("delta", d) for d in m.get("deltas", []))]:
+        for col, bloom in (entry.get("key_filter") or {}).items():
+            keys = pq.read_table(os.path.join(out_dir, entry["file"]), columns=[col])[col]
+            keys = keys.unique().drop_null().to_numpy(zero_copy_only=False)
+            missed = int((~_bloom_contains(bloom, keys)).sum())
+            if missed:
+                out.append(f"bucket {m['bucket']}: {kind} {entry['file']} key filter "
+                           f"rejects {missed} of its {len(keys)} {col} values")
+    return out
+
+
 def fsck_table(out_dir: str) -> dict:
     """Integrity check of a published table — the operator's fsck. Verifies,
-    from metadata and Parquet footers only (no Ray session, no data read):
+    from metadata, Parquet footers and each file's first key column (no Ray
+    session):
 
     - every bucket manifest's base file and delta files exist with the
       manifested row counts (``load_manifests`` silently DROPS broken
       manifests so readers stay safe; this reports them);
+    - every manifested key filter admits every key its file holds (a false
+      negative would make routed reads miss rows silently);
     - every retained snapshot's referenced files still exist (time travel
       would fail otherwise);
     - all base files share one physical schema (unless a DDL op log / an
@@ -1540,6 +1631,7 @@ def fsck_table(out_dir: str) -> dict:
         errors += problems
         if not problems:  # the schema check covers the buckets readers trust
             base_files.append(os.path.join(out_dir, m["file"]))
+            errors += _key_filter_problems(out_dir, m)
 
     for snap in list_snapshots(out_dir):
         for b, m in snap["buckets"].items():
@@ -1753,7 +1845,7 @@ def count_published(out_dir: str, where=None, *, version: int | None = None) -> 
     # a delta may supersede or tombstone base rows — count those buckets
     # through the LWW merge (still only the delta-bearing ones)
     return sum(
-        len(_read_bucket(out_dir, m, plan.layout["key_cols"])) if m.get("deltas")
+        len(_read_bucket(out_dir, m, plan.layout)) if m.get("deltas")
         else int(m["rows_out"])
         for m in plan.manifests.values()
     )
@@ -1763,24 +1855,51 @@ _BUCKET_PRUNE_MAX_PROBES = 64
 
 
 def _bucket_prune(plan: _ReadPlan, where) -> dict[int, dict]:
-    """The one key router (``read_published(where=)`` and
-    :func:`lookup_key`): when a conjunctive ``where`` pins every hash
-    column of a hash-bucketed layout with ``==`` (or a small ``in``), the
-    candidate buckets are recomputable from the probe values. Exact (hash
-    identity, no false positives beyond hash-bucket sharing) and free of
-    sidecar state; zone maps and blooms still apply to the survivors.
-    Pending schema ops do not matter: key columns are layout-pinned, so
-    alter_published can neither rename, drop nor widen them. Returns
-    ``manifests`` unchanged whenever the layout doesn't allow routing
-    (partitioned or clustered, keys not fully pinned, probe values not of
-    the key's type)."""
+    """The one key router (``read_published(where=)``, ``count_published``
+    with a predicate, and :func:`lookup_key`). Returns the buckets the read
+    opens, each reduced to its base plus the deltas that can hold a probed
+    key, and checked (:meth:`_ReadPlan.passes`) before anything opens them.
+
+    1. Key filters: a file whose key filter (``key_filter`` in its manifest
+       entry, over the first key column) rejects every value of an
+       ``==``/``in`` clause on that column holds no matching row. A bucket
+       none of whose files admits the probe is dropped; a surviving bucket
+       keeps its base and the deltas that admit it (a delta without a
+       probed key cannot change that key's merged row). A file without a
+       filter always admits.
+    2. Hash routing, when more than one bucket survives: see
+       :func:`_hash_route`. It only drops filter false positives and files
+       without a filter, so it is skipped, with its footer read, when the
+       filters already left one bucket."""
+    from odibel_ray.cdc.skipping import bloom_admits
+
+    kept = {}
+    for b, m in plan.listed.items():
+        deltas = m.get("deltas", [])
+        admitted = [d for d in deltas if bloom_admits(d.get("key_filter"), where)]
+        if admitted or bloom_admits(m.get("key_filter"), where):
+            kept[b] = m if len(admitted) == len(deltas) else {**m, "deltas": admitted}
+    if len(kept) > 1 and (routed := _hash_route(plan, where)) is not None:
+        kept = {b: m for b, m in kept.items() if b in routed}
+    return {b: m for b, m in kept.items() if plan.passes(b, m)}
+
+
+def _hash_route(plan: _ReadPlan, where) -> set[int] | None:
+    """The buckets a hash-bucketed layout can hold a match in, when a
+    conjunctive ``where`` pins every hash column with ``==`` (or a small
+    ``in``): recomputed from the probe values with the sink's hash. Exact
+    (hash identity, no false positives beyond hash-bucket sharing). Pending
+    schema ops do not matter: key columns are layout-pinned, so
+    alter_published can neither rename, drop nor widen them. None whenever
+    the layout doesn't allow routing (partitioned or clustered, keys not
+    fully pinned, probe values not of the key's type)."""
     from itertools import product
 
     from odibel_ray.cdc.lww import bucket_of_keys
 
-    layout, manifests = plan.layout, plan.manifests
-    if not where or not layout["num_buckets"] or layout["cluster_by"]:
-        return manifests
+    layout = plan.layout
+    if not layout["num_buckets"] or layout["cluster_by"]:
+        return None
     hash_keys = layout["hash_cols"]
     probes: list[list] = []
     for k in hash_keys:
@@ -1794,11 +1913,11 @@ def _bucket_prune(plan: _ReadPlan, where) -> dict[int, dict]:
                 vals = list(val)
             break  # first clause per key wins; further ones only narrow
         if vals is None:
-            return manifests  # a hash key is unpinned: any bucket can match
+            return None  # a hash key is unpinned: any bucket can match
         probes.append(vals)
     combos = list(product(*probes))
     if not combos or len(combos) > _BUCKET_PRUNE_MAX_PROBES:
-        return manifests
+        return None
     # Cast the probe to the CANONICAL key type before hashing:
     # pd.util.hash_array hashes int32(-5) and int64(-5) (or s/ms timestamps)
     # differently, so an uncast probe would route to the wrong bucket.
@@ -1808,9 +1927,8 @@ def _bucket_prune(plan: _ReadPlan, where) -> dict[int, dict]:
             for i, k in enumerate(hash_keys)
         })
     except (pa.ArrowInvalid, pa.ArrowTypeError, KeyError):
-        return manifests  # probe value can't be the key's type: no pruning
-    keep = set(bucket_of_keys(probe_t, hash_keys, int(layout["num_buckets"])).tolist())
-    return {b: m for b, m in manifests.items() if b in keep}
+        return None  # probe value can't be the key's type: no pruning
+    return set(bucket_of_keys(probe_t, hash_keys, int(layout["num_buckets"])).tolist())
 
 
 def _join_side(out_dir: str, want: list[str] | None) -> _ReadPlan:
@@ -1914,7 +2032,7 @@ def join_published(
         m = plan.manifests.get(b)
         if m is None:
             return plan.empty()
-        return _read_bucket(plan.out_dir, m, keys, columns=plan.columns)
+        return _read_bucket(plan.out_dir, m, plan.layout, columns=plan.columns)
 
     def join_bucket(batch: pa.Table) -> pa.Table:
         from odibel_ray.cdc.apply import limit_arrow_threads
@@ -2045,8 +2163,9 @@ def compact_published(
 
     def _compact_bucket(m: dict) -> pa.Table:
         return _stage_bucket(
-            _read_bucket(out_dir, m, layout["key_cols"]),
+            _read_bucket(out_dir, m, layout),
             bucket=int(m["bucket"]),
+            key_col=layout["key_cols"][0],
             staging=staging,
             run_id=run_id,
             # events that ever contributed to this bucket (lineage continuity)
@@ -2285,10 +2404,11 @@ def _driver_apply_rows(groups: dict[int, pa.Table], out_dir: str, bases: dict[in
     :func:`_apply_write_group`. A change feed gets its ``_base`` side
     marker. Yields manifest rows, one bucket at a time, so each publishes
     before the next bucket is read."""
+    layout = _table_layout(out_dir) if bases else None
     for bucket, ev in groups.items():
         sides = [ev]
         if bucket in bases:
-            base = _read_bucket(out_dir, bases[bucket], TRANSCRIPT_KEYS)
+            base = _read_bucket(out_dir, bases[bucket], layout)
             sides.append(_rows_as_events(base, base["_bucket"]))
         if "feed" in group_kw:
             sides = [t.append_column("_base", pa.array(np.full(len(t), i == 1)))
@@ -2419,8 +2539,8 @@ def _keyed_write_group(
         keep = probe.join(ups.select(key_cols), keys=key_cols, join_type="left anti")
         dels = dels.take(np.sort(keep["__row"].to_numpy()))
     old_file = (bucket_files or {}).get(bucket)
-    stage = partial(_stage_bucket, bucket=bucket, staging=staging, run_id=run_id,
-                    n_events=n_events, metrics=metrics)
+    stage = partial(_stage_bucket, bucket=bucket, key_col=key_cols[0], staging=staging,
+                    run_id=run_id, n_events=n_events, metrics=metrics)
     if old_file is not None and mode == "mor":
         out = pa.concat_tables([ups, dels])
         out = out.append_column("_lsn", pa.array(np.full(len(out), seq, np.int64)))

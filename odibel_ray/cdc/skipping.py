@@ -439,15 +439,14 @@ def _bloom_hashes(values) -> tuple:
     return h1, h2 | np.uint64(1)
 
 
-def build_bloom_sidecar(
-    t: pa.Table, cols: Sequence[str], path: str,
-    bits_per_value: int = _BITS_PER_VALUE,
-) -> None:
-    """Write the bloom sidecar for one staged bucket file: per column, the
-    file's distinct non-null values (``==`` never matches NULL under SQL
-    WHERE, so nulls need no bits) hashed k ways into an m-bit array."""
+def bloom_filter(
+    t: pa.Table, cols: Sequence[str], bits_per_value: int = _BITS_PER_VALUE,
+) -> dict:
+    """The one Bloom encoder: per column, the table's distinct non-null values
+    (``==`` never matches NULL under SQL WHERE, so nulls need no bits)
+    hashed k ways into an m-bit array. Returns ``{col: entry}``, the layout
+    of a bloom sidecar and of a manifest key filter."""
     import base64
-    import json
 
     import numpy as np
 
@@ -458,44 +457,76 @@ def build_bloom_sidecar(
         n = max(len(arr), 1)
         m = max(64, ((n * bits_per_value + 7) // 8) * 8)
         k = max(1, int(round(0.693 * m / n)))
-        bits = np.zeros(m // 8, dtype=np.uint8)
+        on = np.zeros(m, dtype=bool)
         if len(arr):
             h1, h2 = _bloom_hashes(arr)
-            for i in range(k):
-                idx = ((h1 + np.uint64(i) * h2) % np.uint64(m)).astype(np.int64)
-                np.bitwise_or.at(bits, idx >> 3, (np.uint8(1) << (idx & 7).astype(np.uint8)))
+            ks = np.arange(k, dtype=np.uint64)
+            on[((h1[:, None] + ks[None, :] * h2[:, None]) % np.uint64(m)).astype(np.int64)] = True
+        # bit i of the filter is bit (i & 7) of byte i >> 3
+        bits = np.packbits(on, bitorder="little")
         meta[c] = {
             "m": int(m),
             "k": int(k),
             "dtype": arr.dtype.str if len(arr) else "empty",
             "bits": base64.b64encode(bits.tobytes()).decode(),
         }
+    return meta
+
+
+def build_bloom_sidecar(t: pa.Table, cols: Sequence[str], path: str) -> None:
+    """Write the bloom sidecar of one staged bucket file."""
+    import json
+
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        json.dump(meta, f)
+        json.dump(bloom_filter(t, cols), f)
     os.replace(tmp, path)
 
 
-def _bloom_contains(entry: dict, value) -> bool:
+def _bloom_contains(entry: dict, values) -> "np.ndarray":
+    """The one Bloom probe: per value, may the filter's set hold it? A NULL
+    probe always may (the set holds only non-null values, so it cannot
+    speak for NULL). Raises TypeError/ValueError when a value does not fit
+    the stored dtype."""
     import base64
 
     import numpy as np
 
-    if entry["dtype"] == "empty":
-        return False
-    probe = np.array([value], dtype=np.dtype(entry["dtype"]))
+    known = np.array([v is not None for v in values], dtype=bool)
+    out = ~known
+    if entry["dtype"] == "empty" or not known.any():
+        return out
+    probe = np.array([v for v in values if v is not None], dtype=np.dtype(entry["dtype"]))
     h1, h2 = _bloom_hashes(probe)
     bits = np.frombuffer(base64.b64decode(entry["bits"]), dtype=np.uint8)
     ks = np.arange(entry["k"], dtype=np.uint64)
-    idx = ((h1[0] + ks * h2[0]) % np.uint64(entry["m"])).astype(np.int64)
-    return bool(np.all((bits[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1))
+    idx = ((h1[:, None] + ks[None, :] * h2[:, None]) % np.uint64(entry["m"])).astype(np.int64)
+    out[known] = np.all((bits[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1, axis=1)
+    return out
+
+
+def bloom_admits(meta: dict | None, where: Sequence[Sequence]) -> bool:
+    """False only when a ``==``/``in`` clause on a column ``meta`` (a
+    :func:`bloom_filter` result) covers provably excludes every candidate
+    value (conjunctive predicate: one impossible clause rules the file
+    out). True without ``meta`` — filters only ever ADD pruning."""
+    if not meta:
+        return True
+    for col, op, val in where:
+        entry = meta.get(col)
+        if entry is None or op not in ("==", "in"):
+            continue
+        try:
+            if not _bloom_contains(entry, [val] if op == "==" else list(val)).any():
+                return False
+        except (TypeError, ValueError):
+            continue  # probe value doesn't fit the stored dtype: no pruning
+    return True
 
 
 def bloom_may_match(path: str, where: Sequence[Sequence]) -> bool:
-    """False only when a ``==``/``in`` clause on a bloom-indexed column
-    provably excludes every candidate value from this file (conjunctive
-    predicate: one impossible clause kills the file). True when no sidecar
-    exists — blooms only ever ADD pruning."""
+    """:func:`bloom_admits` over the bloom sidecar of one file. True when no
+    sidecar exists or it cannot be read."""
     import json
 
     sidecar = path + BLOOM_SUFFIX
@@ -506,15 +537,4 @@ def bloom_may_match(path: str, where: Sequence[Sequence]) -> bool:
             meta = json.load(f)
     except (OSError, ValueError):
         return True  # unreadable sidecar: fall back to scanning
-    for col, op, val in where:
-        entry = meta.get(col)
-        if entry is None:
-            continue
-        try:
-            if op == "==" and not _bloom_contains(entry, val):
-                return False
-            if op == "in" and not any(_bloom_contains(entry, v) for v in val):
-                return False
-        except (TypeError, ValueError):
-            continue  # probe value doesn't fit the stored dtype: no pruning
-    return True
+    return bloom_admits(meta, where)

@@ -5,6 +5,7 @@ and the same schema, for a hit and for a miss, on every layout."""
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
@@ -93,3 +94,46 @@ def test_lookup_key_agrees_with_routed_read(ray_session, small_log, tmp_path, la
         rows = ds.take_all()
         assert len(got) == len(rows) and (len(got) > 0) == (key is hit), (layout, key)
         assert _rows(got) == _rows(pa.Table.from_pylist(rows, schema=exp_schema))
+
+
+def test_base_lsn_follows_the_layout(ray_session, small_log, tmp_path, monkeypatch):
+    """Only bases of tables with system columns carry ``_lsn`` (generic
+    bases, compacted ones included, do not), so a projected merge-on-read
+    bucket read takes the rule from the layout and opens no base footer."""
+    from odibel_ray.cdc import sink
+    from odibel_ray.cdc.sink import (
+        _read_bucket,
+        _table_layout,
+        compact_published,
+        load_manifests,
+    )
+
+    log = small_log["log_dir"]
+    transcript = _build("transcript_mor", log, str(tmp_path / "t"))[0]
+    generic = _build("generic_mor", log, str(tmp_path / "g"))[0]
+    compacted = _build("generic_mor", log, str(tmp_path / "c"))[0]
+    compact_published(compacted, run_id="c1")
+    upsert_published(rd.from_arrow(pa.table({"k": ["k05"], "v": [50.0], "label": ["u"]})),
+                     compacted, run_id="u2", mode="mor")
+    schemas = []
+    real = pq.read_schema
+
+    def spy(path, *a, **k):
+        schemas.append(path)
+        return real(path, *a, **k)
+
+    monkeypatch.setattr(sink.pq, "read_schema", spy)
+    for out, system, cols in ((transcript, True, ["conv_id", "text"]),
+                              (generic, False, ["k", "v"]), (compacted, False, ["k", "v"])):
+        layout = _table_layout(out)
+        assert layout["system"] is system
+        mans = load_manifests(out)
+        for m in mans.values():
+            assert ("_lsn" in real(os.path.join(out, m["file"])).names) is system
+        mor = [m for m in mans.values() if m.get("deltas")]
+        assert mor
+        for m in mor:
+            schemas.clear()
+            got = _read_bucket(out, m, layout, columns=cols)
+            assert not schemas
+            assert got.equals(_read_bucket(out, m, layout).select(cols))

@@ -38,8 +38,8 @@ def _table_state(out: str, feed: str | None) -> dict:
     state = {
         "rows": collect_sorted(read_published(out), KEYS).to_pylist(),
         "manifests": {
-            b: (m["file"], m["rows_out"], m["watermarks"],
-                [(d["file"], d["rows_out"]) for d in m.get("deltas", [])])
+            b: (m["file"], m["rows_out"], m["watermarks"], m["key_filter"],
+                [(d["file"], d["rows_out"], d["key_filter"]) for d in m.get("deltas", [])])
             for b, m in load_manifests(out).items()
         },
         "files": sorted(f for f in os.listdir(out) if f.endswith(".parquet")),
@@ -60,8 +60,8 @@ def test_executors_publish_identical_tables(ray_session, small_log, tmp_path, mo
                                             mode):
     """Two applies (a feed alongside in copy-on-write) and a compaction, once
     per executor: identical rows, bucket manifests (file, rows_out,
-    watermarks, delta files), data and feed file names, feed rows and
-    TABLE manifest."""
+    watermarks, key filters, delta files and their key filters), data and
+    feed file names, feed rows and TABLE manifest."""
     prefix, mid, full = _logs(small_log, tmp_path)
     states = {}
     for executor, cutover in EXECUTOR_CUTOVERS.items():

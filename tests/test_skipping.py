@@ -286,7 +286,8 @@ def test_bucket_prune_key_equality(ray_session, published, tmp_path, monkeypatch
     assert stats["files_read"] == 4
 
     # generic PAIR-key table: both keys pinned -> exactly 1 bucket;
-    # one key pinned -> all buckets (pair hash not recomputable)
+    # one key pinned -> the pair hash is not recomputable, but each file's
+    # key filter over conv_id is: only the buckets holding the key are read
     gen = str(tmp_path / "gen")
     publish_dataset(read_published(out), gen, key_cols=KEYS, num_buckets=8,
                     run_id="g1")
@@ -303,7 +304,11 @@ def test_bucket_prune_key_equality(ray_session, published, tmp_path, monkeypatch
     stats = {}
     read_published(gen, where=[("conv_id", "==", row["conv_id"])],
                    prune_stats=stats)
-    assert stats["files_read"] == 8
+    from odibel_ray.cdc.lww import bucket_of_keys
+
+    held = pa.Table.from_pandas(full[full["conv_id"] == row["conv_id"]][KEYS],
+                                preserve_index=False)
+    assert stats["files_read"] == len(set(bucket_of_keys(held, KEYS, 8).tolist())) < 8
 
     # nonexistent (valid-typed) probe: routed to one bucket, empty result
     stats = {}
@@ -318,7 +323,6 @@ def test_bucket_prune_key_equality(ray_session, published, tmp_path, monkeypatch
 
     from odibel_ray.cdc import sink as sink_mod
     from odibel_ray.cdc.ddl import alter_published
-    from odibel_ray.cdc.lww import bucket_of_keys
     from odibel_ray.cdc.sink import load_manifests, lookup_key
 
     reads = []
