@@ -35,13 +35,15 @@ so one bucket's converged rows fit a worker (at 100 TB: tens of thousands).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -626,29 +628,45 @@ def _merged_watermarks(old: dict[str, int] | None, new: dict[str, int]) -> dict[
     return out
 
 
+def _bucket_manifest_names(out_dir: str) -> list[str]:
+    """The file names of every bucket manifest under ``_manifests/``, sorted."""
+    mdir = os.path.join(out_dir, MANIFEST_DIR)
+    names = os.listdir(mdir) if os.path.isdir(mdir) else []
+    return sorted(fn for fn in names if fn.startswith("bucket-") and fn.endswith(".json"))
+
+
+def _read_bucket_manifest(out_dir: str, name: str) -> dict:
+    with open(os.path.join(out_dir, MANIFEST_DIR, name)) as f:
+        return json.load(f)
+
+
 def _bucket_manifest_files(out_dir: str) -> list[dict]:
     """Every bucket manifest under ``_manifests/``, unchecked."""
-    mdir = os.path.join(out_dir, MANIFEST_DIR)
-    out = []
-    for fn in sorted(os.listdir(mdir)) if os.path.isdir(mdir) else []:
-        if fn.startswith("bucket-") and fn.endswith(".json"):
-            with open(os.path.join(mdir, fn)) as f:
-                out.append(json.load(f))
-    return out
+    return [_read_bucket_manifest(out_dir, fn) for fn in _bucket_manifest_names(out_dir)]
 
 
-def _manifest_problems(out_dir: str, m: dict):
+def _file_rows(out_dir: str, name: str) -> int | None:
+    """The row count in data file ``name``'s footer; None when it does not exist."""
+    full = os.path.join(out_dir, name)
+    return pq.read_metadata(full).num_rows if os.path.exists(full) else None
+
+
+def _manifest_problems(out_dir: str, m: dict, rows=None):
     """The one validity check of a bucket manifest: its base file and every
     merge-on-read delta exist with the manifested row count. Lazy, so a
-    caller that stops at the first problem opens no further footer."""
+    caller that stops at the first problem opens no further footer.
+    ``rows(name)`` returns a file's row count, None when the file does not
+    exist: :func:`_file_rows` by default, the row counts a table's cache
+    entry keeps (:meth:`_ReadPlan.num_rows`) on the read path."""
+    rows = rows or partial(_file_rows, out_dir)
     files = [("base", m["file"], m["rows_out"])]
     files += [("delta", d["file"], d["rows_out"]) for d in m.get("deltas", [])]
-    for kind, path, rows in files:
-        full = os.path.join(out_dir, path)
-        if not os.path.exists(full):
+    for kind, path, want in files:
+        have = rows(path)
+        if have is None:
             yield f"bucket {m['bucket']}: {kind} file missing: {path}"
-        elif (have := pq.read_metadata(full).num_rows) != int(rows):
-            yield f"bucket {m['bucket']}: {kind} {path} has {have} rows, manifest says {rows}"
+        elif have != int(want):
+            yield f"bucket {m['bucket']}: {kind} {path} has {have} rows, manifest says {want}"
 
 
 def load_manifests(out_dir: str) -> dict[int, dict]:
@@ -1145,65 +1163,222 @@ def replay_publish(
     }
 
 
+def _stat_token(path: str) -> tuple | None:
+    """``(st_ino, st_mtime_ns, st_size)`` of ``path``; None when it does not
+    exist. A replace (new inode) and an in-place rewrite (new mtime) both
+    change it."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_ino, st.st_mtime_ns, st.st_size)
+
+
+class _Bucket(NamedTuple):
+    """One parsed bucket manifest, the stat token of its file (None for a
+    retained version's) and its files' key filters, decoded: file name →
+    column → :class:`~odibel_ray.cdc.skipping.Bloom`."""
+
+    token: tuple | None
+    manifest: dict
+    blooms: dict[str, dict | None]
+
+
+def _parsed_bucket(m: dict, token: tuple | None = None) -> _Bucket:
+    from odibel_ray.cdc.skipping import decode_blooms
+
+    return _Bucket(token, m, {e["file"]: decode_blooms(e.get("key_filter"))
+                              for e in [m, *m.get("deltas", [])]})
+
+
+#: tables whose resolution a process keeps, the least recently read dropped
+#: first
+_TABLE_CACHE_SIZE = 16
+#: full Parquet footers one table's entry keeps, the oldest dropped first
+#: (row counts are kept for every live file)
+_FOOTER_CACHE_SIZE = 64
+_TABLES: dict[str, "_Table"] = {}
+_TABLES_LOCK = threading.Lock()
+
+
+class _Table:
+    """A table resolved once per manifest version: the per-process cache
+    entry behind every read plan (:func:`_resolved_table`). It holds the
+    layout, the schema-op log, the parsed bucket manifests with their
+    decoded key filters, and, under each file's stat token, the row count of
+    every live file a read checked and the full footers of the last
+    ``_FOOTER_CACHE_SIZE`` live files a read opened. It is rebuilt when the
+    stat token of a bucket manifest, the TABLE manifest, ``_layout.json`` or
+    the schema log changes; a rebuild reparses only the bucket manifests
+    whose token changed and keeps only the live files' row counts and
+    footers."""
+
+    def __init__(self, root: str, head: tuple, tokens: dict[str, tuple], old: "_Table | None"):
+        self.root, self.head, self.tokens = root, head, tokens
+        if old is not None and old.head == head:
+            self.layout, self.meta = old.layout, old.meta
+        else:
+            self.layout, self.meta = _table_layout(root), load_schema_meta(root)
+        reuse = {} if old is None else old.parsed
+        self.parsed: dict[str, _Bucket] = {}
+        for fn, token in tokens.items():
+            bk = reuse.get(fn)
+            if bk is None or bk.token != token:
+                bk = _parsed_bucket(_read_bucket_manifest(root, fn), token)
+            self.parsed[fn] = bk
+        self.buckets = {int(bk.manifest["bucket"]): bk for bk in self.parsed.values()}
+        self.live = _manifest_files({b: bk.manifest for b, bk in self.buckets.items()})
+        # readers of the old entry may still add to its maps: copy before iterating
+        self.rows: dict[str, tuple] = {} if old is None else {
+            f: v for f, v in old.rows.copy().items() if f in self.live}
+        self.footers: dict[str, tuple] = {} if old is None else {
+            f: v for f, v in old.footers.copy().items() if f in self.live}
+
+    def footer(self, name: str) -> tuple:
+        """``(footer, read)``: data file ``name``'s Parquet footer (None when
+        the file does not exist) and whether it was read from disk. The file
+        is stat-ed on every call; a live file's footer is reused while its
+        stat token is unchanged and it is among the last
+        ``_FOOTER_CACHE_SIZE`` footers read."""
+        path = os.path.join(self.root, name)
+        token = _stat_token(path)
+        if token is None:
+            return None, False
+        hit = self.footers.get(name)
+        if hit is not None and hit[0] == token:
+            return hit[1], False
+        md = pq.read_metadata(path)
+        if name in self.live:
+            self.rows[name] = (token, md.num_rows)
+            self.footers[name] = (token, md)
+            if len(self.footers) > _FOOTER_CACHE_SIZE:
+                # the oldest, found in a copy as other readers may insert
+                # meanwhile; no lock, since join_published pickles read plans
+                # (and so this entry) into Ray tasks
+                self.footers.pop(next(iter(self.footers.copy())), None)
+        return md, True
+
+    def num_rows(self, name: str) -> tuple:
+        """``(rows, read)``: data file ``name``'s row count (None when the
+        file does not exist) and whether its footer was read from disk. The
+        file is stat-ed on every call; a live file's row count is reused
+        while its stat token is unchanged."""
+        hit = self.rows.get(name)
+        if hit is not None and hit[0] == _stat_token(os.path.join(self.root, name)):
+            return hit[1], False
+        md, read = self.footer(name)
+        return (None if md is None else md.num_rows), read
+
+
+def _resolved_table(out_dir: str) -> _Table:
+    """``out_dir``'s cache entry, checked with one listing of ``_manifests/``
+    and a stat of every bucket manifest, the TABLE manifest, ``_layout.json``
+    and the schema log, and rebuilt when any of them changed. The rebuild
+    runs outside the lock; two threads that rebuild one table at once both
+    build a correct entry, and the next read checks whichever one stays."""
+    root = os.path.abspath(out_dir)
+    mdir = os.path.join(root, MANIFEST_DIR)
+    tokens = {fn: t for fn in _bucket_manifest_names(root)
+              if (t := _stat_token(os.path.join(mdir, fn))) is not None}
+    head = tuple(_stat_token(os.path.join(root, f))
+                 for f in (TABLE_MANIFEST, LAYOUT_FILE, SCHEMA_OPS))
+    with _TABLES_LOCK:
+        table = _TABLES.get(root)
+    if table is None or table.head != head or table.tokens != tokens:
+        table = _Table(root, head, tokens, table)
+    with _TABLES_LOCK:
+        _TABLES.pop(root, None)
+        _TABLES[root] = table
+        while len(_TABLES) > _TABLE_CACHE_SIZE:
+            del _TABLES[next(iter(_TABLES))]
+    return table
+
+
 @dataclass
 class _ReadPlan:
-    """One table read, resolved once by :func:`_read_plan` and executed by
-    the Ray Data scan (:func:`read_published`) or the in-process point read
-    (:func:`lookup_key`). ``flipped`` buckets were already rewritten by an
-    in-flight ``materialize_ddl`` run ``mrun`` (logical on disk); the others
-    fold the schema-op log ``ops``. Live bucket manifests are checked only
-    when a read is about to open them: a whole-table read checks every
-    bucket (:attr:`manifests`), a routed read only the buckets it keeps
-    (:func:`_bucket_prune`). A retained version's manifests (``snapshot``)
-    are trusted. The footer is opened lazily, once."""
+    """One table read, resolved by :func:`_read_plan` from the table's cache
+    entry (:class:`_Table`) and executed by the Ray Data scan
+    (:func:`read_published`) or the in-process point read
+    (:func:`lookup_key`).
+
+    Cached per process and table directory, and reused while the stat token
+    ``(st_ino, st_mtime_ns, st_size)`` of every bucket manifest, the TABLE
+    manifest, ``_layout.json`` and the schema log is unchanged: the layout,
+    the schema-op log ``ops`` and the parsed bucket manifests with their
+    decoded key filters (``buckets``). Under each data file's own stat
+    token, the entry also keeps every checked live file's row count and the
+    last ``_FOOTER_CACHE_SIZE`` live footers read (the schema file's, and
+    those a routed scan's stats check reads). A retained version
+    (``version``) is parsed on every read. The plan hands out copies
+    (:attr:`manifests`, :func:`_bucket_prune`, ``layout``, ``ops``), never
+    the cached objects.
+
+    Existence is still checked on every read. Live bucket manifests are
+    checked when a read is about to open them: a whole-table read checks
+    every bucket (:attr:`manifests`), a routed read only the buckets it
+    keeps (:func:`_bucket_prune`). The check stats every file and compares
+    the manifested row count with the file's footer, read from disk only
+    when its stat token changed. A retained version's manifests are
+    trusted. ``flipped`` buckets were already rewritten by an in-flight
+    ``materialize_ddl`` run ``mrun`` (logical on disk); the others fold
+    ``ops``. ``footers_read`` counts the footers the plan read from disk."""
 
     out_dir: str
-    snapshot: dict[int, dict] | None
+    table: _Table
+    version: int | None
+    buckets: dict[int, _Bucket]
     layout: dict
     ops: list[dict]
     mrun: str | None
     requested: list[str] | None
+    footers_read: int = 0
     _ok: dict[int, bool] = field(default_factory=dict)
 
     @cached_property
+    def listed(self) -> dict[int, dict]:
+        """Every bucket manifest of the version, unchecked: the cached
+        objects, read here and never handed out."""
+        if not self.buckets:
+            raise FileNotFoundError(f"no published buckets under {self.out_dir}")
+        return {b: bk.manifest for b, bk in sorted(self.buckets.items())}
+
+    @cached_property
     def manifests(self) -> dict[int, dict]:
-        """The buckets a whole-table read opens: every one that passes the
-        manifest check."""
-        if self.snapshot is None and "listed" not in self.__dict__:
-            found = load_manifests(self.out_dir)
-            self._ok.update(dict.fromkeys(found, True))
-        else:
-            found = {b: m for b, m in self.listed.items() if self.passes(b)}
+        """The buckets a whole-table read opens: a copy of every one that
+        passes the manifest check."""
+        found = {b: copy.deepcopy(m) for b, m in self.listed.items() if self.passes(b)}
         if not found:
             raise FileNotFoundError(f"no published buckets under {self.out_dir}")
         return found
 
-    @cached_property
-    def listed(self) -> dict[int, dict]:
-        """Every bucket manifest of the version, unchecked."""
-        if self.snapshot is not None:
-            return self.snapshot
-        if "manifests" in self.__dict__:
-            return self.manifests
-        found = {int(m["bucket"]): m for m in _bucket_manifest_files(self.out_dir)}
-        if not found:
-            raise FileNotFoundError(f"no published buckets under {self.out_dir}")
-        return found
+    def footer(self, name: str):
+        """Data file ``name``'s footer, None when it does not exist
+        (:meth:`_Table.footer`)."""
+        md, read = self.table.footer(name)
+        self.footers_read += read
+        return md
+
+    def num_rows(self, name: str) -> int | None:
+        """Data file ``name``'s row count, None when it does not exist
+        (:meth:`_Table.num_rows`)."""
+        rows, read = self.table.num_rows(name)
+        self.footers_read += read
+        return rows
 
     def passes(self, b: int, kept: dict | None = None) -> bool:
         """Whether bucket ``b`` passes the manifest check. ``kept``: the
         bucket reduced to the files a routed read opens; those get the
         check, and the files it leaves out need only exist, so a bucket with
         a missing file drops out whole, as :func:`load_manifests` drops it."""
-        if self.snapshot is not None:
+        if self.version is not None:
             return True
         m = self.listed[b]
         if kept is not None and kept is not m:
             left_out = _manifest_files({b: m}) - _manifest_files({b: kept})
             return (all(os.path.exists(os.path.join(self.out_dir, f)) for f in left_out)
-                    and next(_manifest_problems(self.out_dir, kept), None) is None)
+                    and next(_manifest_problems(self.out_dir, kept, self.num_rows), None) is None)
         if b not in self._ok:
-            self._ok[b] = next(_manifest_problems(self.out_dir, m), None) is None
+            self._ok[b] = next(_manifest_problems(self.out_dir, m, self.num_rows), None) is None
         return self._ok[b]
 
     @cached_property
@@ -1224,8 +1399,11 @@ class _ReadPlan:
     def schema(self) -> pa.Schema:
         """Physical schema of the buckets that fold ``ops`` (of any bucket
         when all are flipped; key column types agree across buckets)."""
-        m = self.listed[self._schema_bucket]
-        return pq.read_schema(os.path.join(self.out_dir, m["file"]))
+        name = self.listed[self._schema_bucket]["file"]
+        md = self.footer(name)
+        if md is None:
+            raise FileNotFoundError(os.path.join(self.out_dir, name))
+        return md.schema.to_arrow_schema()
 
     @cached_property
     def smap(self) -> SchemaMap | None:
@@ -1263,22 +1441,24 @@ class _ReadPlan:
 def _read_plan(out_dir: str, *, version: int | None = None, as_of=None,
                columns: list[str] | None = None, system: bool = False) -> _ReadPlan:
     """Resolve one read of a table (live, or retained snapshot ``version`` /
-    ``as_of``). Transcript tables hide their system columns unless
-    ``system`` or ``columns`` ask for them; GENERIC tables have none."""
+    ``as_of``) from its cache entry. Transcript tables hide their system
+    columns unless ``system`` or ``columns`` ask for them; GENERIC tables
+    have none."""
     if as_of is not None:
         if version is not None:
             raise ValueError("pass version= or as_of=, not both")
         version = version_at(out_dir, as_of)
-    snapshot = None
+    table = _resolved_table(out_dir)
+    buckets = table.buckets
     if version is not None:
-        snapshot = snapshot_manifests(out_dir, version)
-        if not snapshot:
+        buckets = {b: _parsed_bucket(m) for b, m in snapshot_manifests(out_dir, version).items()}
+        if not buckets:
             raise FileNotFoundError(f"no published buckets under {out_dir}")
-    layout = _table_layout(out_dir)
-    meta = load_schema_meta(out_dir)
+    layout = copy.deepcopy(table.layout)
     if columns is None and layout["system"] and not system:
         columns = LOGICAL_COLUMNS
-    return _ReadPlan(out_dir, snapshot, layout, meta["ops"], meta.get("materialized_run"),
+    return _ReadPlan(out_dir, table, version, buckets, layout, copy.deepcopy(table.meta["ops"]),
+                     table.meta.get("materialized_run"),
                      None if columns is None else list(columns))
 
 
@@ -1321,7 +1501,10 @@ def read_published(
     merge-on-read buckets filter AFTER their LWW merge (a superseded base
     row must not win). Pruning bites when the layout correlates with the
     predicate column — see ``publish_dataset(cluster_by=...)``. Pass a
-    dict as ``prune_stats`` to receive ``{files_total, files_read}``."""
+    dict as ``prune_stats`` to receive ``{files_total, files_read,
+    footers_read}``; ``footers_read`` counts the Parquet footers the driver
+    read from disk, 0 when the table's cache entry already holds every one
+    the read checks (see :class:`_ReadPlan`)."""
     import ray.data as rd
 
     from odibel_ray.cdc.skipping import (
@@ -1345,12 +1528,12 @@ def read_published(
     # scanning their empty files yields schema-less empty blocks from the
     # parquet reader, which poison any downstream concat; the manifest
     # already knows they contribute no rows, so skip them at the scan
-    plain, done, mor = [], [], []
+    plain, done, mor = [], [], []  # plain and done hold file names
     for b, m in sorted(manifests.items()):
         if m.get("deltas"):
             mor.append(m)
         elif m.get("rows_out", 1) != 0:
-            (done if b in plan.flipped else plain).append(os.path.join(out_dir, m["file"]))
+            (done if b in plan.flipped else plain).append(m["file"])
     # metadata-only DDL (generic tables): the prune/pushdown machinery runs
     # in PHYSICAL column space and batches are re-labelled to the logical
     # schema at the end (cdc/ddl.py); flipped buckets (`done`) are already
@@ -1369,10 +1552,15 @@ def read_published(
         else:
             where = where or None
 
-    def may_match(paths: list[str], w) -> list[str]:
-        # zone maps (footer min/max) first, then bloom sidecars (equality
-        # probes on bloom-indexed columns); blooms only ever add pruning
-        return [p for p in paths if file_may_match(p, w) and bloom_may_match(p, w)]
+    def stats_match(name: str, w) -> bool:
+        # footer min/max, from the plan's footer cache
+        return file_may_match(os.path.join(out_dir, name), w, metadata=plan.footer(name))
+
+    def may_match(names: list[str], w) -> list[str]:
+        # zone maps first, then bloom sidecars (equality probes on
+        # bloom-indexed columns); blooms only ever add pruning
+        return [f for f in names
+                if stats_match(f, w) and bloom_may_match(os.path.join(out_dir, f), w)]
 
     if where:
         plain = may_match(plain, where)
@@ -1380,21 +1568,23 @@ def read_published(
         # router kept fail the stats check (the merge never synthesizes
         # values, so no file with a possible match ⇒ no merged match)
         mor = [m for m in mor if any(
-            file_may_match(os.path.join(out_dir, f), where)
-            for f in [m["file"], *(d["file"] for d in m["deltas"])])]
+            stats_match(f, where) for f in [m["file"], *(d["file"] for d in m["deltas"])])]
     if where_logical and done:
         done = may_match(done, where_logical)
+    empty = None if plain or mor or done else plan.empty()
     if prune_stats is not None:
         prune_stats["files_total"] = files_total
         prune_stats["files_read"] = (
             len(plain) + len(done) + sum(1 + len(m["deltas"]) for m in mor)
         )
-    if not plain and not mor and not done:
-        return rd.from_arrow(plan.empty())
+        prune_stats["footers_read"] = plan.footers_read
+    if empty is not None:
+        return rd.from_arrow(empty)
     pieces = []
     if plain:
         kw = {"filter": where_expr(where)} if where else {}
-        pieces.append(rd.read_parquet(plain, columns=final_cols, **kw))
+        pieces.append(rd.read_parquet([os.path.join(out_dir, f) for f in plain],
+                                      columns=final_cols, **kw))
     if mor:
         # merge-on-read buckets filter AFTER the merge, so they read the
         # predicate columns too
@@ -1434,7 +1624,8 @@ def read_published(
             ds = ds.select_columns(final_cols)
     if done:
         kw = {"filter": where_expr(where_logical)} if where_logical else {}
-        dpiece = rd.read_parquet(done, columns=plan.columns, **kw)
+        dpiece = rd.read_parquet([os.path.join(out_dir, f) for f in done],
+                                 columns=plan.columns, **kw)
         if plan.columns is not None:
             dpiece = dpiece.select_columns(plan.columns)  # pin column order for union
         ds = dpiece if ds is None else ds.union(dpiece)
@@ -1473,10 +1664,19 @@ def lookup_key(
       key column, so a composite key routes only when ``turn_idx`` carries
       its second part.
 
-    Only the files the lookup opens get the manifest check. Transcript
-    bucket files are sorted by ``conv_id`` (``_SORT_KEYS``), so Parquet
-    row-group statistics prune the non-matching row groups of every file
-    read.
+    The probe is hashed once per stored dtype, whatever the number of
+    filters it meets. Only the files the lookup opens get the manifest
+    check, and every file it opens or leaves out is stat-ed, so a missing or
+    replaced file is caught on every lookup. What a lookup does not redo
+    while the table is unchanged (:class:`_ReadPlan`): the table is
+    resolved once per manifest version — layout, schema-op log and parsed
+    manifests with decoded key filters, kept per process and checked with
+    one ``listdir`` plus a stat per manifest file — and a checked file's row
+    count is read from its footer once per file version (its stat token).
+    A ``version=`` lookup parses that version's manifests on every call.
+    Transcript bucket files are sorted by ``conv_id``
+    (``_SORT_KEYS``), so Parquet row-group statistics prune the
+    non-matching row groups of every file read.
 
     ``version=V`` answers the lookup from retained snapshot V (time travel;
     see :func:`enable_snapshots`) — same single-file access pattern.
@@ -1585,14 +1785,14 @@ def table_changes(
 def _key_filter_problems(out_dir: str, m: dict) -> list[str]:
     """The files of bucket manifest ``m`` whose key filter rejects a key the
     file holds."""
-    from odibel_ray.cdc.skipping import _bloom_contains
+    from odibel_ray.cdc.skipping import BloomProbe, _bloom_contains, decode_bloom
 
     out = []
     for kind, entry in [("base", m), *(("delta", d) for d in m.get("deltas", []))]:
         for col, bloom in (entry.get("key_filter") or {}).items():
             keys = pq.read_table(os.path.join(out_dir, entry["file"]), columns=[col])[col]
             keys = keys.unique().drop_null().to_numpy(zero_copy_only=False)
-            missed = int((~_bloom_contains(bloom, keys)).sum())
+            missed = int((~_bloom_contains(decode_bloom(bloom), BloomProbe(keys))).sum())
             if missed:
                 out.append(f"bucket {m['bucket']}: {kind} {entry['file']} key filter "
                            f"rejects {missed} of its {len(keys)} {col} values")
@@ -1858,10 +2058,12 @@ def _bucket_prune(plan: _ReadPlan, where) -> dict[int, dict]:
     """The one key router (``read_published(where=)``, ``count_published``
     with a predicate, and :func:`lookup_key`). Returns the buckets the read
     opens, each reduced to its base plus the deltas that can hold a probed
-    key, and checked (:meth:`_ReadPlan.passes`) before anything opens them.
+    key, and checked (:meth:`_ReadPlan.passes`) before anything opens them;
+    copies, so a caller may change them.
 
     1. Key filters: a file whose key filter (``key_filter`` in its manifest
-       entry, over the first key column) rejects every value of an
+       entry, over the first key column, decoded once per manifest version
+       in the table's cache entry) rejects every value of an
        ``==``/``in`` clause on that column holds no matching row. A bucket
        none of whose files admits the probe is dropped; a surviving bucket
        keeps its base and the deltas that admit it (a delta without a
@@ -1871,17 +2073,19 @@ def _bucket_prune(plan: _ReadPlan, where) -> dict[int, dict]:
        :func:`_hash_route`. It only drops filter false positives and files
        without a filter, so it is skipped, with its footer read, when the
        filters already left one bucket."""
-    from odibel_ray.cdc.skipping import bloom_admits
+    from odibel_ray.cdc.skipping import bloom_probes, blooms_admit
 
+    probes = bloom_probes(where)  # each probe is hashed once per stored dtype
     kept = {}
     for b, m in plan.listed.items():
+        blooms = plan.buckets[b].blooms
         deltas = m.get("deltas", [])
-        admitted = [d for d in deltas if bloom_admits(d.get("key_filter"), where)]
-        if admitted or bloom_admits(m.get("key_filter"), where):
+        admitted = [d for d in deltas if blooms_admit(blooms[d["file"]], probes)]
+        if admitted or blooms_admit(blooms[m["file"]], probes):
             kept[b] = m if len(admitted) == len(deltas) else {**m, "deltas": admitted}
     if len(kept) > 1 and (routed := _hash_route(plan, where)) is not None:
         kept = {b: m for b, m in kept.items() if b in routed}
-    return {b: m for b, m in kept.items() if plan.passes(b, m)}
+    return {b: copy.deepcopy(m) for b, m in kept.items() if plan.passes(b, m)}
 
 
 def _hash_route(plan: _ReadPlan, where) -> set[int] | None:

@@ -38,7 +38,7 @@ returned.
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -483,45 +483,117 @@ def build_bloom_sidecar(t: pa.Table, cols: Sequence[str], path: str) -> None:
     os.replace(tmp, path)
 
 
-def _bloom_contains(entry: dict, values) -> "np.ndarray":
-    """The one Bloom probe: per value, may the filter's set hold it? A NULL
-    probe always may (the set holds only non-null values, so it cannot
-    speak for NULL). Raises TypeError/ValueError when a value does not fit
-    the stored dtype."""
+class Bloom(NamedTuple):
+    """One :func:`bloom_filter` entry, decoded: ``m`` bits, ``k`` hashes,
+    the stored dtype (``"empty"``: a filter over no value) and the bits
+    (bit i is bit ``i & 7`` of byte ``i >> 3``)."""
+
+    m: int
+    k: int
+    dtype: str
+    bits: bytes
+
+
+def decode_bloom(entry: dict) -> Bloom:
     import base64
 
+    return Bloom(int(entry["m"]), int(entry["k"]), entry["dtype"],
+                 base64.b64decode(entry["bits"]))
+
+
+def decode_blooms(meta: dict | None) -> dict[str, Bloom] | None:
+    """Every column entry of a :func:`bloom_filter` result, decoded."""
+    return {c: decode_bloom(e) for c, e in meta.items()} if meta else None
+
+
+class BloomProbe:
+    """The values one probe asks about, hashed once per stored dtype: a read
+    hashes a key once, whatever the number of filters it probes. NULL
+    values get no hash (the probe admits them)."""
+
+    def __init__(self, values):
+        import numpy as np
+
+        self.values = list(values)
+        self.known = np.array([v is not None for v in self.values], dtype=bool)
+        self.unknown = ~self.known
+        self.n_known = int(self.known.sum())
+        self._slots: dict = {}
+
+    def slots(self, dtype: str, k: int) -> "np.ndarray | list[int] | None":
+        """``h1 + i * h2`` for ``i < k`` (uint64, one row per non-null
+        value), the Bloom positions before the modulo by a filter's size: a
+        list of Python ints when there is one value, else an array. None
+        when a value does not fit ``dtype``."""
+        import numpy as np
+
+        if (dtype, k) not in self._slots:
+            try:
+                h1, h2 = _bloom_hashes(np.array([v for v in self.values if v is not None],
+                                                dtype=np.dtype(dtype)))
+            except (TypeError, ValueError, OverflowError):
+                self._slots[dtype, k] = None
+            else:
+                ks = np.arange(k, dtype=np.uint64)
+                slots = h1[:, None] + ks[None, :] * h2[:, None]
+                self._slots[dtype, k] = slots[0].tolist() if len(slots) == 1 else slots
+        return self._slots[dtype, k]
+
+
+def _bloom_contains(bloom: Bloom, probe: BloomProbe) -> "np.ndarray":
+    """The one Bloom probe: per value, may the filter's set hold it? A NULL
+    probe always may (the set holds only non-null values, so it cannot
+    speak for NULL). Raises ValueError when a value does not fit the stored
+    dtype."""
     import numpy as np
 
-    known = np.array([v is not None for v in values], dtype=bool)
-    out = ~known
-    if entry["dtype"] == "empty" or not known.any():
+    out = probe.unknown.copy()
+    if bloom.dtype == "empty" or not probe.n_known:
         return out
-    probe = np.array([v for v in values if v is not None], dtype=np.dtype(entry["dtype"]))
-    h1, h2 = _bloom_hashes(probe)
-    bits = np.frombuffer(base64.b64decode(entry["bits"]), dtype=np.uint8)
-    ks = np.arange(entry["k"], dtype=np.uint64)
-    idx = ((h1[:, None] + ks[None, :] * h2[:, None]) % np.uint64(entry["m"])).astype(np.int64)
-    out[known] = np.all((bits[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1, axis=1)
+    slots = probe.slots(bloom.dtype, bloom.k)
+    if slots is None:
+        raise ValueError(f"probe values do not fit the filter's dtype {bloom.dtype}")
+    m, bits = bloom.m, bloom.bits
+    if isinstance(slots, list):
+        # one value, a point lookup: Python ints cost less than numpy calls
+        out[probe.known] = all(bits[(i := s % m) >> 3] >> (i & 7) & 1 for s in slots)
+        return out
+    idx = slots % np.uint64(m)
+    on = np.frombuffer(bits, dtype=np.uint8)[idx >> 3] >> (idx & 7)
+    out[probe.known] = (on & 1).all(axis=1)
     return out
 
 
-def bloom_admits(meta: dict | None, where: Sequence[Sequence]) -> bool:
-    """False only when a ``==``/``in`` clause on a column ``meta`` (a
-    :func:`bloom_filter` result) covers provably excludes every candidate
-    value (conjunctive predicate: one impossible clause rules the file
-    out). True without ``meta`` — filters only ever ADD pruning."""
-    if not meta:
+def bloom_probes(where: Sequence[Sequence]) -> list[tuple[str, BloomProbe]]:
+    """One probe per ``==``/``in`` clause of a normalized where list."""
+    return [(col, BloomProbe([val] if op == "==" else val))
+            for col, op, val in where if op in ("==", "in")]
+
+
+def blooms_admit(blooms: dict[str, Bloom] | None, probes) -> bool:
+    """False only when a probe (:func:`bloom_probes`) on a column ``blooms``
+    covers provably excludes every candidate value (conjunctive predicate:
+    one impossible clause rules the file out). True without ``blooms`` —
+    filters only ever ADD pruning — and when a probe value does not fit
+    the stored dtype."""
+    if not blooms:
         return True
-    for col, op, val in where:
-        entry = meta.get(col)
-        if entry is None or op not in ("==", "in"):
+    for col, probe in probes:
+        bloom = blooms.get(col)
+        if bloom is None:
             continue
         try:
-            if not _bloom_contains(entry, [val] if op == "==" else list(val)).any():
+            if not _bloom_contains(bloom, probe).any():
                 return False
-        except (TypeError, ValueError):
+        except ValueError:
             continue  # probe value doesn't fit the stored dtype: no pruning
     return True
+
+
+def bloom_admits(meta: dict | None, where: Sequence[Sequence]) -> bool:
+    """:func:`blooms_admit` over one raw :func:`bloom_filter` result and a
+    where list."""
+    return blooms_admit(decode_blooms(meta), bloom_probes(where))
 
 
 def bloom_may_match(path: str, where: Sequence[Sequence]) -> bool:
