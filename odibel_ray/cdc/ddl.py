@@ -314,6 +314,7 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
         TABLE_MANIFEST,
         _atomic_write_json,
         _commit_table,
+        _filter_cols,
         _publish_stream,
         _stage_bucket,
         _table_layout,
@@ -351,15 +352,15 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
             staging = os.path.join(out_dir, STAGING_DIR, rid)
             os.makedirs(staging, exist_ok=True)
             table_layout = _table_layout(out_dir)
-            key_col = table_layout["key_cols"][0]
+            key_cols = table_layout["key_cols"]
             layout = table_layout["pinned"]
             bloom_cols: list[str] = []
             if layout is not None:
                 # Translate layout column references through the rename/drop
                 # ops BEFORE the first rewrite: files come out carrying
                 # logical names, so a bloom/cluster column pinned under its
-                # old physical name would stop matching — dropping the
-                # sidecar and crashing every later upsert/DML bloom build.
+                # old physical name would stop matching — dropping its
+                # filters and crashing every later upsert/DML filter build.
                 # Idempotent (resume-safe): already-logical names map to
                 # themselves; names dropped by the ops are removed.
                 p2l = {p: n for n, p in smap.to_physical.items()}
@@ -396,16 +397,17 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
                 for m in map(json.loads, batch["m"].to_pylist()):
                     out = smap.adapt(pq.read_table(os.path.join(out_dir, m["file"])))
                     # a bloom-indexed table keeps its equality pruning through
-                    # the rewrite (upsert/compact rebuild sidecars the same way)
+                    # the rewrite: like every bucket write, it stores the new
+                    # file's filters, here on logical names, in its manifest
                     outs.append(_stage_bucket(
                         out,
                         bucket=int(m["bucket"]),
-                        key_col=key_col,
+                        filter_cols=_filter_cols(
+                            key_cols, [c for c in bloom_cols if c in out.column_names]),
                         staging=staging,
                         run_id=rid,
                         n_events=int(m.get("n_events", m["rows_out"])),
                         watermarks=json.dumps(m.get("watermarks", {})),
-                        bloom_cols=[c for c in bloom_cols if c in out.column_names],
                     ))
                 return pa.concat_tables(outs)
 

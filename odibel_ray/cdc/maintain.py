@@ -41,8 +41,8 @@ def maintain_table(
       at least this many (0 disables compaction).
     - ``keep_snapshots``: tighten snapshot retention to the newest k
       (None leaves retention as configured).
-    - ``vacuum_after``: sweep staging leftovers / orphan files / widowed
-      bloom sidecars after the above.
+    - ``vacuum_after``: sweep staging leftovers, orphan files and the Bloom
+      sidecars older versions wrote, after the above.
     - ``stats_feed``: change feed (dir or ``table_changes`` Dataset) to fold
       into persisted column statistics. Without it, statistics that no
       longer reflect the live version are reported under ``stats_stale``.
@@ -200,7 +200,6 @@ def clone_table(
         snapshot_manifests,
         table_lock,
     )
-    from odibel_ray.cdc.skipping import BLOOM_SUFFIX
 
     if not os.path.exists(os.path.join(src_dir, TABLE_MANIFEST)):
         raise FileNotFoundError(f"{src_dir} is not a published table")
@@ -250,8 +249,6 @@ def clone_table(
                 n_linked += 1
             else:
                 n_copied += 1
-            if os.path.exists(os.path.join(src_dir, m["file"] + BLOOM_SUFFIX)):
-                _link(m["file"] + BLOOM_SUFFIX)
             for d in m.get("deltas", []):
                 # MOR deltas can be rewritten in place on crash-resume: copy
                 _link(d["file"], always_copy=True)

@@ -125,6 +125,13 @@ def _table_layout(out_dir: str) -> dict:
             "system": True, "pinned": None}
 
 
+def _filter_cols(key_cols: list[str], bloom_cols: list[str] | None) -> list[str]:
+    """The columns every file of a keyed table gets a Bloom filter on: the
+    first key column (:func:`_bucket_prune` routes on it), then the
+    layout's ``bloom_cols`` (:func:`read_published` prunes on them)."""
+    return list(dict.fromkeys([key_cols[0], *(bloom_cols or [])]))
+
+
 def _write_data_file(table: pa.Table, path: str) -> None:
     """Every data-file write in the sink goes through here so the Parquet
     codec is one knob: ``ODIBEL_PARQUET_CODEC`` (default ``snappy`` — the
@@ -370,8 +377,9 @@ _MANIFEST_SCHEMA = pa.schema(
         # same per-bucket atomic step as the data file ("" when no feed)
         ("feed_staged", pa.string()),
         ("feed_final", pa.string()),
-        # the file's key filter (JSON, skipping.bloom_filter over the first
-        # key column), stored in its manifest entry by the publish
+        # the file's Bloom filters (JSON, skipping.bloom_filter over the
+        # first key column, then the layout's bloom_cols), stored in its
+        # manifest entry by the publish
         ("key_filter", pa.string()),
     ]
 )
@@ -381,13 +389,12 @@ def _stage_bucket(
     out: pa.Table,
     *,
     bucket: int,
-    key_col: str,
+    filter_cols: list[str],
     staging: str,
     run_id: str,
     n_events: int,
     watermarks: str = "{}",
     delta_tag: str | None = None,
-    bloom_cols: list[str] | None = None,
     feed: tuple[pa.Table, str] | None = None,
     metrics: str | None = None,
     events: int = 0,
@@ -396,16 +403,16 @@ def _stage_bucket(
     return the bucket's ONE manifest row. Without ``delta_tag`` the file is
     the bucket's next base (``part-<bucket>-<run_id>``, copy-on-write); with
     it, a merge-on-read delta (``delta-<bucket>-<tag>``) that the publish
-    appends to the bucket's manifest. Every file gets a Bloom key filter
-    over ``key_col`` (the first key column), tombstone rows included; the
-    publish stores it in the file's manifest entry, where
-    :func:`_bucket_prune` probes it. ``bloom_cols`` writes the base file's
-    bloom sidecar. ``feed=(table, final_path)`` stages the bucket's change
-    feed next to its data; the publish moves it into place in the same
-    per-bucket step. ``metrics`` names a live-counter actor that gets the
+    appends to the bucket's manifest. Every file gets a Bloom filter per
+    column of ``filter_cols`` (:func:`_filter_cols`), tombstone rows
+    included; the publish stores them in the file's manifest entry
+    (``key_filter``), where :func:`_bucket_prune` probes the key column's
+    and :func:`read_published` every one. ``feed=(table, final_path)``
+    stages the bucket's change feed next to its data; the publish moves it
+    into place in the same per-bucket step. ``metrics`` names a live-counter actor that gets the
     task-side progress (:func:`odibel_ray.monitor.record_task_metrics`):
     ``events`` applied (event applies only), rows staged, buckets finished."""
-    from odibel_ray.cdc.skipping import BLOOM_SUFFIX, bloom_filter, build_bloom_sidecar
+    from odibel_ray.cdc.skipping import bloom_filter
 
     if delta_tag is None:
         fname = _bucket_filename(bucket, run_id)
@@ -413,8 +420,6 @@ def _stage_bucket(
         fname = f"delta-{bucket:06d}-{delta_tag}.parquet"
     staged = os.path.join(staging, fname)
     _write_data_file(out, staged)
-    if bloom_cols:
-        build_bloom_sidecar(out, bloom_cols, staged + BLOOM_SUFFIX)
     feed_staged, feed_final = "", ""
     if feed is not None:
         feed_staged = os.path.join(staging, f"feed-{bucket:06d}.parquet")
@@ -436,7 +441,7 @@ def _stage_bucket(
             "run_id": pa.array([run_id], pa.string()),
             "feed_staged": pa.array([feed_staged], pa.string()),
             "feed_final": pa.array([feed_final], pa.string()),
-            "key_filter": pa.array([json.dumps(bloom_filter(out, [key_col]))], pa.string()),
+            "key_filter": pa.array([json.dumps(bloom_filter(out, filter_cols))], pa.string()),
         }
     )
 
@@ -508,7 +513,7 @@ def _apply_write_group(
     if delta:
         cols["_op"] = t["op"]
     out = pa.table(cols)
-    kw = dict(bucket=bucket, key_col=TRANSCRIPT_KEYS[0], staging=staging, run_id=run_id,
+    kw = dict(bucket=bucket, filter_cols=TRANSCRIPT_KEYS[:1], staging=staging, run_id=run_id,
               n_events=n_events, metrics=metrics, events=n_events)
     if delta:
         # effective watermarks: merged(base, every delta) — keeps
@@ -874,10 +879,6 @@ def _sweep_unkept(out_dir: str, bucket_glob: str, keep: set[str]) -> int:
                     n += 1
                 except OSError:
                     pass
-                try:  # bloom sidecar dies with its data file
-                    os.remove(stale + ".bloom")
-                except OSError:
-                    pass
     return n
 
 
@@ -937,10 +938,6 @@ def _publish_base_row(row, out_dir: str, retained: frozenset[str] = frozenset())
     staged = _audit_staged(row)
     final_path = os.path.join(out_dir, row["file"])
     os.replace(staged, final_path)
-    # bloom sidecar travels with its data file (missing sidecar = no
-    # equality pruning for this file, never a wrong answer)
-    if os.path.exists(staged + ".bloom"):
-        os.replace(staged + ".bloom", final_path + ".bloom")
     # feed sidecar publishes with its bucket, just before the manifest
     # pointer flip: a crash in between leaves the bucket's OLD manifest
     # (and old data file) fully consistent, and the resume re-applies the
@@ -1176,8 +1173,8 @@ def _stat_token(path: str) -> tuple | None:
 
 class _Bucket(NamedTuple):
     """One parsed bucket manifest, the stat token of its file (None for a
-    retained version's) and its files' key filters, decoded: file name →
-    column → :class:`~odibel_ray.cdc.skipping.Bloom`."""
+    retained version's) and its files' Bloom filters (``key_filter``),
+    decoded: file name → column → :class:`~odibel_ray.cdc.skipping.Bloom`."""
 
     token: tuple | None
     manifest: dict
@@ -1495,11 +1492,13 @@ def read_published(
 
     ``where=[(col, op, value), ...]`` is a conjunctive predicate with SQL
     NULL semantics (ops ``== != < <= > >= in not_in is_null not_null``)
-    applied with zone-map data skipping: files whose Parquet footer
-    statistics cannot satisfy it are never opened, surviving files get the
-    predicate pushed into the scan (row-group pruning + row filter), and
+    applied with data skipping: files whose Bloom filters (key column and
+    ``bloom_cols``, in their manifest entries) or Parquet footer statistics
+    cannot satisfy it are never opened, surviving files get the predicate
+    pushed into the scan (row-group pruning + row filter), and
     merge-on-read buckets filter AFTER their LWW merge (a superseded base
-    row must not win). Pruning bites when the layout correlates with the
+    row must not win); such a bucket is read whole when any of its files
+    may match. Zone maps bite when the layout correlates with the
     predicate column — see ``publish_dataset(cluster_by=...)``. Pass a
     dict as ``prune_stats`` to receive ``{files_total, files_read,
     footers_read}``; ``footers_read`` counts the Parquet footers the driver
@@ -1508,7 +1507,8 @@ def read_published(
     import ray.data as rd
 
     from odibel_ray.cdc.skipping import (
-        bloom_may_match,
+        bloom_probes,
+        blooms_admit,
         check_where,
         file_may_match,
         filter_table,
@@ -1552,25 +1552,26 @@ def read_published(
         else:
             where = where or None
 
-    def stats_match(name: str, w) -> bool:
-        # footer min/max, from the plan's footer cache
-        return file_may_match(os.path.join(out_dir, name), w, metadata=plan.footer(name))
+    blooms = {f: bl for bk in plan.buckets.values() for f, bl in bk.blooms.items()}
 
-    def may_match(names: list[str], w) -> list[str]:
-        # zone maps first, then bloom sidecars (equality probes on
-        # bloom-indexed columns); blooms only ever add pruning
-        return [f for f in names
-                if stats_match(f, w) and bloom_may_match(os.path.join(out_dir, f), w)]
+    def may_match(w):
+        """File name → may it hold a row matching ``w``, in the column space
+        the file is written in: its Bloom filters (in memory, so a rejected
+        file costs no footer read), then its footer min/max."""
+        probes = bloom_probes(w)  # each probe is hashed once per stored dtype
+        return lambda f: blooms_admit(blooms[f], probes) and file_may_match(
+            os.path.join(out_dir, f), w, metadata=plan.footer(f))
 
     if where:
-        plain = may_match(plain, where)
+        ok = may_match(where)
+        plain = [f for f in plain if ok(f)]
         # a MOR bucket is prunable only when its base AND every delta the
-        # router kept fail the stats check (the merge never synthesizes
-        # values, so no file with a possible match ⇒ no merged match)
-        mor = [m for m in mor if any(
-            stats_match(f, where) for f in [m["file"], *(d["file"] for d in m["deltas"])])]
+        # router kept fail the check (the merge never synthesizes values,
+        # so no file with a possible match ⇒ no merged match)
+        mor = [m for m in mor if any(ok(f) for f in [m["file"], *(d["file"] for d in m["deltas"])])]
     if where_logical and done:
-        done = may_match(done, where_logical)
+        ok = may_match(where_logical)
+        done = [f for f in done if ok(f)]
     empty = None if plain or mor or done else plan.empty()
     if prune_stats is not None:
         prune_stats["files_total"] = files_total
@@ -1782,33 +1783,37 @@ def table_changes(
     return change_feed(old, new, keys, values)
 
 
-def _key_filter_problems(out_dir: str, m: dict) -> list[str]:
-    """The files of bucket manifest ``m`` whose key filter rejects a key the
-    file holds."""
-    from odibel_ray.cdc.skipping import BloomProbe, _bloom_contains, decode_bloom
+def _filter_problems(out_dir: str, m: dict) -> list[str]:
+    """The files of bucket manifest ``m`` whose Bloom filters (``key_filter``)
+    reject a value the file holds; one read of each file's filter columns."""
+    from odibel_ray.cdc.skipping import BloomProbe, _bloom_contains, decode_blooms
 
     out = []
     for kind, entry in [("base", m), *(("delta", d) for d in m.get("deltas", []))]:
-        for col, bloom in (entry.get("key_filter") or {}).items():
-            keys = pq.read_table(os.path.join(out_dir, entry["file"]), columns=[col])[col]
-            keys = keys.unique().drop_null().to_numpy(zero_copy_only=False)
-            missed = int((~_bloom_contains(decode_bloom(bloom), BloomProbe(keys))).sum())
+        blooms = decode_blooms(entry.get("key_filter"))
+        if not blooms:
+            continue
+        t = pq.read_table(os.path.join(out_dir, entry["file"]), columns=list(blooms))
+        for col, bloom in blooms.items():
+            vals = t[col].unique().drop_null().to_numpy(zero_copy_only=False)
+            missed = int((~_bloom_contains(bloom, BloomProbe(vals))).sum())
             if missed:
                 out.append(f"bucket {m['bucket']}: {kind} {entry['file']} key filter "
-                           f"rejects {missed} of its {len(keys)} {col} values")
+                           f"on {col} rejects {missed} of its {len(vals)} values")
     return out
 
 
 def fsck_table(out_dir: str) -> dict:
     """Integrity check of a published table — the operator's fsck. Verifies,
-    from metadata, Parquet footers and each file's first key column (no Ray
-    session):
+    from metadata, Parquet footers and each file's Bloom-filtered columns
+    (no Ray session):
 
     - every bucket manifest's base file and delta files exist with the
       manifested row counts (``load_manifests`` silently DROPS broken
       manifests so readers stay safe; this reports them);
-    - every manifested key filter admits every key its file holds (a false
-      negative would make routed reads miss rows silently);
+    - every manifested Bloom filter (key column and ``bloom_cols``) admits
+      every value its file holds (a false negative would make routed and
+      predicate reads miss rows silently);
     - every retained snapshot's referenced files still exist (time travel
       would fail otherwise);
     - all base files share one physical schema (unless a DDL op log / an
@@ -1831,7 +1836,7 @@ def fsck_table(out_dir: str) -> dict:
         errors += problems
         if not problems:  # the schema check covers the buckets readers trust
             base_files.append(os.path.join(out_dir, m["file"]))
-            errors += _key_filter_problems(out_dir, m)
+            errors += _filter_problems(out_dir, m)
 
     for snap in list_snapshots(out_dir):
         for b, m in snap["buckets"].items():
@@ -1978,7 +1983,9 @@ def vacuum(
       superseded — always removable (single-writer sink).
     - **orphan data files**: root ``part-*.parquet`` not referenced by any
       bucket manifest (crash leftovers the per-bucket sweep didn't reach,
-      e.g. a bucket never republished after a crashed run).
+      e.g. a bucket never republished after a crashed run), and every
+      ``*.parquet.bloom`` Bloom sidecar an older version wrote (the
+      filters now live in the manifest entries).
     - **feed retention** (``feed_dir``): each bucket keeps its newest
       ``keep_feed_states`` change-feed files; older state transitions are
       dropped. Feed files are named by watermark-state hash, so "newest" is
@@ -2009,14 +2016,14 @@ def vacuum(
             removed["feed_dirs"] += 1
     # files pinned by retained snapshots are not orphans (time travel)
     removed["orphan_files"] = _sweep_orphans(out_dir)
-    # widowed bloom sidecars (data file gone, e.g. removed pre-upgrade)
-    for f in _glob.glob(os.path.join(out_dir, "part-*.parquet.bloom")):
-        if not os.path.exists(f[: -len(".bloom")]):
-            try:
-                os.remove(f)
-                removed["orphan_files"] += 1
-            except OSError:
-                pass
+    # Bloom sidecars of tables written before every filter moved into the
+    # manifest entries: nothing reads them any more
+    for f in _glob.glob(os.path.join(out_dir, "*.parquet.bloom")):
+        try:
+            os.remove(f)
+            removed["orphan_files"] += 1
+        except OSError:
+            pass
     if feed_dir and os.path.isdir(feed_dir):
         for bdir in _glob.glob(os.path.join(feed_dir, "bucket=*")):
             files = sorted(
@@ -2061,21 +2068,27 @@ def _bucket_prune(plan: _ReadPlan, where) -> dict[int, dict]:
     key, and checked (:meth:`_ReadPlan.passes`) before anything opens them;
     copies, so a caller may change them.
 
-    1. Key filters: a file whose key filter (``key_filter`` in its manifest
-       entry, over the first key column, decoded once per manifest version
-       in the table's cache entry) rejects every value of an
-       ``==``/``in`` clause on that column holds no matching row. A bucket
-       none of whose files admits the probe is dropped; a surviving bucket
-       keeps its base and the deltas that admit it (a delta without a
-       probed key cannot change that key's merged row). A file without a
-       filter always admits.
+    1. Key filters: a file whose filter on the first key column (in
+       ``key_filter``, its manifest entry's Bloom filters, decoded once per
+       manifest version in the table's cache entry) rejects every value of
+       an ``==``/``in`` clause on that column holds no matching row. A
+       bucket none of whose files admits the probe is dropped; a surviving
+       bucket keeps its base and the deltas that admit it (a delta without
+       a probed key cannot change that key's merged row). A file without a
+       filter always admits. Only the key column's filter is probed:
+       ``where`` is logical here, and ``alter_published`` can rename a
+       ``bloom_cols`` column but never a key column, so
+       :func:`read_published` probes the other filters in each file's own
+       column space.
     2. Hash routing, when more than one bucket survives: see
        :func:`_hash_route`. It only drops filter false positives and files
        without a filter, so it is skipped, with its footer read, when the
        filters already left one bucket."""
     from odibel_ray.cdc.skipping import bloom_probes, blooms_admit
 
-    probes = bloom_probes(where)  # each probe is hashed once per stored dtype
+    key = plan.layout["key_cols"][0]
+    # each probe is hashed once per stored dtype
+    probes = [(c, p) for c, p in bloom_probes(where) if c == key]
     kept = {}
     for b, m in plan.listed.items():
         blooms = plan.buckets[b].blooms
@@ -2369,7 +2382,7 @@ def compact_published(
         return _stage_bucket(
             _read_bucket(out_dir, m, layout),
             bucket=int(m["bucket"]),
-            key_col=layout["key_cols"][0],
+            filter_cols=_filter_cols(layout["key_cols"], layout["bloom_cols"]),
             staging=staging,
             run_id=run_id,
             # events that ever contributed to this bucket (lineage continuity)
@@ -2378,7 +2391,6 @@ def compact_published(
             # effective watermarks are already merged over base ∪ deltas —
             # carried verbatim, so the next incremental filter stays exact
             watermarks=json.dumps(m["watermarks"]),
-            bloom_cols=layout["bloom_cols"],
             metrics=metrics,
         )
 
@@ -2743,8 +2755,8 @@ def _keyed_write_group(
         keep = probe.join(ups.select(key_cols), keys=key_cols, join_type="left anti")
         dels = dels.take(np.sort(keep["__row"].to_numpy()))
     old_file = (bucket_files or {}).get(bucket)
-    stage = partial(_stage_bucket, bucket=bucket, key_col=key_cols[0], staging=staging,
-                    run_id=run_id, n_events=n_events, metrics=metrics)
+    stage = partial(_stage_bucket, bucket=bucket, filter_cols=_filter_cols(key_cols, bloom_cols),
+                    staging=staging, run_id=run_id, n_events=n_events, metrics=metrics)
     if old_file is not None and mode == "mor":
         out = pa.concat_tables([ups, dels])
         out = out.append_column("_lsn", pa.array(np.full(len(out), seq, np.int64)))
@@ -2770,7 +2782,7 @@ def _keyed_write_group(
         feed_t = _upsert_feed_table(old, ups, dels.select(key_cols), key_cols, feed_values, seq)
         if feed_t is not None:
             feed = (feed_t, os.path.join(feed_dir, f"bucket={bucket}", f"upsert-{run_id}.parquet"))
-    return stage(new, bloom_cols=bloom_cols, feed=feed)
+    return stage(new, feed=feed)
 
 
 @_single_writer("out_dir")
@@ -2809,12 +2821,13 @@ def publish_dataset(
     table is an error (finish or wipe it, or use ``rebucket_published`` on
     a complete one).
 
-    ``bloom_cols=[...]`` writes a per-file Bloom sidecar
-    (``<file>.parquet.bloom``) for each listed column — equality/``in``
-    probes on them prune whole files where footer min/max can't (the Delta
-    bloom-filter-index analog; see the bloom section of ``cdc/skipping.py``).
-    The set is pinned in ``_layout.json``; upserts and compactions rebuild
-    the sidecar of every bucket they rewrite.
+    ``bloom_cols=[...]`` stores a Bloom filter for each listed column in
+    every base and delta file's manifest entry, next to its key filter —
+    equality/``in`` probes on them prune whole files where footer min/max
+    can't (the Delta bloom-filter-index analog; see the bloom section of
+    ``cdc/skipping.py``). The set is pinned in ``_layout.json``; every
+    upsert, compaction and ``materialize_ddl`` rewrite builds the filters of
+    the files it writes.
 
     ``cluster_by="col"`` publishes a RANGE-CLUSTERED, read-optimized layout
     instead of hash buckets (the Delta ``OPTIMIZE ZORDER`` / Iceberg

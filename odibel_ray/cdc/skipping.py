@@ -37,7 +37,6 @@ returned.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple, Sequence
 
 import pyarrow as pa
@@ -407,7 +406,7 @@ def zorder_layout(ds, cols: list[str], num_buckets: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Bloom-filter sidecars — equality skipping where zone maps can't bite
+# Bloom filters — equality skipping where zone maps can't bite
 # ---------------------------------------------------------------------------
 #
 # Footer min/max prunes RANGE predicates on layout-correlated columns; an
@@ -415,15 +414,14 @@ def zorder_layout(ds, cols: list[str], num_buckets: int) -> dict:
 # or bucket by (a content hash, an event id, an exact text) matches almost
 # every file's [min, max] span and zone maps keep nothing out. The Delta
 # answer is a per-file Bloom filter index; pyarrow 16 exposes no Parquet
-# bloom writer, so each publish writes a compact sidecar next to the data
-# file (`<file>.parquet.bloom`, JSON: per indexed column a bit array +
-# double-hash params over the file's DISTINCT values). The sidecar moves
-# into place with its data file and is swept with it — a missing sidecar
-# just means "no pruning", never a wrong answer, and Bloom semantics
-# guarantee no false negatives: the owning file of a probed value is never
-# skipped.
+# bloom writer, so every bucket write stores one in the file's manifest
+# entry (``key_filter``, JSON: per indexed column — the first key column,
+# then the layout's ``bloom_cols`` — a bit array + double-hash params over
+# the file's DISTINCT values). The filter is published and swept with its
+# manifest entry; a file without one just gets no pruning, never a wrong
+# answer, and Bloom semantics guarantee no false negatives: the owning file
+# of a probed value is never skipped.
 
-BLOOM_SUFFIX = ".bloom"
 #: second hash key (pd.util.hash_array) for Kirsch–Mitzenmacher double
 #: hashing: h_i = h1 + i * (h2 | 1)
 _BLOOM_KEY2 = "fedcba9876543210"
@@ -445,7 +443,7 @@ def bloom_filter(
     """The one Bloom encoder: per column, the table's distinct non-null values
     (``==`` never matches NULL under SQL WHERE, so nulls need no bits)
     hashed k ways into an m-bit array. Returns ``{col: entry}``, the layout
-    of a bloom sidecar and of a manifest key filter."""
+    of a manifest entry's ``key_filter``."""
     import base64
 
     import numpy as np
@@ -471,16 +469,6 @@ def bloom_filter(
             "bits": base64.b64encode(bits.tobytes()).decode(),
         }
     return meta
-
-
-def build_bloom_sidecar(t: pa.Table, cols: Sequence[str], path: str) -> None:
-    """Write the bloom sidecar of one staged bucket file."""
-    import json
-
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(bloom_filter(t, cols), f)
-    os.replace(tmp, path)
 
 
 class Bloom(NamedTuple):
@@ -595,18 +583,3 @@ def bloom_admits(meta: dict | None, where: Sequence[Sequence]) -> bool:
     where list."""
     return blooms_admit(decode_blooms(meta), bloom_probes(where))
 
-
-def bloom_may_match(path: str, where: Sequence[Sequence]) -> bool:
-    """:func:`bloom_admits` over the bloom sidecar of one file. True when no
-    sidecar exists or it cannot be read."""
-    import json
-
-    sidecar = path + BLOOM_SUFFIX
-    if not os.path.exists(sidecar):
-        return True
-    try:
-        with open(sidecar) as f:
-            meta = json.load(f)
-    except (OSError, ValueError):
-        return True  # unreadable sidecar: fall back to scanning
-    return bloom_admits(meta, where)

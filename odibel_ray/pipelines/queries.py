@@ -974,15 +974,17 @@ def q_transcript_point_lookup(sf_dir: str):
 
 def ensure_bloom_published(sf_dir: str) -> str:
     """Generic serving copy with a bloom index on ``text`` (cached): the
-    equality-probe fixture for bloom-sidecar file skipping."""
+    equality-probe fixture for Bloom-filter file skipping."""
     import json
 
     from odibel_ray.cdc.sink import publish_dataset, read_published
 
     out = os.path.join(CACHE_ROOT, _sf_name(sf_dir) + "_bloompub")
     marker = os.path.join(out, "_ok.json")
+    # "filters": a copy cached with per-file sidecars has no text filters in
+    # its manifests, so it reads correctly but unpruned: rebuild it
     params = {**_LOG_PARAMS, "n_convs": _n_convs(sf_dir), "buckets": 16,
-              "bloom": ["text"]}
+              "bloom": ["text"], "filters": "manifest"}
     if os.path.exists(marker):
         with open(marker) as f:
             if json.load(f) == params:
@@ -1001,7 +1003,7 @@ def ensure_bloom_published(sf_dir: str) -> str:
 
 
 def q_transcript_bloom_lookup(sf_dir: str):
-    """Bloom-sidecar file skipping: an exact-text equality probe on a
+    """Bloom-filter file skipping: an exact-text equality probe on a
     hash-bucketed table — zone maps can't prune (every file's [min, max]
     text span covers everything) but the per-file bloom admits only the
     owner file(s) + ~1% false positives, so the scan opens ~1 of 16 files

@@ -1,24 +1,38 @@
-"""Bloom-filter sidecar skipping: equality pruning where zone maps can't bite."""
+"""Bloom-filter skipping: equality pruning where zone maps can't bite.
 
-import glob
+Every base and delta file of a ``bloom_cols=["text"]`` table carries its
+filters in its bucket manifest entry (``key_filter``): one on the first key
+column, which routes key reads, and one on ``text``, which
+``read_published(where=)`` probes.
+"""
+
+import base64
+import json
 import os
+import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
 from odibel_ray.cdc import (
+    alter_published,
     compact_published,
+    materialize_ddl,
     publish_dataset,
     read_published,
     replay_publish,
     upsert_published,
     vacuum,
 )
-from odibel_ray.cdc.skipping import BLOOM_SUFFIX
+from odibel_ray.cdc.sink import MANIFEST_DIR, _bucket_manifest_files, fsck_table
+from odibel_ray.cdc.skipping import bloom_filter, file_may_match, filter_table
 from tests.conftest import collect_sorted
 
 KEYS = ["conv_id", "turn_idx"]
+#: the per-file filter file (``<file>.parquet.bloom``) tables carried before
+#: every filter moved into the manifest entries
+LEGACY_SIDECAR = ".bloom"
 
 
 @pytest.fixture()
@@ -31,8 +45,38 @@ def bloom_table(ray_session, small_log, tmp_path):
     return out
 
 
-def _sidecars(out):
-    return sorted(glob.glob(os.path.join(out, "part-*.parquet" + BLOOM_SUFFIX)))
+def _assert_filter_invariants(out, filters=("conv_id", "text")) -> set[str]:
+    """Every live base and delta carries exactly one filter per filter
+    column, every file a manifest references exists, and the table holds
+    only Parquet and JSON files (no op writes a filter file). Returns the
+    referenced file names."""
+    entries = [e for m in _bucket_manifest_files(out) for e in [m, *m.get("deltas", [])]]
+    for e in entries:
+        assert list(e["key_filter"]) == list(filters), e["file"]
+    referenced = {e["file"] for e in entries}
+    assert len(referenced) == len(entries)
+    on_disk = {f for f in os.listdir(out) if f.endswith(".parquet")}
+    assert referenced <= on_disk  # no swept file is referenced
+    kinds = {os.path.splitext(f)[1] for _, _, files in os.walk(out) for f in files}
+    assert kinds <= {".parquet", ".json"}, kinds
+    return referenced
+
+
+def _matches(out, where) -> tuple[list[dict], dict]:
+    """The rows ``read_published(where=)`` returns, sorted by key, and its
+    prune stats."""
+    stats: dict = {}
+    rows = read_published(out, where=where, prune_stats=stats).take_all()
+    return sorted(rows, key=lambda r: tuple(r[k] for k in KEYS)), stats
+
+
+def _assert_probes_match_full_scan(out, probes) -> pa.Table:
+    """Each where list of ``probes`` returns the rows a full read filtered
+    in memory keeps. Returns the full read."""
+    full = collect_sorted(read_published(out), KEYS)
+    for where in probes:
+        assert _matches(out, where)[0] == filter_table(full, where).to_pylist(), where
+    return full
 
 
 def test_bloom_prunes_equality_probe(bloom_table):
@@ -41,7 +85,8 @@ def test_bloom_prunes_equality_probe(bloom_table):
     n_match = pc.sum(
         pc.equal(full["text"], probe).cast("int64")
     ).as_py()
-    assert len(_sidecars(bloom_table)) == 8  # every bucket published a bloom
+    # every bucket published its base with a text filter
+    assert len(_assert_filter_invariants(bloom_table)) == 8
 
     stats: dict = {}
     got = read_published(bloom_table, where=[("text", "==", probe)],
@@ -78,13 +123,13 @@ def test_bloom_refreshes_on_upsert_and_sweeps(bloom_table, ray_session):
     assert [ (r["conv_id"], r["turn_idx"]) for r in got ] == [
         (row["conv_id"], row["turn_idx"]) ]
     assert stats["files_read"] <= 2  # fresh bloom routes to the one rewritten file
-    # every live data file still has exactly one sidecar; no widows
-    live = {os.path.basename(f) for f in glob.glob(os.path.join(bloom_table, "part-*.parquet"))}
-    for sc in _sidecars(bloom_table):
-        assert os.path.basename(sc)[: -len(BLOOM_SUFFIX)] in live
-    assert len(_sidecars(bloom_table)) == 8
+    # every live data file still has exactly one text filter; the upsert
+    # swept the file it replaced
+    live = _assert_filter_invariants(bloom_table)
+    assert len(live) == 8
     vacuum(bloom_table)
-    assert len(_sidecars(bloom_table)) == 8
+    assert _assert_filter_invariants(bloom_table) == live
+    assert {f for f in os.listdir(bloom_table) if f.endswith(".parquet")} == live
 
 
 def test_bloom_layout_is_pinned(bloom_table, ray_session, small_log, tmp_path):
@@ -101,12 +146,113 @@ def test_bloom_survives_mor_compaction(bloom_table, ray_session):
     one = one.set_column(one.schema.get_field_index("text"), "text",
                          pa.array(["MOR-DELTA-VALUE"]))
     upsert_published(rd.from_arrow(one), bloom_table, run_id="m1", mode="mor")
-    # MOR bucket reads are not bloom-pruned, but still correct
+    # the delta carries the same filters as the bases
+    assert len(_assert_filter_invariants(bloom_table)) == 9
     got = read_published(bloom_table, where=[("text", "==", "MOR-DELTA-VALUE")]).take_all()
     assert len(got) == 1
     compact_published(bloom_table, run_id="c1", min_deltas=1)
+    assert len(_assert_filter_invariants(bloom_table)) == 8
     stats: dict = {}
     got = read_published(bloom_table, where=[("text", "==", "MOR-DELTA-VALUE")],
                          prune_stats=stats).take_all()
     assert len(got) == 1
     assert stats["files_read"] <= 2  # compaction rebuilt the bucket's bloom
+    vacuum(bloom_table)
+    assert len(_assert_filter_invariants(bloom_table)) == 8
+
+
+def test_mor_bucket_merges_before_bloom_answer(bloom_table, ray_session):
+    """A merge-on-read bucket is read when any of its files' filters admits
+    the probe, and the merge then drops the superseded base row; a value no
+    file holds reads none of the bucket's files."""
+    import ray.data as rd
+
+    full = collect_sorted(read_published(bloom_table), KEYS)
+    one = full.slice(len(full) // 2, 1)
+    key = (one["conv_id"][0].as_py(), one["turn_idx"][0].as_py())
+    old = one["text"][0].as_py()
+    new = "MOR-NEW-VALUE"
+    one = one.set_column(one.schema.get_field_index("text"), "text", pa.array([new]))
+    upsert_published(rd.from_arrow(one), bloom_table, run_id="m1", mode="mor")
+    (mor,) = [m for m in _bucket_manifest_files(bloom_table) if m.get("deltas")]
+
+    # the base admits the old value, so the bucket is read; the merge drops
+    # the stale row
+    rows, stats = _matches(bloom_table, [("text", "==", old)])
+    assert key not in {(r["conv_id"], r["turn_idx"]) for r in rows}
+    assert stats["files_read"] >= 2  # the MOR bucket's base and delta
+    _assert_probes_match_full_scan(bloom_table, [[("text", "==", old)]])
+
+    rows, _ = _matches(bloom_table, [("text", "==", new)])
+    assert [(r["conv_id"], r["turn_idx"]) for r in rows] == [key]
+
+    # inside the base's min/max, so only its filter keeps the bucket out
+    absent = old + "#"
+    assert file_may_match(os.path.join(bloom_table, mor["file"]), [("text", "==", absent)])
+    rows, stats = _matches(bloom_table, [("text", "==", absent)])
+    assert rows == [] and stats["files_read"] == 0
+
+
+def test_fsck_checks_every_filter(bloom_table):
+    """fsck reports a text filter that rejects a value its file holds."""
+    assert fsck_table(bloom_table)["ok"]
+    (m, *_) = _bucket_manifest_files(bloom_table)
+    text = m["key_filter"]["text"]
+    text["bits"] = base64.b64encode(bytes(len(base64.b64decode(text["bits"])))).decode()
+    with open(os.path.join(bloom_table, MANIFEST_DIR, f"bucket-{m['bucket']:06d}.json"), "w") as f:
+        json.dump(m, f)
+    res = fsck_table(bloom_table)
+    assert not res["ok"]
+    assert len(res["errors"]) == 1
+    assert m["file"] in res["errors"][0] and "on text" in res["errors"][0]
+
+
+def _probes(full: pa.Table, cols: list[str]) -> list[list]:
+    """Equality probes on ``cols``: a few held values each, and one that no
+    row holds."""
+    out = []
+    for c in cols:
+        vals = full[c].to_pylist()
+        out += [[(c, "==", v)] for v in vals[:: max(1, len(vals) // 5)]]
+        out.append([(c, "==", "NO-ROW-HOLDS-THIS")])
+    return out
+
+
+def test_rename_swap_under_pending_ddl(bloom_table, ray_session):
+    """``text`` renamed to ``t2`` and another column renamed to ``text``,
+    not yet materialized: probes on the logical names equal a full-scan
+    filter, before and after ``materialize_ddl``. The router must not probe
+    the physical ``text`` filter with the logical ``text`` values."""
+    alter_published(bloom_table, rename={"text": "t2"})
+    alter_published(bloom_table, rename={"role": "text"})
+    probes = _probes(collect_sorted(read_published(bloom_table), KEYS), ["t2", "text"])
+    full = _assert_probes_match_full_scan(bloom_table, probes)
+    # the physical text filter still prunes the logical t2 probe
+    assert _matches(bloom_table, probes[0])[1]["files_read"] <= 3
+    materialize_ddl(bloom_table, run_id="rw")
+    _assert_filter_invariants(bloom_table, filters=("conv_id", "t2"))
+    assert _assert_probes_match_full_scan(bloom_table, probes).equals(full)
+    assert _matches(bloom_table, probes[0])[1]["files_read"] <= 3
+
+
+def test_table_written_with_sidecars_still_reads(bloom_table, tmp_path):
+    """A table written before the filters moved into the manifests (key
+    filters only, a sidecar next to each base) reads correctly, ignores
+    its sidecars and loses them to ``vacuum``."""
+    old = str(tmp_path / "old")
+    shutil.copytree(bloom_table, old)
+    # sidecars over no value: a reader that probed them would drop every row
+    nothing = json.dumps(bloom_filter(pa.table({"text": pa.array([], pa.string())}), ["text"]))
+    for m in _bucket_manifest_files(old):
+        for e in [m, *m.get("deltas", [])]:
+            e["key_filter"] = {"conv_id": e["key_filter"]["conv_id"]}
+        with open(os.path.join(old, MANIFEST_DIR, f"bucket-{m['bucket']:06d}.json"), "w") as f:
+            json.dump(m, f)
+        with open(os.path.join(old, m["file"] + LEGACY_SIDECAR), "w") as f:
+            f.write(nothing)
+    _assert_probes_match_full_scan(
+        old, _probes(collect_sorted(read_published(old), KEYS), ["text", "role"]))
+    assert fsck_table(old)["ok"]
+    vacuum(old)
+    assert not [f for f in os.listdir(old) if f.endswith(LEGACY_SIDECAR)]
+    _assert_filter_invariants(old, filters=("conv_id",))
