@@ -66,7 +66,6 @@ from odibel_ray.cdc.ddl import (
     load_schema_ops,
     schema_map,
 )
-from odibel_ray.cdc.lww import _same_next_key_mask
 from odibel_ray.cdc.schema import SchemaTimeline, extract_timeline
 
 MANIFEST_DIR = "_manifests"
@@ -1056,10 +1055,8 @@ def replay_publish(
     *,
     num_buckets: int | None = None,
     run_id: str = "run-0",
-    precompact: bool = True,
     batch_size: int = 65536,
     partitioned: bool = False,
-    task_cpus: float = 1,
     metrics: str | None = None,
     snapshots: int | None = None,
 ) -> dict:
@@ -1068,8 +1065,10 @@ def replay_publish(
     shuffle, so a killed run re-does only unpublished buckets.
 
     ``partitioned=True`` (requires ``num_buckets is None``): shuffle-free shard
-    path — one task per WAL partition applies and stages its own bucket; the
-    groupby path remains for re-bucketing.
+    path — one task per WAL partition, on one CPU each, applies and stages
+    its own bucket. Otherwise the log runs read → prepare → per-batch LWW
+    combiner (:func:`compact_batch`) → ``groupby("bucket")``, which also
+    re-buckets.
 
     ``snapshots=k`` enables snapshot retention (see :func:`enable_snapshots`);
     the run records a table version on completion."""
@@ -1110,15 +1109,12 @@ def replay_publish(
         # max(.., 1): an empty log dir (no part=* yet) must publish zero
         # buckets, not crash from_items with override_num_blocks=0
         shard_ds = rd.from_items(items, override_num_blocks=max(len(items), 1))
-        # task_cpus sizes per-stage concurrency (session cpus / task_cpus
-        # concurrent shard tasks) — raise it when logical CPUs exceed the
-        # node's real parallel capacity so tasks don't thrash.
+        # Ray Data's default: one CPU per shard task
         manifest_ds = shard_ds.map_batches(
             partial(_shard_apply_write, timeline=timeline, staging=staging,
                     run_id=run_id, done=frozenset(done), metrics=metrics),
             batch_format="pyarrow",
             batch_size=1,
-            num_cpus=task_cpus,
         )
     else:
         ds = rd.read_parquet(log_dir)
@@ -1136,9 +1132,7 @@ def replay_publish(
                 return t.filter(pa.array(keep))
 
             ds = ds.map_batches(_drop_done, batch_format="pyarrow", batch_size=batch_size)
-        if precompact:
-            ds = ds.map_batches(compact_batch, batch_format="pyarrow", batch_size=batch_size)
-
+        ds = ds.map_batches(compact_batch, batch_format="pyarrow", batch_size=batch_size)
         manifest_ds = ds.groupby("bucket").map_groups(
             partial(_apply_write_group, staging=staging, run_id=run_id, metrics=metrics),
             batch_format="pyarrow",
@@ -1494,8 +1488,8 @@ def read_published(
     NULL semantics (ops ``== != < <= > >= in not_in is_null not_null``)
     applied with data skipping: files whose Bloom filters (key column and
     ``bloom_cols``, in their manifest entries) or Parquet footer statistics
-    cannot satisfy it are never opened, surviving files get the predicate
-    pushed into the scan (row-group pruning + row filter), and
+    cannot satisfy it are never opened, surviving files are filtered in
+    their read task (every block keeps the read's schema), and
     merge-on-read buckets filter AFTER their LWW merge (a superseded base
     row must not win); such a bucket is read whole when any of its files
     may match. Zone maps bite when the layout correlates with the
@@ -1581,11 +1575,30 @@ def read_published(
         prune_stats["footers_read"] = plan.footers_read
     if empty is not None:
         return rd.from_arrow(empty)
-    pieces = []
-    if plain:
-        kw = {"filter": where_expr(where)} if where else {}
-        pieces.append(rd.read_parquet([os.path.join(out_dir, f) for f in plain],
-                                      columns=final_cols, **kw))
+
+    def scan(files: list[str], cols: list[str] | None, w):
+        """Ray Data read of ``files``, one read task per file, projected to
+        ``cols`` and filtered by ``w`` in a map fused into the read. Every
+        block then carries the read's schema: a read task yields a block
+        without one when it reads no row, which happens when ``w`` is
+        pushed into the Parquet scan and fails every row of a file, or
+        when a small file's rows are split over more blocks than it has
+        rows. Gathering such blocks fails."""
+        paths = [os.path.join(out_dir, f) for f in files]
+        if not w:
+            return rd.read_parquet(paths, columns=cols, override_num_blocks=len(paths))
+        expr = where_expr(w)
+
+        def _filter(t: pa.Table) -> pa.Table:
+            t = t.filter(expr)
+            return t if cols is None else t.select(cols)
+
+        read_cols = None if cols is None else list(dict.fromkeys([*cols, *(c for c, _, _ in w)]))
+        return rd.read_parquet(
+            paths, columns=read_cols, override_num_blocks=len(paths)
+        ).map_batches(_filter, batch_format="pyarrow", batch_size=None)
+
+    pieces = [scan(plain, final_cols, where)] if plain else []
     if mor:
         # merge-on-read buckets filter AFTER the merge, so they read the
         # predicate columns too
@@ -1624,9 +1637,7 @@ def read_published(
         elif final_cols is not None:
             ds = ds.select_columns(final_cols)
     if done:
-        kw = {"filter": where_expr(where_logical)} if where_logical else {}
-        dpiece = rd.read_parquet([os.path.join(out_dir, f) for f in done],
-                                 columns=plan.columns, **kw)
+        dpiece = scan(done, plan.columns, where_logical)
         if plan.columns is not None:
             dpiece = dpiece.select_columns(plan.columns)  # pin column order for union
         ds = dpiece if ds is None else ds.union(dpiece)
@@ -2490,17 +2501,21 @@ def incremental_apply(
     (``feed_dir``) requires the base row for before-values, so it is
     CoW-only.
 
-    Two executors run the same kernels (``prepare_events``, then
-    :func:`_apply_write_group` once per touched bucket) and share the lease,
-    staging, audit, per-bucket manifest flip and epilogue. When the log's
+    Both executors run one per-bucket apply (:func:`_apply_bucket`: for
+    ``"cow"``, the bucket's own base read with :func:`_read_bucket`, then
+    :func:`_apply_write_group`) over the prepared events grouped by bucket,
+    and share the lease, staging, audit, per-bucket manifest flip and
+    epilogue; only the grouping differs. When the log's
     ``part=*/*.parquet`` bytes — plus, for ``"cow"``, the table's base and
     delta bytes — are at most :data:`DRIVER_MAX_BYTES`, the driver reads
-    and applies the micro-batch itself, with no Ray Data job; above it, a
-    Ray Data pipeline (read → prepare → combiner → ``groupby("bucket")``)
-    does. The result's ``executor`` says which ran (``"driver"`` or
-    ``"ray_data"``). Manifest ``n_events`` counts a bucket's events after
-    the Ray Data combiner, so it may differ between the two; data, files
-    and watermarks do not.
+    the micro-batch and splits it by bucket itself, with no Ray Data job;
+    above it, one Ray Data pipeline (read → prepare → per-batch LWW
+    combiner → ``groupby("bucket")``) does. Either way only the touched
+    buckets' bases are read. The result's ``executor`` says which ran
+    (``"driver"`` or ``"ray_data"``), and ``touched`` counts the buckets
+    published. Manifest ``n_events`` counts a bucket's new events (after
+    the Ray Data combiner, so it may differ between the two) plus, for
+    ``"cow"``, its base rows; data, files and watermarks do not differ.
     """
     import ray.data as rd
 
@@ -2548,50 +2563,46 @@ def incremental_apply(
     if mode == "cow":
         inputs += [os.path.join(out_dir, f) for f in _manifest_files(manifests)]
     executor = _executor_for(inputs)
-    prep_kw = {"timeline": timeline, "num_buckets": num_buckets, "watermarks": wm}
-    if executor == "driver":
-        log = pa.concat_tables([_read_wal_part(**p) for p in parts], promote_options="default")
-        groups = _split_by_bucket(prepare_events(log, **prep_kw))
-        touched = np.array(sorted(groups), dtype=np.int64)
-    else:
-        # materialized once: both the touched-bucket scan and the merge
-        # consume it from the object store — without this the full log
-        # would be read and prepared twice (once for bucket ids, once for
-        # the merge)
-        new_ev = rd.read_parquet(log_dir).map_batches(
-            prepare_events, fn_kwargs=prep_kw, batch_format="pyarrow",
-            batch_size=batch_size,
-        ).materialize()
-        # which buckets actually have new events (tiny aggregate — bucket ids only)
-        touched_vals = new_ev.select_columns(["bucket"]).unique("bucket") or []
-        touched = np.array(sorted(int(b) for b in touched_vals), dtype=np.int64)
-    if len(touched) == 0:
-        # nothing applied → table state unchanged → no new snapshot version
-        return {"published_now": 0, "published_total": len(manifests), "touched": 0,
-                "rows_total": tman["rows_total"], "snapshot": None,
-                "executor": executor, "out_dir": out_dir}
-
     staging = os.path.join(out_dir, STAGING_DIR, run_id)
-    os.makedirs(staging, exist_ok=True)
     group_kw = dict(staging=staging, run_id=run_id, metrics=metrics)
     if mode == "mor":
         group_kw["base_wms"] = {b: dict(m["watermarks"]) for b, m in manifests.items()}
     if feed_dir:
         group_kw["feed"] = {"dir": feed_dir, "values": feed_values, "lsn": feed_lsn}
+    # copy-on-write folds in each touched bucket's own base: the apply gets
+    # only the file names its _read_bucket opens
+    bases = {} if mode == "mor" else {
+        b: {"file": m["file"], "deltas": [{"file": d["file"]} for d in m.get("deltas", [])]}
+        for b, m in manifests.items()
+    }
+    apply_bucket = partial(_apply_bucket, out_dir=out_dir, bases=bases,
+                           layout=_table_layout(out_dir) if bases else None, group_kw=group_kw)
+    prep_kw = {"timeline": timeline, "num_buckets": num_buckets, "watermarks": wm}
     if executor == "driver":
-        rows = _driver_apply_rows(groups, out_dir, manifests if mode == "cow" else {},
-                                  group_kw)
+        log = pa.concat_tables([_read_wal_part(**p) for p in parts], promote_options="default")
+        groups = _split_by_bucket(prepare_events(log, **prep_kw)).values()
+        # one bucket at a time: each publishes before the next is read
+        rows = (r for ev in groups for r in apply_bucket(ev).to_pylist())
     else:
-        rows = _ray_apply_ds(new_ev, out_dir, mode, bool(manifests), touched, batch_size,
-                             group_kw).iter_rows()
+        rows = rd.read_parquet(log_dir).map_batches(
+            prepare_events, fn_kwargs=prep_kw, batch_format="pyarrow", batch_size=batch_size,
+        ).map_batches(
+            compact_batch, batch_format="pyarrow", batch_size=batch_size
+        ).groupby("bucket").map_groups(apply_bucket, batch_format="pyarrow").iter_rows()
     live = dict(manifests)
     published = _publish_stream(rows, out_dir, live)
+    if not published:
+        # nothing applied → table state unchanged → no new snapshot version
+        return {"published_now": 0, "published_total": len(manifests), "touched": 0,
+                "rows_total": tman["rows_total"], "snapshot": None,
+                "executor": executor, "out_dir": out_dir}
     op = "incremental_apply_mor" if mode == "mor" else "incremental_apply"
     all_manifests, snap = _commit_table(out_dir, tman, op, run_id, live)
     return {
         "published_now": len(published),
         "published_total": len(all_manifests),
-        "touched": int(len(touched)),
+        # every bucket with new events publishes exactly one row
+        "touched": len(published),
         "n_events_applied": int(sum(p["n_events"] for p in published)),
         "rows_total": tman["rows_total"],
         "snapshot": snap,
@@ -2612,89 +2623,25 @@ def _split_by_bucket(ev: pa.Table) -> dict[int, pa.Table]:
     return {int(k): ev.slice(lo, hi - lo) for k, lo, hi in zip(keys, starts, ends)}
 
 
-def _driver_apply_rows(groups: dict[int, pa.Table], out_dir: str, bases: dict[int, dict],
-                       group_kw: dict):
-    """The driver executor of :func:`incremental_apply`: each touched
-    bucket's new events, with its base rows (``bases``: the bucket manifests
-    a copy-on-write apply folds in) as insert events, through
+def _apply_bucket(ev: pa.Table, *, out_dir: str, bases: dict[int, dict], layout: dict | None,
+                  group_kw: dict) -> pa.Table:
+    """The one per-bucket apply of :func:`incremental_apply`, which both of
+    its executors run: one bucket's new events, with its base rows (when
+    ``bases``, the file names of the bucket manifests a copy-on-write apply
+    folds in, holds the bucket) as insert events, through
     :func:`_apply_write_group`. A change feed gets its ``_base`` side
-    marker. Yields manifest rows, one bucket at a time, so each publishes
-    before the next bucket is read."""
-    layout = _table_layout(out_dir) if bases else None
-    for bucket, ev in groups.items():
-        sides = [ev]
-        if bucket in bases:
-            base = _read_bucket(out_dir, bases[bucket], layout)
-            sides.append(_rows_as_events(base, base["_bucket"]))
-        if "feed" in group_kw:
-            sides = [t.append_column("_base", pa.array(np.full(len(t), i == 1)))
-                     for i, t in enumerate(sides)]
-        t = pa.concat_tables(sides, promote_options="default")
-        yield from _apply_write_group(t, **group_kw).to_pylist()
-
-
-def _ray_apply_ds(new_ev, out_dir: str, mode: str, has_base: bool, touched: np.ndarray,
-                  batch_size: int, group_kw: dict):
-    """The Ray Data executor of :func:`incremental_apply`: the prepared
-    events (with, for copy-on-write, the touched buckets' base rows) through
-    a per-batch LWW combiner and ``groupby("bucket").map_groups`` of
-    :func:`_apply_write_group`. Returns the Dataset of manifest rows."""
-    mark_base = "feed" in group_kw
-    if mode == "mor":
-        merged = new_ev.map_batches(
-            compact_batch, batch_format="pyarrow", batch_size=batch_size
-        )
-    else:
-        # a table bootstrapped by a schema-only/malformed-only publish has a
-        # TABLE manifest (carrying the timeline) but ZERO bucket manifests —
-        # there is no base to fold in, the apply runs on the new events alone
-        base = read_published(out_dir, system=True) if has_base else None
-
-        def _base_as_events(t: pa.Table) -> pa.Table:
-            keep = np.isin(t["_bucket"].to_numpy(zero_copy_only=False), touched)
-            t = t.filter(pa.array(keep))
-            ev = _rows_as_events(t, t["_bucket"])
-            if mark_base:
-                ev = ev.append_column("_base", pa.array(np.ones(len(t), dtype=bool)))
-            return ev
-
-        base_ev = (
-            base.map_batches(_base_as_events, batch_format="pyarrow",
-                             batch_size=batch_size)
-            if base is not None
-            else None
-        )
-        if mark_base:
-            def _mark_new(t: pa.Table) -> pa.Table:
-                return t.append_column("_base", pa.array(np.zeros(len(t), dtype=bool)))
-
-            new_side = new_ev.map_batches(_mark_new, batch_format="pyarrow",
-                                          batch_size=batch_size)
-        else:
-            new_side = new_ev
-        merged = new_side.union(base_ev) if base_ev is not None else new_side
-        if mark_base:
-            # side-aware combiner: keep the max-LSN row per (key, base-vs-new)
-            # so the before-state survives compaction alongside the winning
-            # event
-            def _compact_keep_base(t: pa.Table) -> pa.Table:
-                if len(t) == 0:
-                    return t
-                t = t.combine_chunks()
-                t = t.take(pc.sort_indices(t, sort_keys=_SORT_KEYS))
-                keep = np.ones(len(t), dtype=bool)
-                keep[:-1] = ~_same_next_key_mask(t, [*TRANSCRIPT_KEYS, "_base"])
-                return t.filter(pa.array(keep))
-
-            merged = merged.map_batches(
-                _compact_keep_base, batch_format="pyarrow", batch_size=batch_size
-            )
-        else:
-            merged = merged.map_batches(compact_batch, batch_format="pyarrow",
-                                        batch_size=batch_size)
-    return merged.groupby("bucket").map_groups(
-        partial(_apply_write_group, **group_kw), batch_format="pyarrow"
-    )
+    marker. Returns the bucket's manifest row."""
+    os.makedirs(group_kw["staging"], exist_ok=True)
+    bucket = int(ev["bucket"][0].as_py())
+    sides = [ev]
+    if bucket in bases:
+        base = _read_bucket(out_dir, bases[bucket], layout)
+        sides.append(_rows_as_events(base, base["_bucket"]))
+    if "feed" in group_kw:
+        sides = [t.append_column("_base", pa.array(np.full(len(t), i == 1)))
+                 for i, t in enumerate(sides)]
+    t = pa.concat_tables(sides, promote_options="default")
+    return _apply_write_group(t, **group_kw)
 
 
 def _keyed_write_group(

@@ -66,8 +66,8 @@ def _matches(out, where) -> tuple[list[dict], dict]:
     """The rows ``read_published(where=)`` returns, sorted by key, and its
     prune stats."""
     stats: dict = {}
-    rows = read_published(out, where=where, prune_stats=stats).take_all()
-    return sorted(rows, key=lambda r: tuple(r[k] for k in KEYS)), stats
+    rows = collect_sorted(read_published(out, where=where, prune_stats=stats), KEYS)
+    return rows.to_pylist(), stats
 
 
 def _assert_probes_match_full_scan(out, probes) -> pa.Table:
@@ -91,7 +91,7 @@ def test_bloom_prunes_equality_probe(bloom_table):
     stats: dict = {}
     got = read_published(bloom_table, where=[("text", "==", probe)],
                          prune_stats=stats)
-    rows = got.take_all()
+    rows = collect_sorted(got, KEYS).to_pylist()
     assert len(rows) == n_match and all(r["text"] == probe for r in rows)
     # texts are near-unique → the probe's owner file(s) plus rare false
     # positives; with 8 files an unpruned read would open all 8
@@ -103,7 +103,8 @@ def test_bloom_never_false_negative(bloom_table):
     full = collect_sorted(read_published(bloom_table), KEYS)
     texts = full["text"].to_pylist()
     for probe in texts[:: max(1, len(texts) // 30)]:
-        got = read_published(bloom_table, where=[("text", "==", probe)]).take_all()
+        got = collect_sorted(read_published(bloom_table, where=[("text", "==", probe)]),
+                             KEYS).to_pylist()
         assert any(r["text"] == probe for r in got)
 
 
@@ -118,8 +119,8 @@ def test_bloom_refreshes_on_upsert_and_sweeps(bloom_table, ray_session):
     upsert_published(rd.from_arrow(one), bloom_table, run_id="u1")
 
     stats: dict = {}
-    got = read_published(bloom_table, where=[("text", "==", "BLOOM-FRESH-VALUE")],
-                         prune_stats=stats).take_all()
+    got = collect_sorted(read_published(bloom_table, where=[("text", "==", "BLOOM-FRESH-VALUE")],
+                                        prune_stats=stats), KEYS).to_pylist()
     assert [ (r["conv_id"], r["turn_idx"]) for r in got ] == [
         (row["conv_id"], row["turn_idx"]) ]
     assert stats["files_read"] <= 2  # fresh bloom routes to the one rewritten file
@@ -148,13 +149,14 @@ def test_bloom_survives_mor_compaction(bloom_table, ray_session):
     upsert_published(rd.from_arrow(one), bloom_table, run_id="m1", mode="mor")
     # the delta carries the same filters as the bases
     assert len(_assert_filter_invariants(bloom_table)) == 9
-    got = read_published(bloom_table, where=[("text", "==", "MOR-DELTA-VALUE")]).take_all()
+    got = collect_sorted(read_published(bloom_table, where=[("text", "==", "MOR-DELTA-VALUE")]),
+                         KEYS)
     assert len(got) == 1
     compact_published(bloom_table, run_id="c1", min_deltas=1)
     assert len(_assert_filter_invariants(bloom_table)) == 8
     stats: dict = {}
-    got = read_published(bloom_table, where=[("text", "==", "MOR-DELTA-VALUE")],
-                         prune_stats=stats).take_all()
+    got = collect_sorted(read_published(bloom_table, where=[("text", "==", "MOR-DELTA-VALUE")],
+                                        prune_stats=stats), KEYS)
     assert len(got) == 1
     assert stats["files_read"] <= 2  # compaction rebuilt the bucket's bloom
     vacuum(bloom_table)

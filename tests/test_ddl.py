@@ -324,6 +324,19 @@ def test_materialize_crash_window_reads(ray_session, gen, monkeypatch):
     assert _df(read_published(gen, columns=["k", "value"])).shape == (4, 2)
     got = _df(read_published(gen, where=[("value", ">=", 3.0)]))
     assert got["k"].tolist() == ["c", "d"]
+    # a predicate no row of the flipped bucket holds: its read task yields
+    # a block that still carries the logical schema, so the blocks concat
+    import pyarrow.parquet as pq
+
+    from tests.conftest import collect_sorted
+
+    (flipped,) = set(pre) - {bucket_rolled}
+    flipped_file = os.path.join(gen, load_manifests(gen)[flipped]["file"])
+    flipped_vals = pq.read_table(flipped_file)["value"].to_pylist()
+    got = collect_sorted(read_published(gen, where=[("value", "not_in", flipped_vals)]), ["k"])
+    assert got.column_names == ["k", "value", "label", "note"]
+    assert sorted(got["k"].to_pylist()) == sorted(_df(read_published(gen)).query(
+        "value not in @flipped_vals")["k"].tolist())
     for key in ["a", "b", "c", "d"]:
         t = lookup_key(gen, key, system=True)
         assert t.column_names == ["k", "value", "label", "note"] and len(t) == 1

@@ -6,7 +6,11 @@ TABLE manifest without reloading the bucket manifests."""
 import glob
 import json
 import os
+import shutil
 
+import numpy as np
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
@@ -17,8 +21,10 @@ from odibel_ray.cdc import (
     replay_publish,
     sink,
 )
-from odibel_ray.cdc.sink import TABLE_MANIFEST, load_manifests
+from odibel_ray.cdc.apply import bucket_of_conv
+from odibel_ray.cdc.sink import MANIFEST_DIR, TABLE_MANIFEST, load_manifests
 from odibel_ray.datagen import split_log
+from odibel_ray.oracle import replay_oracle
 from tests.conftest import EXECUTOR_CUTOVERS, collect_sorted
 
 KEYS = ["conv_id", "turn_idx"]
@@ -102,9 +108,8 @@ def test_table_manifest_needs_no_reload(ray_session, small_log, tmp_path, monkey
         return real_load(out_dir)
 
     monkeypatch.setattr(sink, "load_manifests", counting_load)
-    # the Ray Data CoW apply reads its base through read_published, whose
-    # read plan checks the manifests through the table cache, not
-    # load_manifests
+    # a CoW apply reads each touched bucket's base from the manifests it
+    # loaded, under either executor
     ops = [(1, lambda: incremental_apply(mid, out, run_id="m1", mode="mor")),
            (1, lambda: compact_published(out, run_id="c1")),
            (1, lambda: incremental_apply(full, out, run_id="w1", mode="cow"))]
@@ -160,3 +165,64 @@ def test_executor_follows_the_size_cutover(ray_session, small_log, tmp_path, mon
         == "ray_data"
     assert run(log_bytes(full) + table_bytes(), incremental_apply, run_id="w2", **cow) \
         == "driver"
+
+
+def _log_touching(log_dir: str, out: str, cutoff: int, buckets: set[int],
+                  num_buckets: int) -> str:
+    """``log_dir`` cut to its events at or below ``cutoff``, its schema
+    events, and the later events of conversations that hash to
+    ``buckets``. Returns the new log directory."""
+    t = pads.dataset(log_dir, format="parquet", partitioning="hive").to_table()
+    conv = t["conv_id"].fill_null("").to_numpy(zero_copy_only=False)
+    keep = (pc.less_equal(t["lsn"], cutoff).to_numpy(zero_copy_only=False)
+            | (t["op"].to_numpy(zero_copy_only=False) == "S")
+            | np.isin(bucket_of_conv(conv, num_buckets), sorted(buckets)))
+    t = t.filter(keep)
+    log = os.path.join(out, "change_log")
+    for p in pc.unique(t["part"]).to_pylist():
+        os.makedirs(os.path.join(log, f"part={p}"))
+        part = t.filter(pc.equal(t["part"], p)).sort_by("lsn").drop(["part"])
+        pq.write_table(part, os.path.join(log, f"part={p}", "log-00000.parquet"))
+    side = os.path.join(log_dir, "_schema_events.parquet")
+    if os.path.exists(side):
+        shutil.copy(side, log)
+    return log
+
+
+@pytest.mark.parametrize("with_feed", [False, True], ids=["plain", "feed"])
+def test_ray_data_cow_apply_reads_only_touched_buckets(ray_session, small_log, tmp_path,
+                                                       monkeypatch, with_feed):
+    """A Ray Data copy-on-write apply whose events touch at most half of an
+    8-bucket table reads only those buckets' bases: it never scans the
+    table, converges to the replay oracle, and leaves every untouched
+    bucket's manifest byte for byte as it was."""
+    cutoff = split_log(small_log["log_dir"], str(tmp_path / "prefix"), frac=0.5)
+    out = str(tmp_path / "tbl")
+    replay_publish(str(tmp_path / "prefix" / "change_log"), out, num_buckets=8, run_id="r1")
+    chosen = {1, 4, 6}
+    log = _log_touching(small_log["log_dir"], str(tmp_path / "log2"), cutoff, chosen, 8)
+
+    def manifest_bytes():
+        mdir = os.path.join(out, MANIFEST_DIR)
+        return {f: open(os.path.join(mdir, f), "rb").read() for f in sorted(os.listdir(mdir))}
+
+    before = manifest_bytes()
+    assert len(before) == 8
+    feed = str(tmp_path / "feed") if with_feed else None
+    with monkeypatch.context() as m:
+        m.setattr(sink, "DRIVER_MAX_BYTES", EXECUTOR_CUTOVERS["ray_data"])
+
+        def no_scan(*a, **k):
+            raise AssertionError("the apply scanned the whole table")
+
+        m.setattr(sink, "read_published", no_scan)
+        res = incremental_apply(log, out, run_id="a1", mode="cow", feed_dir=feed)
+    assert res["executor"] == "ray_data" and 0 < res["touched"] <= len(chosen)
+    after = manifest_bytes()
+    changed = {f for f in before if after[f] != before[f]}
+    assert len(changed) == res["touched"]
+    assert {int(f.split("-")[1].split(".")[0]) for f in changed} <= chosen
+    assert collect_sorted(read_published(out), KEYS).equals(replay_oracle(log))
+    if with_feed:
+        fed = {int(d.split("=")[1]) for d in os.listdir(feed)}
+        assert fed and fed <= chosen

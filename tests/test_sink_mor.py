@@ -62,9 +62,15 @@ def test_mor_apply_converges_and_stacks_deltas(ray_session, small_log, oracle_fi
 
     # no base file was rewritten by either MOR run (the whole point)
     assert all(m["run_id"] == "r1" for m in manifests.values())
-    # re-running is a watermark-filtered no-op
+    # re-running is a watermark-filtered no-op: it records no version and
+    # leaves the TABLE manifest as it was
+    sink.enable_snapshots(out, keep_last=3)
+    versions = sink.list_snapshots(out)
+    tman = open(os.path.join(out, TABLE_MANIFEST), "rb").read()
     res3 = incremental_apply(small_log["log_dir"], out, run_id="m3", mode="mor")
     assert res3["touched"] == 0
+    assert res3["snapshot"] is None and sink.list_snapshots(out) == versions
+    assert open(os.path.join(out, TABLE_MANIFEST), "rb").read() == tman
     assert _published_table(out).equals(oracle_final)
 
 

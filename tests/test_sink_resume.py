@@ -178,9 +178,15 @@ def test_incremental_apply_converges(ray_session, small_log, oracle_final, tmp_p
     res = incremental_apply(small_log["log_dir"], out, run_id="r2")
     assert res["touched"] > 0
     assert _published_table(out).equals(oracle_final)
-    # re-running the incremental is idempotent (watermarks filter everything)
+    # re-running the incremental is idempotent (watermarks filter
+    # everything): no version recorded, the TABLE manifest as it was
+    sink.enable_snapshots(out, keep_last=3)
+    versions = sink.list_snapshots(out)
+    tman = open(os.path.join(out, TABLE_MANIFEST), "rb").read()
     res2 = incremental_apply(small_log["log_dir"], out, run_id="r3")
     assert res2["touched"] == 0
+    assert res2["snapshot"] is None and sink.list_snapshots(out) == versions
+    assert open(os.path.join(out, TABLE_MANIFEST), "rb").read() == tman
     assert _published_table(out).equals(oracle_final)
 
 

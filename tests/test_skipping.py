@@ -19,6 +19,7 @@ from odibel_ray.cdc.skipping import (
 from odibel_ray.cdc.sink import publish_dataset, upsert_published
 from odibel_ray.datagen import split_log
 from odibel_ray.oracle import replay_oracle
+from tests.conftest import collect_sorted
 
 KEYS = ["conv_id", "turn_idx"]
 
@@ -369,3 +370,22 @@ def test_bucket_prune_key_equality(ray_session, published, tmp_path, monkeypatch
     stats = {}
     ds = read_published(one, where=[("k", "==", "k7")], prune_stats=stats)
     assert ds.take_all() == [{"k": "k7", "w": 70}] and stats["files_read"] == 2
+
+
+def test_filtered_scan_blocks_carry_schema(ray_session, tmp_path):
+    """Every block of a filtered scan carries the read's schema, the blocks
+    of files whose rows all fail the predicate too, so gathering the blocks
+    (``collect_sorted`` concatenates them) works, with and without a
+    projection that leaves the predicate column out."""
+    import ray.data as rd
+
+    rows = [{"k": i, "text": f"t{i % 50}", "role": "user" if i % 2 else "bot"}
+            for i in range(200)]
+    out = str(tmp_path / "t")
+    publish_dataset(rd.from_items(rows), out, key_cols=["k"], num_buckets=8)
+    where = [("text", "==", "t7")]
+    got = collect_sorted(read_published(out, where=where), ["k"])
+    assert got.column_names == ["k", "text", "role"]
+    assert got["k"].to_pylist() == [7, 57, 107, 157]
+    got = collect_sorted(read_published(out, columns=["k"], where=where), ["k"])
+    assert got.column_names == ["k"] and got["k"].to_pylist() == [7, 57, 107, 157]
