@@ -51,6 +51,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from odibel_ray.cdc.apply import (
+    _empty_log_table,
     _keep_last_mask,
     _read_wal_part,
     _SORT_KEYS,
@@ -79,18 +80,22 @@ LAYOUT_FILE = "_layout.json"
 #: A transcript table is a keyed table with this key, hashed on its first
 #: column only, that carries the ``_lsn``/``_part``/``_bucket`` system columns.
 TRANSCRIPT_KEYS = ["conv_id", "turn_idx"]
-#: Input size, in Parquet bytes, up to which :func:`incremental_apply` and
-#: :func:`compact_published` run their kernels in the driver instead of as a
-#: Ray Data job. Measured on a 1-CPU host (``tools/measure_cutover.py``,
-#: figures in CHANGES.md): the driver's wall time on a 5 MB log reaches the
-#: Ray Data path's fixed cost on a tiny one (about 0.39 s); compaction
-#: crosses over later, near 7 MB, so the smaller figure serves both.
+#: Input size, in Parquet bytes, up to which :func:`replay_publish`,
+#: :func:`incremental_apply` and :func:`compact_published` run their kernels
+#: in the driver instead of as a Ray Data job. Measured on a 1-CPU host
+#: (``tools/measure_cutover.py``, figures in CHANGES.md): the driver's wall
+#: time on a 5 MB log reached the Ray Data path's fixed cost on a tiny one
+#: (about 0.39 s) for an apply, and a partitioned replay crosses over near
+#: the same size. A later measurement gave lower crossovers (about 3 MB for
+#: an apply, a hashed replay and a compaction), while the driver stayed the
+#: faster executor at every measured size up to 19 MB.
 DRIVER_MAX_BYTES = 5_000_000
 
 
 def _executor_for(paths: list[str]) -> str:
-    """``"driver"`` when the files ``paths`` total at most
-    :data:`DRIVER_MAX_BYTES`, else ``"ray_data"``."""
+    """The executor of one :func:`replay_publish`, :func:`incremental_apply`
+    or :func:`compact_published`: ``"driver"`` when its input files
+    ``paths`` total at most :data:`DRIVER_MAX_BYTES`, else ``"ray_data"``."""
     small = sum(os.path.getsize(p) for p in paths) <= DRIVER_MAX_BYTES
     return "driver" if small else "ray_data"
 
@@ -1024,25 +1029,31 @@ def _rows_as_events(t: pa.Table, bucket) -> pa.Table:
     return pa.table(cols)
 
 
-def _shard_apply_write(batch: pa.Table, *, timeline: SchemaTimeline, staging: str,
-                       run_id: str, done: frozenset[int],
-                       metrics: str | None = None) -> pa.Table:
-    """Shuffle-free sink path: one task per WAL partition — ordered read of the
-    shard's files → prepare → LWW apply → staged write + manifest row. Valid
-    because the log is key-aligned (bucket == part); see
-    :func:`odibel_ray.cdc.apply.replay_partitioned`."""
-    from odibel_ray.cdc.apply import limit_arrow_threads
-
-    limit_arrow_threads()
-    outs = []
-    for row in batch.to_pylist():
-        part = int(row["part"])
-        if part in done or not row["files"]:
+def _replay_parts(parts: list[dict], *, timeline: SchemaTimeline, staging: str, run_id: str,
+                  done: frozenset[int], metrics: str | None = None):
+    """The per-part body of a partitioned replay, which both of its
+    executors run: for each WAL partition not in ``done``, ordered read of
+    the shard's files → prepare → LWW apply → staged write. Yields one
+    manifest row table per part. Valid because the log is key-aligned
+    (bucket == part); see :func:`odibel_ray.cdc.apply.replay_partitioned`."""
+    for p in parts:
+        part = int(p["part"])
+        if part in done or not p["files"]:
             # empty part=N dir: producer created it but never wrote a file
             # (or it was vacuumed) — nothing to apply, not an error
             continue
-        ev = prepare_events(_read_wal_part(part, row["files"]), timeline, num_buckets=None)
-        outs.append(_apply_write_group(ev, staging=staging, run_id=run_id, metrics=metrics))
+        ev = prepare_events(_read_wal_part(part, p["files"]), timeline, num_buckets=None)
+        yield _apply_write_group(ev, staging=staging, run_id=run_id, metrics=metrics)
+
+
+def _shard_apply_write(batch: pa.Table, **kw) -> pa.Table:
+    """Shuffle-free sink task of the Ray Data partitioned replay: one task
+    per WAL partition runs :func:`_replay_parts` on its batch of shard
+    descriptors and returns their manifest rows."""
+    from odibel_ray.cdc.apply import limit_arrow_threads
+
+    limit_arrow_threads()
+    outs = list(_replay_parts(batch.to_pylist(), **kw))
     if not outs:
         return _MANIFEST_SCHEMA.empty_table()
     return pa.concat_tables(outs)
@@ -1062,13 +1073,27 @@ def replay_publish(
 ) -> dict:
     """Full replay with the exactly-once sink. Resumable: already-published
     buckets (valid manifest + audited file) are filtered out *before* the
-    shuffle, so a killed run re-does only unpublished buckets.
+    apply, so a killed run re-does only unpublished buckets.
 
-    ``partitioned=True`` (requires ``num_buckets is None``): shuffle-free shard
-    path — one task per WAL partition, on one CPU each, applies and stages
-    its own bucket. Otherwise the log runs read → prepare → per-batch LWW
-    combiner (:func:`compact_batch`) → ``groupby("bucket")``, which also
-    re-buckets.
+    ``partitioned=True`` (requires ``num_buckets is None``): shuffle-free
+    shard path — each WAL partition is read, applied and staged as its own
+    bucket (:func:`_replay_parts`). Otherwise the log is prepared with
+    ``num_buckets`` (which also re-buckets) and each bucket's events go
+    through :func:`_apply_write_group`.
+
+    Like :func:`incremental_apply`, two executors share the layout pin,
+    staging, audit, per-bucket manifest flip and epilogue. When the log's
+    ``part=*/*.parquet`` bytes are at most :data:`DRIVER_MAX_BYTES`, the
+    driver runs the per-bucket kernels one bucket at a time, with no Ray
+    Data job, and each bucket publishes before the next one is applied
+    (a partitioned replay also reads each part only then). Above it,
+    Ray Data runs one task per WAL partition (partitioned) or read →
+    prepare → per-batch LWW combiner (:func:`compact_batch`) →
+    ``groupby("bucket")`` (hashed). The result's ``executor`` says which
+    ran (``"driver"`` or ``"ray_data"``). Manifest ``n_events`` and
+    ``n_events_applied`` of a hashed replay count a bucket's events after
+    the Ray Data combiner, which the driver does not run, so they may
+    differ between the two; data, files and watermarks do not differ.
 
     ``snapshots=k`` enables snapshot retention (see :func:`enable_snapshots`);
     the run records a table version on completion."""
@@ -1100,22 +1125,33 @@ def replay_publish(
     os.makedirs(staging, exist_ok=True)
 
     timeline = extract_timeline(log_dir)
-    done = load_manifests(out_dir)
+    done = frozenset(load_manifests(out_dir))
 
-    if partitioned:
-        if num_buckets is not None:
-            raise ValueError("partitioned sink requires num_buckets=None (bucket == WAL part)")
-        items = _wal_parts(log_dir)
+    if partitioned and num_buckets is not None:
+        raise ValueError("partitioned sink requires num_buckets=None (bucket == WAL part)")
+    parts = _wal_parts(log_dir)
+    executor = _executor_for([f for p in parts for f in p["files"]])
+    group_kw = dict(staging=staging, run_id=run_id, metrics=metrics)
+    if executor == "driver" and partitioned:
+        rows = (r for t in _replay_parts(parts, timeline=timeline, done=done, **group_kw)
+                for r in t.to_pylist())
+    elif executor == "driver":
+        log = pa.concat_tables([_read_wal_part(**p) for p in parts] or [_empty_log_table()],
+                               promote_options="default")
+        groups = _split_by_bucket(prepare_events(log, timeline, num_buckets=num_buckets))
+        # one bucket at a time: each publishes before the next is applied
+        rows = (r for b, ev in groups.items() if b not in done
+                for r in _apply_write_group(ev, **group_kw).to_pylist())
+    elif partitioned:
         # max(.., 1): an empty log dir (no part=* yet) must publish zero
         # buckets, not crash from_items with override_num_blocks=0
-        shard_ds = rd.from_items(items, override_num_blocks=max(len(items), 1))
+        shard_ds = rd.from_items(parts, override_num_blocks=max(len(parts), 1))
         # Ray Data's default: one CPU per shard task
-        manifest_ds = shard_ds.map_batches(
-            partial(_shard_apply_write, timeline=timeline, staging=staging,
-                    run_id=run_id, done=frozenset(done), metrics=metrics),
+        rows = shard_ds.map_batches(
+            partial(_shard_apply_write, timeline=timeline, done=done, **group_kw),
             batch_format="pyarrow",
             batch_size=1,
-        )
+        ).iter_rows()
     else:
         ds = rd.read_parquet(log_dir)
         ds = ds.map_batches(
@@ -1133,11 +1169,10 @@ def replay_publish(
 
             ds = ds.map_batches(_drop_done, batch_format="pyarrow", batch_size=batch_size)
         ds = ds.map_batches(compact_batch, batch_format="pyarrow", batch_size=batch_size)
-        manifest_ds = ds.groupby("bucket").map_groups(
-            partial(_apply_write_group, staging=staging, run_id=run_id, metrics=metrics),
-            batch_format="pyarrow",
-        )
-    published = _publish_stream(manifest_ds.iter_rows(), out_dir)
+        rows = ds.groupby("bucket").map_groups(
+            partial(_apply_write_group, **group_kw), batch_format="pyarrow",
+        ).iter_rows()
+    published = _publish_stream(rows, out_dir)
     tman = {
         "num_buckets": num_buckets,
         "timeline": timeline.to_json(),
@@ -1150,6 +1185,7 @@ def replay_publish(
         "n_events_applied": int(sum(p["n_events"] for p in published)),
         "rows_total": tman["rows_total"],
         "snapshot": snap,
+        "executor": executor,
         "out_dir": out_dir,
     }
 
@@ -1457,7 +1493,6 @@ def read_published(
     out_dir: str,
     *,
     system: bool = False,
-    parallelism: int = -1,
     version: int | None = None,
     as_of=None,
     columns: list[str] | None = None,

@@ -21,16 +21,17 @@ def ray_session():
     ray.shutdown()
 
 
-#: size cutovers that force every incremental_apply / compact_published
-#: onto one executor: above any test input (driver) or below it (Ray Data)
-EXECUTOR_CUTOVERS = {"driver": 1 << 62, "ray_data": 0}
+#: size cutovers that force every replay_publish / incremental_apply /
+#: compact_published onto one executor: above any test input (driver) or
+#: below it, an empty log's 0 bytes included (Ray Data)
+EXECUTOR_CUTOVERS = {"driver": 1 << 62, "ray_data": -1}
 
 
 @pytest.fixture(params=sorted(EXECUTOR_CUTOVERS))
 def sink_executor(request, monkeypatch):
     """Run the test with the sink's driver/Ray Data size cutover forced to
-    one extreme; fails the test if any apply or compaction chose the other
-    executor. Yields the executor name."""
+    one extreme; fails the test if any replay, apply or compaction chose
+    the other executor. Yields the executor name."""
     from odibel_ray.cdc import sink
 
     monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", EXECUTOR_CUTOVERS[request.param])

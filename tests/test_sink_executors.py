@@ -1,4 +1,4 @@
-"""The sink's two executors for ``incremental_apply`` and
+"""The sink's two executors for ``replay_publish``, ``incremental_apply`` and
 ``compact_published``: the driver (small inputs) and Ray Data (inputs above
 ``DRIVER_MAX_BYTES``) must publish the same table, and both must refresh the
 TABLE manifest without reloading the bucket manifests."""
@@ -9,6 +9,7 @@ import os
 import shutil
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
@@ -21,6 +22,7 @@ from odibel_ray.cdc import (
     replay_publish,
     sink,
 )
+from odibel_ray.cdc import apply as cdc_apply
 from odibel_ray.cdc.apply import bucket_of_conv
 from odibel_ray.cdc.sink import MANIFEST_DIR, TABLE_MANIFEST, load_manifests
 from odibel_ray.datagen import split_log
@@ -59,6 +61,82 @@ def _table_state(out: str, feed: str | None) -> dict:
             for f in files
         ]
     return state
+
+
+LAYOUTS = {"partitioned": {"partitioned": True}, "hashed": {"num_buckets": 8}}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_replay_executors_publish_identical_tables(ray_session, small_log, oracle_final,
+                                                   tmp_path, monkeypatch, layout):
+    """A partitioned and a hashed replay, once per executor: each reports
+    its executor, and both publish identical rows, data file names, bucket
+    manifests (file, rows_out, watermarks, key filters) and TABLE
+    manifest."""
+    states = {}
+    for executor, cutover in EXECUTOR_CUTOVERS.items():
+        monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", cutover)
+        out = str(tmp_path / executor)
+        res = replay_publish(small_log["log_dir"], out, run_id="r1", **LAYOUTS[layout])
+        assert res["executor"] == executor
+        states[executor] = _table_state(out, None)
+    assert states["driver"]["rows"] == oracle_final.to_pylist()
+    assert len(states["driver"]["manifests"]) == (small_log["num_parts"]
+                                                  if layout == "partitioned" else 8)
+    assert states["driver"] == states["ray_data"]
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("executor", sorted(EXECUTOR_CUTOVERS))
+def test_replay_edge_logs(ray_session, small_log, oracle_final, tmp_path, monkeypatch,
+                          executor, layout):
+    """Under either executor, a replay skips an empty ``part=<k>`` dir, a
+    log dir with no ``part=*`` dir but its schema sidecar publishes zero
+    buckets, and one with nothing in it raises what the timeline read
+    raises."""
+    monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", EXECUTOR_CUTOVERS[executor])
+    kw = dict(run_id="r1", **LAYOUTS[layout])
+
+    log = shutil.copytree(small_log["log_dir"], str(tmp_path / "holed"))
+    os.makedirs(os.path.join(log, "part=9"))
+    res = replay_publish(log, str(tmp_path / "t1"), **kw)
+    assert res["executor"] == executor
+    assert collect_sorted(read_published(str(tmp_path / "t1")), KEYS).equals(oracle_final)
+    want = range(small_log["num_parts"]) if layout == "partitioned" else range(8)
+    assert sorted(load_manifests(str(tmp_path / "t1"))) == list(want)
+
+    bare = str(tmp_path / "bare")
+    os.makedirs(bare)
+    shutil.copy(os.path.join(small_log["log_dir"], "_schema_events.parquet"), bare)
+    out = str(tmp_path / "t2")
+    res = replay_publish(bare, out, **kw)
+    assert res["executor"] == executor
+    assert (res["published_now"], res["published_total"], res["rows_total"]) == (0, 0, 0)
+    assert json.load(open(os.path.join(out, TABLE_MANIFEST)))["buckets"] == []
+
+    os.makedirs(str(tmp_path / "void"))
+    with pytest.raises(pa.ArrowInvalid):
+        replay_publish(str(tmp_path / "void"), str(tmp_path / "t3"), **kw)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_driver_replay_leaves_arrow_pools_alone(ray_session, small_log, oracle_final,
+                                                tmp_path, monkeypatch, layout):
+    """A driver replay never caps the driver process's pyarrow thread pools:
+    ``limit_arrow_threads`` belongs inside Ray tasks only."""
+    monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", EXECUTOR_CUTOVERS["driver"])
+    calls = []
+    # a core count above any cap, so a leaked limit_arrow_threads would act
+    monkeypatch.setattr(pa, "cpu_count", lambda: 64)
+    monkeypatch.setattr(pa, "set_cpu_count", lambda n: calls.append(("cpu", n)))
+    monkeypatch.setattr(pa, "set_io_thread_count", lambda n: calls.append(("io", n)))
+    out = str(tmp_path / "tbl")
+    res = replay_publish(small_log["log_dir"], out, run_id="r1", **LAYOUTS[layout])
+    assert res["executor"] == "driver"
+    assert collect_sorted(read_published(out), KEYS).equals(oracle_final)
+    assert calls == []
+    cdc_apply.limit_arrow_threads()  # the patch does see a cap
+    assert calls == [("cpu", 1), ("io", 2)]
 
 
 @pytest.mark.parametrize("mode", ["mor", "cow"])
@@ -132,24 +210,29 @@ def test_table_manifest_needs_no_reload(ray_session, small_log, tmp_path, monkey
 
 def test_executor_follows_the_size_cutover(ray_session, small_log, tmp_path, monkeypatch):
     """The driver runs at or below ``DRIVER_MAX_BYTES`` of input: the log's
-    Parquet bytes for a MOR apply, plus the table's bucket files for CoW,
-    and the target buckets' base and delta bytes for a compaction. A
-    no-op apply reports the executor it read the log with."""
+    Parquet bytes for a replay and for a MOR apply, plus the table's bucket
+    files for CoW, and the target buckets' base and delta bytes for a
+    compaction. A no-op apply reports the executor it read the log with."""
     prefix, mid, full = _logs(small_log, tmp_path)
-    out = str(tmp_path / "tbl")
-    replay_publish(prefix, out, num_buckets=8, run_id="r1")
 
     def log_bytes(log):
         return sum(os.path.getsize(f) for f in glob.glob(os.path.join(log, "part=*", "*.parquet")))
+
+    def run(cutover, fn, **kw):
+        monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", cutover)
+        return fn(**kw)["executor"]
+
+    for name, kw in (("part", {"partitioned": True}), ("tbl", {"num_buckets": 8})):
+        assert run(log_bytes(prefix) - 1, replay_publish, log_dir=prefix,
+                   out_dir=str(tmp_path / f"{name}-rd"), run_id="r1", **kw) == "ray_data"
+        assert run(log_bytes(prefix), replay_publish, log_dir=prefix,
+                   out_dir=str(tmp_path / name), run_id="r1", **kw) == "driver"
+    out = str(tmp_path / "tbl")  # the hashed driver replay's table
 
     def table_bytes(deltas_only=False):
         files = [f for m in load_manifests(out).values() if m.get("deltas") or not deltas_only
                  for f in [m["file"], *(d["file"] for d in m.get("deltas", []))]]
         return sum(os.path.getsize(os.path.join(out, f)) for f in files)
-
-    def run(cutover, fn, **kw):
-        monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", cutover)
-        return fn(**kw)["executor"]
 
     mid_apply = dict(log_dir=mid, out_dir=out, mode="mor")
     assert run(log_bytes(mid) - 1, incremental_apply, run_id="m1", **mid_apply) == "ray_data"

@@ -246,7 +246,8 @@ import sys, ray
 ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-from odibel_ray.cdc import replay_publish
+from odibel_ray.cdc import replay_publish, sink
+sink.DRIVER_MAX_BYTES = int(sys.argv[3])  # the calling test's executor cutover
 replay_publish(sys.argv[1], sys.argv[2], partitioned=True, run_id="victim")
 """
 
@@ -259,7 +260,8 @@ def test_kill_resume_partitioned_sink(ray_session, small_log, oracle_final, tmp_
                ODIBEL_TEST_PUBLISH_DELAY="1.5", RAY_ADDRESS="local",
                PYTHONPATH="/root/repo")
     proc = subprocess.Popen(
-        [sys.executable, "-c", KILL_SCRIPT_PARTITIONED, small_log["log_dir"], out],
+        [sys.executable, "-c", KILL_SCRIPT_PARTITIONED, small_log["log_dir"], out,
+         str(sink.DRIVER_MAX_BYTES)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     mdir = os.path.join(out, MANIFEST_DIR)

@@ -1,10 +1,12 @@
 """Measure the sink's driver/Ray Data cutover (``sink.DRIVER_MAX_BYTES``).
 
 For a range of input sizes, runs the same merge-on-read ``incremental_apply``
-(a 4-bucket table of half a log, then one LSN slice of the rest) and the same
-``compact_published`` (a 16-part table with one MOR delta per bucket) through
-each executor, forced by moving the cutover to an extreme, on a fresh copy of
-the table each time. Prints one line per (op, input bytes, executor) with the
+(a 4-bucket table of half a log, then one LSN slice of the rest), the same
+from-scratch ``replay_publish`` of a 16-part log (``replay-p``: partitioned,
+``replay-h``: hashed into 4 buckets) and the same ``compact_published`` (a
+16-part table of that log with one MOR delta per bucket) through each
+executor, forced by moving the cutover to an extreme, on a fresh copy of the
+table each time. Prints one line per (op, input bytes, executor) with the
 median wall time and process-tree CPU time. The cutover is the input size at
 which the driver's wall time reaches the Ray Data path's time on the smallest
 input.
@@ -31,7 +33,8 @@ from perfbench.harness import cpu_s_between, tree_stats  # noqa: E402
 
 APPLY_CONVS = 24_000  # a live_tail-shaped log (4 parts), 4x as many conversations
 APPLY_FRACS = (0.501, 0.505, 0.51, 0.55, 0.6, 0.7, 0.8, 0.9)  # slice (0.5, f] of it
-COMPACT_CONVS = (250, 1_000, 4_000, 8_000, 16_000, 24_000)  # serve_mixed-shaped logs
+# serve_mixed-shaped logs (bulk_replay's is the 4,000-conversation one)
+LOG_CONVS = (250, 1_000, 4_000, 8_000, 16_000, 24_000)
 FORCE = {"driver": 1 << 62, "ray_data": 0}
 
 
@@ -85,6 +88,8 @@ def main() -> None:
     sink.replay_publish(sl[0], os.path.join(work, "warm", "t"), num_buckets=4, run_id="w")
     for executor, cutover in FORCE.items():
         sink.DRIVER_MAX_BYTES = cutover
+        sink.replay_publish(sl[0], os.path.join(work, "warm", executor), partitioned=True,
+                            run_id="w")
         sink.incremental_apply(sl[1], os.path.join(work, "warm", "t"), run_id=executor, mode="mor")
 
     info = fixtures.generate_log(os.path.join(work, "apply"), 1,
@@ -100,9 +105,16 @@ def main() -> None:
         _measure(sink, "apply", n, base, work, lambda t, r, log=log:
                  sink.incremental_apply(log, t, run_id=r, mode="mor"), args.reps)
 
-    for n_convs in COMPACT_CONVS:
+    for n_convs in LOG_CONVS:
         d = os.path.join(work, f"compact{n_convs}")
         info = fixtures.generate_log(d, 1, {**fixtures.LOG, "n_convs": n_convs})
+        empty = os.path.join(d, "empty")
+        os.makedirs(empty)
+        n = _nbytes(glob.glob(os.path.join(info["log_dir"], "part=*", "*.parquet")))
+        for op, kw in (("replay-p", {"partitioned": True}),
+                       ("replay-h", {"num_buckets": fixtures.TAIL_BUCKETS})):
+            _measure(sink, op, n, empty, work, lambda t, r, kw=kw, log=info["log_dir"]:
+                     sink.replay_publish(log, t, run_id=r, **kw), args.reps)
         sl = datagen.slice_log(info["log_dir"], os.path.join(d, "sl"), [0.7, 0.75])
         base = os.path.join(d, "base")
         sink.replay_publish(sl[0], base, partitioned=True, run_id="b")
