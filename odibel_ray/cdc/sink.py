@@ -81,21 +81,27 @@ LAYOUT_FILE = "_layout.json"
 #: column only, that carries the ``_lsn``/``_part``/``_bucket`` system columns.
 TRANSCRIPT_KEYS = ["conv_id", "turn_idx"]
 #: Input size, in Parquet bytes, up to which :func:`replay_publish`,
-#: :func:`incremental_apply` and :func:`compact_published` run their kernels
-#: in the driver instead of as a Ray Data job. Measured on a 1-CPU host
-#: (``tools/measure_cutover.py``, figures in CHANGES.md): the driver's wall
-#: time on a 5 MB log reached the Ray Data path's fixed cost on a tiny one
-#: (about 0.39 s) for an apply, and a partitioned replay crosses over near
-#: the same size. A later measurement gave lower crossovers (about 3 MB for
-#: an apply, a hashed replay and a compaction), while the driver stayed the
-#: faster executor at every measured size up to 19 MB.
+#: :func:`incremental_apply`, :func:`compact_published` and
+#: :func:`read_published` run in the driver instead of as a Ray Data job.
+#: Measured on a 1-CPU host (``tools/measure_cutover.py``, figures in
+#: CHANGES.md): the driver's wall time on a 5 MB log reached the Ray Data
+#: path's fixed cost on a tiny one (about 0.39 s) for an apply, and a
+#: partitioned replay crosses over near the same size. A later measurement
+#: gave lower crossovers (about 3 MB for an apply, a hashed replay and a
+#: compaction), while the driver stayed the faster executor at every
+#: measured size up to 19 MB. Reads cross over above the constant: a routed
+#: 8-key scan stayed under 0.1 s up to 5 MB opened, against 0.36-0.61 s
+#: on Ray Data, and a whole-table read reached Ray Data's 0.30 s on the
+#: smallest table only at 10 MB (0.34 s).
 DRIVER_MAX_BYTES = 5_000_000
 
 
 def _executor_for(paths: list[str]) -> str:
-    """The executor of one :func:`replay_publish`, :func:`incremental_apply`
-    or :func:`compact_published`: ``"driver"`` when its input files
-    ``paths`` total at most :data:`DRIVER_MAX_BYTES`, else ``"ray_data"``."""
+    """The executor of one :func:`replay_publish`, :func:`incremental_apply`,
+    :func:`compact_published` or :func:`read_published`: ``"driver"`` when
+    its input files ``paths`` total at most :data:`DRIVER_MAX_BYTES`, else
+    ``"ray_data"``. A read's input is the files it opens after routing and
+    pruning."""
     small = sum(os.path.getsize(p) for p in paths) <= DRIVER_MAX_BYTES
     return "driver" if small else "ray_data"
 
@@ -655,9 +661,12 @@ def _bucket_manifest_files(out_dir: str) -> list[dict]:
 
 
 def _file_rows(out_dir: str, name: str) -> int | None:
-    """The row count in data file ``name``'s footer; None when it does not exist."""
-    full = os.path.join(out_dir, name)
-    return pq.read_metadata(full).num_rows if os.path.exists(full) else None
+    """The row count in data file ``name``'s footer; None when it does not
+    exist, also when a concurrent compaction removes it as it is opened."""
+    try:
+        return pq.read_metadata(os.path.join(out_dir, name)).num_rows
+    except FileNotFoundError:
+        return None
 
 
 def _manifest_problems(out_dir: str, m: dict, rows=None):
@@ -1125,7 +1134,10 @@ def replay_publish(
     os.makedirs(staging, exist_ok=True)
 
     timeline = extract_timeline(log_dir)
-    done = frozenset(load_manifests(out_dir))
+    # the buckets a killed run already published: skipped by the apply, and
+    # kept current by the publish for the epilogue, which reloads nothing
+    live = load_manifests(out_dir)
+    done = frozenset(live)
 
     if partitioned and num_buckets is not None:
         raise ValueError("partitioned sink requires num_buckets=None (bucket == WAL part)")
@@ -1172,13 +1184,13 @@ def replay_publish(
         rows = ds.groupby("bucket").map_groups(
             partial(_apply_write_group, **group_kw), batch_format="pyarrow",
         ).iter_rows()
-    published = _publish_stream(rows, out_dir)
+    published = _publish_stream(rows, out_dir, live)
     tman = {
         "num_buckets": num_buckets,
         "timeline": timeline.to_json(),
         "schema_version": len(timeline.changes),
     }
-    all_manifests, snap = _commit_table(out_dir, tman, "replay_publish", run_id)
+    all_manifests, snap = _commit_table(out_dir, tman, "replay_publish", run_id, live)
     return {
         "published_now": len(published),
         "published_total": len(all_manifests),
@@ -1324,9 +1336,9 @@ def _resolved_table(out_dir: str) -> _Table:
 @dataclass
 class _ReadPlan:
     """One table read, resolved by :func:`_read_plan` from the table's cache
-    entry (:class:`_Table`) and executed by the Ray Data scan
-    (:func:`read_published`) or the in-process point read
-    (:func:`lookup_key`).
+    entry (:class:`_Table`) and executed in the driver (:func:`_read_buckets`:
+    :func:`lookup_key`, and :func:`read_published` at or below the cutover)
+    or by the Ray Data scan (:func:`read_published` above it).
 
     Cached per process and table directory, and reused while the stat token
     ``(st_ino, st_mtime_ns, st_size)`` of every bucket manifest, the TABLE
@@ -1489,6 +1501,57 @@ def _read_plan(out_dir: str, *, version: int | None = None, as_of=None,
                      None if columns is None else list(columns))
 
 
+def _read_buckets(plan: _ReadPlan, buckets: list[dict], where: list | None,
+                  where_logical: list | None) -> pa.Table:
+    """The driver's read of ``buckets``, bucket manifests each reduced to the
+    files the read opens: the body of :func:`lookup_key` and of a
+    :func:`read_published` at or below :data:`DRIVER_MAX_BYTES`. Returns
+    one table of the read plan's columns, or its typed :meth:`_ReadPlan.empty`
+    when no row matches.
+
+    ``where`` is the predicate in the physical column space of the buckets
+    that fold the schema-op log, ``where_logical`` the one a flipped bucket
+    (logical on disk) answers. A bucket without deltas reads its file with
+    the whole predicate pushed into the Parquet scan. A merge-on-read bucket
+    pushes only the key-column clauses into its file reads
+    (:func:`_read_bucket`) and filters the rest after the LWW merge, so a
+    superseded base row never matches. Buckets that fold the op log are
+    relabelled to the logical schema (:meth:`SchemaMap.adapt`)."""
+    from odibel_ray.cdc.skipping import filter_table, where_expr
+
+    keys = plan.layout["key_cols"]
+
+    def read(m: dict, cols: list[str] | None, w: list | None) -> pa.Table:
+        if not m.get("deltas"):
+            return pq.read_table(os.path.join(plan.out_dir, m["file"]), columns=cols,
+                                 filters=where_expr(w) if w else None)
+        w = w or []
+        key_w = [c for c in w if c[0] in keys]
+        read_cols = cols
+        if cols is not None and w:
+            read_cols = list(dict.fromkeys([*cols, *(c for c, _, _ in w)]))
+        t = _read_bucket(plan.out_dir, m, plan.layout, columns=read_cols,
+                         filters=where_expr(key_w) if key_w else None)
+        if len(key_w) < len(w):
+            t = filter_table(t, w)
+        return t if cols is None else t.select(cols)
+
+    tables = []
+    for m in buckets:
+        if int(m["bucket"]) in plan.flipped:
+            # logical on disk: the output columns are pushed into the read
+            t = read(m, plan.columns, where_logical)
+        else:
+            t = read(m, plan.physical, where)
+            if plan.smap is not None:
+                t = plan.smap.adapt(t, plan.columns)
+        if len(t):
+            tables.append(t)
+    if not tables:
+        return plan.empty()
+    return pa.concat_tables(tables, promote_options="default")
+
+
 def read_published(
     out_dir: str,
     *,
@@ -1501,10 +1564,18 @@ def read_published(
 ):
     """Dataset over manifested files only (readers never see unpublished data).
 
-    Buckets with merge-on-read deltas are LWW-merged per bucket inside a map
-    task (one task per delta-bearing bucket — base + deltas of one bucket are
-    co-read and merged locally, no shuffle); delta-free buckets stream through
-    a plain Parquet read. A fully compacted table takes only the plain path.
+    Two executors run the read, chosen by :func:`_executor_for` over the
+    files it opens: the buckets routing keeps (:func:`_bucket_prune`) and
+    the Bloom filters and footers do not rule out, every kept file of a
+    merge-on-read bucket included. At or below :data:`DRIVER_MAX_BYTES` the
+    driver reads them (:func:`_read_buckets`, the body of
+    :func:`lookup_key`) with no Ray Data job and returns one block
+    (``ray.data.from_blocks``); a routed key-set scan of a served table is
+    this case. Above it, Ray Data LWW-merges each bucket with merge-on-read
+    deltas inside a map task (one task per delta-bearing bucket — base +
+    deltas of one bucket are co-read and merged locally, no shuffle), and
+    delta-free buckets stream through a plain Parquet read, one task per
+    file. Both return the same rows and schema.
 
     ``columns=[...]`` prunes at the scan (only those columns leave storage);
     without it a non-``system`` read already prunes to the logical columns —
@@ -1523,11 +1594,13 @@ def read_published(
     NULL semantics (ops ``== != < <= > >= in not_in is_null not_null``)
     applied with data skipping: files whose Bloom filters (key column and
     ``bloom_cols``, in their manifest entries) or Parquet footer statistics
-    cannot satisfy it are never opened, surviving files are filtered in
-    their read task (every block keeps the read's schema), and
+    cannot satisfy it are never opened, surviving files are filtered as
+    they are read (every block keeps the read's schema), and
     merge-on-read buckets filter AFTER their LWW merge (a superseded base
     row must not win); such a bucket is read whole when any of its files
-    may match. Zone maps bite when the layout correlates with the
+    may match, with only its key clauses pushed into the driver's file
+    reads. A read that matches nothing returns one typed empty block.
+    Zone maps bite when the layout correlates with the
     predicate column — see ``publish_dataset(cluster_by=...)``. Pass a
     dict as ``prune_stats`` to receive ``{files_total, files_read,
     footers_read}``; ``footers_read`` counts the Parquet footers the driver
@@ -1557,12 +1630,12 @@ def read_published(
     # scanning their empty files yields schema-less empty blocks from the
     # parquet reader, which poison any downstream concat; the manifest
     # already knows they contribute no rows, so skip them at the scan
-    plain, done, mor = [], [], []  # plain and done hold file names
+    plain, done, mor = [], [], []  # bucket manifests
     for b, m in sorted(manifests.items()):
         if m.get("deltas"):
             mor.append(m)
         elif m.get("rows_out", 1) != 0:
-            (done if b in plan.flipped else plain).append(m["file"])
+            (done if b in plan.flipped else plain).append(m)
     # metadata-only DDL (generic tables): the prune/pushdown machinery runs
     # in PHYSICAL column space and batches are re-labelled to the logical
     # schema at the end (cdc/ddl.py); flipped buckets (`done`) are already
@@ -1593,33 +1666,38 @@ def read_published(
 
     if where:
         ok = may_match(where)
-        plain = [f for f in plain if ok(f)]
+        plain = [m for m in plain if ok(m["file"])]
         # a MOR bucket is prunable only when its base AND every delta the
         # router kept fail the check (the merge never synthesizes values,
         # so no file with a possible match ⇒ no merged match)
         mor = [m for m in mor if any(ok(f) for f in [m["file"], *(d["file"] for d in m["deltas"])])]
     if where_logical and done:
         ok = may_match(where_logical)
-        done = [f for f in done if ok(f)]
-    empty = None if plain or mor or done else plan.empty()
+        done = [m for m in done if ok(m["file"])]
+    opened = [e["file"] for m in [*plain, *mor, *done] for e in [m, *m.get("deltas", [])]]
+    empty = None if opened else plan.empty()
     if prune_stats is not None:
         prune_stats["files_total"] = files_total
-        prune_stats["files_read"] = (
-            len(plain) + len(done) + sum(1 + len(m["deltas"]) for m in mor)
-        )
+        prune_stats["files_read"] = len(opened)
         prune_stats["footers_read"] = plan.footers_read
     if empty is not None:
         return rd.from_arrow(empty)
+    if _executor_for([os.path.join(out_dir, f) for f in opened]) == "driver":
+        # one block: from_arrow would start a remote metadata task per table,
+        # from_blocks computes it here (6-10 ms less CPU per routed
+        # serve_mixed scan on a 1-CPU host; see CHANGES.md)
+        return rd.from_blocks([_read_buckets(plan, [*plain, *mor, *done], where, where_logical)])
 
-    def scan(files: list[str], cols: list[str] | None, w):
-        """Ray Data read of ``files``, one read task per file, projected to
-        ``cols`` and filtered by ``w`` in a map fused into the read. Every
+    def scan(ms: list[dict], cols: list[str] | None, w):
+        """Ray Data read of the files of delta-free bucket manifests ``ms``,
+        one read task per file, projected to ``cols`` and filtered by ``w``
+        in a map fused into the read. Every
         block then carries the read's schema: a read task yields a block
         without one when it reads no row, which happens when ``w`` is
         pushed into the Parquet scan and fails every row of a file, or
         when a small file's rows are split over more blocks than it has
         rows. Gathering such blocks fails."""
-        paths = [os.path.join(out_dir, f) for f in files]
+        paths = [os.path.join(out_dir, m["file"]) for m in ms]
         if not w:
             return rd.read_parquet(paths, columns=cols, override_num_blocks=len(paths))
         expr = where_expr(w)
@@ -1693,8 +1771,12 @@ def lookup_key(
     part-aligned layouts, prunes by Parquet footer stats) instead of
     scanning the table, so a CDC-serving lookup is O(one row group), not a
     distributed job. Driver-side on purpose: the result is a handful of
-    rows. It executes the same plan as ``read_published(where=<key ==>)``
-    and returns the same rows and schema.
+    rows. It is :func:`_bucket_prune` plus the driver's read body
+    (:func:`_read_buckets`) with a one-key ``where``, the same body a
+    :func:`read_published` at or below :data:`DRIVER_MAX_BYTES` runs, and
+    returns that read's rows and schema as a table. It skips the scan's
+    Bloom filter and footer min/max checks of the routed files: the key
+    filters already routed it.
 
     Routing (:func:`_bucket_prune`), on every layout:
     - every base and delta file carries a Bloom key filter over the first
@@ -1736,19 +1818,8 @@ def lookup_key(
     filters = [(keys[0], "==", conv_id)]
     if turn_idx is not None and len(keys) > 1:
         filters.append((keys[1], "==", turn_idx))
-    tables = []
-    for b, m in sorted(_bucket_prune(plan, filters).items()):
-        if plan.smap is not None and b not in plan.flipped:
-            t = _read_bucket(out_dir, m, plan.layout, columns=plan.physical, filters=filters)
-            t = plan.smap.adapt(t, plan.columns)
-        else:
-            # logical on disk: the output columns are pushed into the read
-            t = _read_bucket(out_dir, m, plan.layout, columns=plan.columns, filters=filters)
-        if len(t):
-            tables.append(t)
-    if not tables:
-        return plan.empty()
-    return pa.concat_tables(tables, promote_options="default")
+    routed = _bucket_prune(plan, filters)
+    return _read_buckets(plan, [m for _, m in sorted(routed.items())], filters, filters)
 
 
 @_single_writer("out_dir")
@@ -2091,7 +2162,9 @@ def count_published(out_dir: str, where=None, *, version: int | None = None) -> 
     audit guarantees it equals the files' rows; merge-on-read buckets fall
     back to a per-bucket merged count since tombstoned/superseded delta
     rows are not knowable from metadata). With a predicate, the count runs
-    over the pruned read (bucket routing + zone maps + blooms first)."""
+    over the pruned read (bucket routing + zone maps + blooms first), which
+    reads in the driver, with no Ray Data job, when the files it opens
+    total at most :data:`DRIVER_MAX_BYTES`."""
     if where is not None:
         return int(read_published(out_dir, where=where, version=version).count())
     plan = _read_plan(out_dir, version=version)

@@ -22,19 +22,19 @@ def ray_session():
 
 
 #: size cutovers that force every replay_publish / incremental_apply /
-#: compact_published onto one executor: above any test input (driver) or
-#: below it, an empty log's 0 bytes included (Ray Data)
+#: compact_published / read_published onto one executor: above any test
+#: input (driver) or below it, an empty log's 0 bytes included (Ray Data)
 EXECUTOR_CUTOVERS = {"driver": 1 << 62, "ray_data": -1}
 
 
 @pytest.fixture(params=sorted(EXECUTOR_CUTOVERS))
-def sink_executor(request, monkeypatch):
+def sink_executor(request):
     """Run the test with the sink's driver/Ray Data size cutover forced to
-    one extreme; fails the test if any replay, apply or compaction chose
-    the other executor. Yields the executor name."""
+    one extreme; fails the test if any replay, apply, compaction or read
+    chose the other executor. Yields the executor name. The patch is its
+    own, so a test that undoes its ``monkeypatch`` keeps the cutover."""
     from odibel_ray.cdc import sink
 
-    monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", EXECUTOR_CUTOVERS[request.param])
     chosen = []
     choose = sink._executor_for
 
@@ -42,8 +42,10 @@ def sink_executor(request, monkeypatch):
         chosen.append(choose(paths))
         return chosen[-1]
 
-    monkeypatch.setattr(sink, "_executor_for", recording_choose)
-    yield request.param
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sink, "DRIVER_MAX_BYTES", EXECUTOR_CUTOVERS[request.param])
+        mp.setattr(sink, "_executor_for", recording_choose)
+        yield request.param
     assert set(chosen) <= {request.param}
 
 

@@ -1,7 +1,9 @@
-"""The sink's two executors for ``replay_publish``, ``incremental_apply`` and
-``compact_published``: the driver (small inputs) and Ray Data (inputs above
-``DRIVER_MAX_BYTES``) must publish the same table, and both must refresh the
-TABLE manifest without reloading the bucket manifests."""
+"""The sink's two executors for ``replay_publish``, ``incremental_apply``,
+``compact_published`` and ``read_published``: the driver (small inputs) and
+Ray Data (inputs above ``DRIVER_MAX_BYTES``) must publish the same table and
+return the same rows, every write must refresh the TABLE manifest without
+reloading the bucket manifests, and a read in the driver starts no Ray Data
+execution."""
 
 import glob
 import json
@@ -14,16 +16,23 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
+import ray
+import ray.data as rd
 
 from odibel_ray.cdc import (
+    alter_published,
     compact_published,
+    count_published,
     incremental_apply,
+    lookup_key,
+    publish_dataset,
     read_published,
     replay_publish,
     sink,
 )
 from odibel_ray.cdc import apply as cdc_apply
 from odibel_ray.cdc.apply import bucket_of_conv
+from odibel_ray.cdc.ddl import SCHEMA_OPS, load_schema_ops, materialize_ddl
 from odibel_ray.cdc.sink import MANIFEST_DIR, TABLE_MANIFEST, load_manifests
 from odibel_ray.datagen import split_log
 from odibel_ray.oracle import replay_oracle
@@ -211,8 +220,9 @@ def test_table_manifest_needs_no_reload(ray_session, small_log, tmp_path, monkey
 def test_executor_follows_the_size_cutover(ray_session, small_log, tmp_path, monkeypatch):
     """The driver runs at or below ``DRIVER_MAX_BYTES`` of input: the log's
     Parquet bytes for a replay and for a MOR apply, plus the table's bucket
-    files for CoW, and the target buckets' base and delta bytes for a
-    compaction. A no-op apply reports the executor it read the log with."""
+    files for CoW, the target buckets' base and delta bytes for a
+    compaction, and the bytes of the files a read opens after routing. A
+    no-op apply reports the executor it read the log with."""
     prefix, mid, full = _logs(small_log, tmp_path)
 
     def log_bytes(log):
@@ -241,6 +251,31 @@ def test_executor_follows_the_size_cutover(ray_session, small_log, tmp_path, mon
 
     assert run(log_bytes(full), incremental_apply, log_dir=full, out_dir=out, run_id="m3",
                mode="mor") == "driver"
+
+    # a routed scan weighs only the files it opens, deltas included, not
+    # the table's
+    convs = sorted(set(read_published(out, columns=["conv_id"]).to_pandas()["conv_id"]))
+    where = [("conv_id", "in", convs[::len(convs) // 3][:3])]
+    chosen = []
+    real = sink._executor_for
+
+    def scan(cutover):
+        monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", cutover)
+        chosen.clear()
+        stats = {}
+        with monkeypatch.context() as m:
+            m.setattr(sink, "_executor_for",
+                      lambda paths: chosen.append((list(paths), real(paths))) or chosen[-1][1])
+            read_published(out, where=where, prune_stats=stats).count()
+        (paths, executor), = chosen
+        assert len(paths) == stats["files_read"] < stats["files_total"]
+        return sum(os.path.getsize(p) for p in paths), executor
+
+    scan_bytes, _ = scan(1 << 62)
+    assert scan_bytes < table_bytes()
+    assert scan(scan_bytes - 1) == (scan_bytes, "ray_data")
+    assert scan(scan_bytes) == (scan_bytes, "driver")
+
     assert run(table_bytes(True), compact_published, out_dir=out, run_id="c2") == "driver"
 
     cow = dict(log_dir=full, out_dir=out, mode="cow")
@@ -309,3 +344,249 @@ def test_ray_data_cow_apply_reads_only_touched_buckets(ray_session, small_log, t
     if with_feed:
         fed = {int(d.split("=")[1]) for d in os.listdir(feed)}
         assert fed and fed <= chosen
+
+
+def _mor_table(small_log, tmp_path, **layout) -> str:
+    """Half the log replayed (snapshots kept), the whole log applied on top
+    in merge-on-read mode."""
+    split_log(small_log["log_dir"], str(tmp_path / "prefix"), frac=0.5)
+    out = str(tmp_path / "tbl")
+    replay_publish(str(tmp_path / "prefix" / "change_log"), out, run_id="r1", snapshots=3,
+                   **layout)
+    incremental_apply(small_log["log_dir"], out, run_id="m1", mode="mor")
+    assert any(m.get("deltas") for m in load_manifests(out).values())
+    return out
+
+
+def _some_convs(out: str, n: int = 8) -> list[str]:
+    """``n`` conversations spread over the table's bases."""
+    convs = sorted({c for m in load_manifests(out).values()
+                    for c in pq.read_table(os.path.join(out, m["file"]),
+                                           columns=["conv_id"])["conv_id"].to_pylist()})
+    return convs[::len(convs) // n][:n]
+
+
+def _generic_table(tmp_path) -> str:
+    """A 4-bucket generic table with a pending rename, add and widen."""
+    t = pa.table({"k": [f"k{i:03d}" for i in range(40)],
+                  "v": pa.array(range(40), pa.int32()),
+                  "label": [("a", "b", "c")[i % 3] for i in range(40)]})
+    out = str(tmp_path / "gen")
+    publish_dataset(rd.from_arrow(t), out, key_cols=["k"], num_buckets=4, run_id="p1")
+    alter_published(out, rename={"v": "value"}, add={"note": "string"})
+    alter_published(out, widen={"value": "int64"})
+    return out
+
+
+def _flip_some_buckets(out: str, monkeypatch) -> None:
+    """Leave ``out`` as a crash inside ``materialize_ddl`` would: the op log
+    stamped with the rewrite's run, every bucket but the first flipped."""
+    before = load_manifests(out)
+    stamped = {"ops": load_schema_ops(out), "materialized_run": "rwX-g0"}
+    with monkeypatch.context() as m:
+        m.setattr(sink, "_sweep_bucket_versions", lambda *a, **k: None)
+        materialize_ddl(out, run_id="rwX")
+    with open(os.path.join(out, SCHEMA_OPS), "w") as f:
+        json.dump(stamped, f)
+    rolled = min(before)
+    mdir = os.path.join(out, MANIFEST_DIR)
+    (name,) = [f for f in os.listdir(mdir) if f.startswith(f"bucket-{rolled:06d}")]
+    with open(os.path.join(mdir, name), "w") as f:
+        json.dump(before[rolled], f)
+
+
+def _scan_case(case: str, small_log, tmp_path, monkeypatch) -> tuple[str, list[dict]]:
+    """A table and the reads of one scan-equivalence case."""
+    if case in ("partitioned", "hashed"):
+        out = _mor_table(small_log, tmp_path, **LAYOUTS[case])
+        keys = _some_convs(out)
+        return out, [{}, {"where": [("conv_id", "in", keys)]},
+                     {"where": [("turn_idx", ">", 3), ("role", "==", "user")]}]
+    if case == "superseded":
+        out = _mor_table(small_log, tmp_path, **LAYOUTS["hashed"])
+        merged = {(r["conv_id"], r["turn_idx"]): r["text"]
+                  for r in read_published(out, columns=[*KEYS, "text"]).take_all()}
+        stale = next(r for m in load_manifests(out).values() if m.get("deltas")
+                     for r in pq.read_table(os.path.join(out, m["file"]),
+                                            columns=[*KEYS, "text"]).to_pylist()
+                     if r["text"] is not None and merged.get((r["conv_id"], r["turn_idx"]))
+                     != r["text"])
+        return out, [{"where": [("text", "==", stale["text"])]},
+                     {"where": [("conv_id", "==", stale["conv_id"]),
+                                ("turn_idx", "==", stale["turn_idx"]),
+                                ("text", "==", stale["text"])]}]
+    if case == "nothing":
+        out = _mor_table(small_log, tmp_path, **LAYOUTS["hashed"])
+        # pruned to no file by the key filters, by the footers, or opened
+        return out, [{"where": [("conv_id", "==", "no-such-conv")]},
+                     {"where": [("turn_idx", "<", -1)]},
+                     {"where": [("turn_idx", "<", -1)], "columns": ["text"]},
+                     {"where": [("role", "==", "nobody")]}]
+    if case == "columns_system":
+        out = _mor_table(small_log, tmp_path, **LAYOUTS["hashed"])
+        keys = _some_convs(out)
+        return out, [{"system": True}, {"system": True, "where": [("conv_id", "in", keys)]},
+                     {"columns": ["text", "conv_id"], "where": [("role", "==", "user")]},
+                     {"columns": ["turn_idx", "_lsn"],
+                      "where": [("conv_id", "in", keys), ("score", ">=", 0.5)]}]
+    if case == "version":
+        out = _mor_table(small_log, tmp_path, **LAYOUTS["hashed"])
+        keys = _some_convs(out)
+        v0 = sink.list_snapshots(out)[0]["version"]
+        return out, [{"version": v0}, {"version": v0, "where": [("conv_id", "in", keys)]}]
+    out = _generic_table(tmp_path)
+    reads = [{}, {"where": [("value", ">=", 20)]}, {"where": [("k", "in", ["k001", "k017"])]},
+             {"columns": ["note", "k"]}, {"where": [("note", "is_null")]},
+             {"where": [("note", "==", "x")]}, {"where": [("label", "!=", "a")]}]
+    if case == "flipped":
+        _flip_some_buckets(out, monkeypatch)
+        reads.append({"where": [("value", "not_in", [1, 2, 3])], "columns": ["k", "value"]})
+    return out, reads
+
+
+def _scan(out: str, kw: dict, executor: str, monkeypatch) -> dict:
+    """``read_published(out, **kw)`` with the cutover forced to ``executor``,
+    from a cold table cache: rows, schema, blocks and prune stats."""
+    chosen = []
+    with monkeypatch.context() as m:
+        m.setattr(sink, "DRIVER_MAX_BYTES", EXECUTOR_CUTOVERS[executor])
+        real = sink._executor_for
+        m.setattr(sink, "_executor_for", lambda paths: chosen.append(real(paths)) or chosen[-1])
+        sink._TABLES.clear()
+        stats = {}
+        blocks = ray.get(read_published(out, prune_stats=stats, **kw).to_arrow_refs())
+    # a read that opens a file picks its executor once; one in the driver
+    # returns one block
+    assert chosen == ([executor] if stats["files_read"] else [])
+    if executor == "driver":
+        assert len(blocks) == 1
+    t = pa.concat_tables(blocks)
+    return {"schema": [(f.name, str(f.type)) for f in t.schema],
+            "rows": sorted(t.to_pylist(), key=lambda r: json.dumps(r, sort_keys=True, default=str)),
+            "prune_stats": stats, "blocks": None if chosen else len(blocks)}
+
+
+SCAN_CASES = ["partitioned", "hashed", "superseded", "nothing", "columns_system",
+              "pending_ddl", "version", "flipped"]
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_scan_executors_return_identical_rows(ray_session, small_log, tmp_path, monkeypatch,
+                                              case):
+    """Every read of each case returns the same rows, schema (column order
+    and types) and prune stats through both executors: MOR tables of both
+    layouts, a non-key ``where`` that only a superseded base row matches,
+    reads that match nothing (one typed block), ``columns=`` and
+    ``system=True``, a pending rename, add and widen, ``version=`` and a
+    table some of whose buckets an in-flight ``materialize_ddl`` flipped."""
+    out, reads = _scan_case(case, small_log, tmp_path, monkeypatch)
+    for kw in reads:
+        got = {ex: _scan(out, kw, ex, monkeypatch) for ex in sorted(EXECUTOR_CUTOVERS)}
+        assert got["driver"] == got["ray_data"], kw
+        if case == "nothing":
+            assert got["driver"]["rows"] == []
+            assert got["driver"]["blocks"] in (1, None)  # one typed block when pruned
+    if case == "superseded":
+        # the stale base row opens its bucket, and the merge drops it
+        stale, both = [_scan(out, kw, "driver", monkeypatch) for kw in reads]
+        assert both["rows"] == [] and both["prune_stats"]["files_read"] > 0
+        key = tuple(v for _, _, v in reads[1]["where"][:2])
+        assert key not in {(r["conv_id"], r["turn_idx"]) for r in stale["rows"]}
+
+
+@pytest.fixture()
+def executions(monkeypatch) -> list[str]:
+    """Every Ray Data plan execution started: calls of ``ExecutionPlan``'s
+    ``execute``, ``execute_to_iterator`` and ``create_executor``."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    calls = []
+    for attr in ("execute", "execute_to_iterator", "create_executor"):
+        real = getattr(ExecutionPlan, attr)
+
+        def counted(*a, _real=real, _attr=attr, **k):
+            calls.append(_attr)
+            return _real(*a, **k)
+
+        monkeypatch.setattr(ExecutionPlan, attr, counted)
+    return calls
+
+
+def test_driver_reads_start_no_ray_data_execution(ray_session, small_log, tmp_path, monkeypatch,
+                                                  executions):
+    """At or below the cutover, a routed ``read_published(...).count()`` and a
+    ``count_published(where=)`` start no Ray Data execution; above it they
+    do. A ``lookup_key`` never starts one."""
+    out = _mor_table(small_log, tmp_path, **LAYOUTS["hashed"])
+    keys = _some_convs(out)
+    where = [("conv_id", "in", keys)]
+    counts = {}
+    for executor, cutover in sorted(EXECUTOR_CUTOVERS.items()):
+        monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", cutover)
+        executions.clear()
+        counts[executor] = (read_published(out, where=where).count(),
+                            count_published(out, where=where))
+        assert bool(executions) == (executor == "ray_data"), executions
+        executions.clear()
+        assert len(lookup_key(out, keys[0])) > 0
+        assert executions == []
+    assert counts["driver"] == counts["ray_data"] and counts["driver"][0] > 0
+
+
+class _Killed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_replay_commits_without_reload(ray_session, small_log, oracle_final, tmp_path,
+                                       monkeypatch, sink_executor, layout):
+    """A fresh replay and one killed after two bucket publishes, then
+    resumed, each load the bucket manifests once, at the start. Both write
+    the TABLE manifest and snapshot a reload gives, and the resumed run's
+    TABLE manifest keeps the buckets the killed run published."""
+    loads = []
+    real_load = sink.load_manifests
+    monkeypatch.setattr(sink, "load_manifests", lambda d: loads.append(d) or real_load(d))
+    kw = dict(run_id="r1", **LAYOUTS[layout])
+
+    def check(out: str, res: dict) -> dict:
+        assert res["executor"] == sink_executor
+        assert len(loads) == 1
+        reloaded = real_load(out)
+        tman = json.load(open(os.path.join(out, TABLE_MANIFEST)))
+        assert tman == dict(
+            tman,
+            buckets=sorted(reloaded),
+            rows_total=sum(m["rows_out"] for m in reloaded.values()),
+            mor_deltas=0,
+        )
+        snap = json.load(open(sink._snapshot_path(out, res["snapshot"])))
+        assert snap["buckets"] == {str(b): m for b, m in reloaded.items()}
+        assert collect_sorted(read_published(out), KEYS).equals(oracle_final)
+        return tman
+
+    fresh = str(tmp_path / "fresh")
+    sink.enable_snapshots(fresh, keep_last=3)
+    loads.clear()
+    want = check(fresh, replay_publish(small_log["log_dir"], fresh, **kw))
+
+    out = str(tmp_path / "resumed")
+    sink.enable_snapshots(out, keep_last=3)
+    real_publish = sink._publish_base_row
+    published = []
+
+    def dying_publish(*a, **k):
+        if len(published) == 2:
+            raise _Killed
+        published.append(real_publish(*a, **k))
+        return published[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(sink, "_publish_base_row", dying_publish)
+        with pytest.raises(_Killed):
+            replay_publish(small_log["log_dir"], out, **kw)
+    assert len(real_load(out)) == 2
+    loads.clear()
+    res = replay_publish(small_log["log_dir"], out, **kw)
+    assert res["published_now"] == res["published_total"] - 2
+    assert check(out, res) == want

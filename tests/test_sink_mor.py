@@ -511,3 +511,23 @@ def test_compaction_kill_resume(ray_session, small_log, oracle_final, tmp_path):
     assert all(not m.get("deltas") for m in manifests.values())
     assert _published_table(out).equals(oracle_final)
     del partially_folded  # informational only: kill may land before any fold
+
+
+def test_load_manifests_drops_a_file_removed_while_checked(ray_session, small_log, tmp_path,
+                                                           monkeypatch):
+    """A compaction removes an old base right after its flip, so a reader may
+    list a manifest whose base is gone by the time it opens the footer.
+    ``load_manifests`` then drops that bucket, as for any missing file,
+    instead of raising."""
+    out, _ = _mor_base(small_log, tmp_path)
+    live = load_manifests(out)
+    victim = live[min(live)]["file"]
+    read_metadata = pq.read_metadata
+
+    def remove_then_read(where, *a, **kw):
+        if os.path.basename(str(where)) == victim and os.path.exists(where):
+            os.remove(where)
+        return read_metadata(where, *a, **kw)
+
+    monkeypatch.setattr(pq, "read_metadata", remove_then_read)
+    assert sorted(load_manifests(out)) == sorted(live)[1:]

@@ -3,13 +3,17 @@
 For a range of input sizes, runs the same merge-on-read ``incremental_apply``
 (a 4-bucket table of half a log, then one LSN slice of the rest), the same
 from-scratch ``replay_publish`` of a 16-part log (``replay-p``: partitioned,
-``replay-h``: hashed into 4 buckets) and the same ``compact_published`` (a
-16-part table of that log with one MOR delta per bucket) through each
-executor, forced by moving the cutover to an extreme, on a fresh copy of the
-table each time. Prints one line per (op, input bytes, executor) with the
-median wall time and process-tree CPU time. The cutover is the input size at
-which the driver's wall time reaches the Ray Data path's time on the smallest
-input.
+``replay-h``: hashed into 4 buckets), the same ``compact_published`` (a
+16-part table of that log with one MOR delta per bucket) and two
+``read_published(...).count()`` reads of that table (``scan-k``: a routed
+8-key ``in`` scan, as ``serve_mixed`` runs; ``scan-all``: the whole table)
+through each executor, forced by moving the cutover to an extreme. A write
+runs on a fresh copy of the table each time; a read runs on the table
+itself, after one untimed read warms its cache entry, and its input is the
+bytes of the files it opens. Prints one line per (op, input bytes,
+executor) with the median wall time and process-tree CPU time. The cutover
+is the input size at which the driver's wall time reaches the Ray Data
+path's time on the smallest input.
 
     python3 tools/measure_cutover.py [--work DIR] [--reps 3]
 
@@ -36,6 +40,7 @@ APPLY_FRACS = (0.501, 0.505, 0.51, 0.55, 0.6, 0.7, 0.8, 0.9)  # slice (0.5, f] o
 # serve_mixed-shaped logs (bulk_replay's is the 4,000-conversation one)
 LOG_CONVS = (250, 1_000, 4_000, 8_000, 16_000, 24_000)
 FORCE = {"driver": 1 << 62, "ray_data": 0}
+SCAN_KEYS = 8  # conversations in a routed scan's ``in`` list, as in serve_mixed
 
 
 def _nbytes(paths) -> int:
@@ -48,20 +53,56 @@ def _timed(fn) -> tuple[float, float]:
     return time.perf_counter() - t0, cpu_s_between(before, tree_stats())
 
 
-def _measure(sink, op: str, nbytes: int, base: str, work: str, run, reps: int) -> None:
+def _measure(sink, op: str, nbytes: int, base: str, work: str, run, reps: int,
+             copy: bool = True) -> None:
+    """Time ``run(table, run_id)`` ``reps`` times per executor, on a fresh
+    copy of ``base`` each time (``copy``), or on ``base`` itself after one
+    untimed run (a read)."""
     for executor, cutover in FORCE.items():
         sink.DRIVER_MAX_BYTES = cutover
         walls, cpus = [], []
+        if not copy:
+            run(base, executor)
         for i in range(reps):
-            table = os.path.join(work, "run")
-            shutil.rmtree(table, ignore_errors=True)
-            shutil.copytree(base, table)
+            table = os.path.join(work, "run") if copy else base
+            if copy:
+                shutil.rmtree(table, ignore_errors=True)
+                shutil.copytree(base, table)
             wall, cpu = _timed(lambda: run(table, f"{executor}{i}"))
             walls.append(wall)
             cpus.append(cpu)
         print(f"{op:8s} {nbytes / 1e6:7.2f} MB {executor:8s} "
               f"wall {statistics.median(walls):6.3f} s  cpu {statistics.median(cpus):6.3f} s",
               flush=True)
+
+
+def _opened_bytes(sink, read) -> int:
+    """Parquet bytes of the files ``read()`` opens: the input its executor
+    is chosen by."""
+    seen = []
+    choose = sink._executor_for
+    sink._executor_for = lambda paths: seen.append(_nbytes(paths)) or choose(paths)
+    try:
+        read()
+    finally:
+        sink._executor_for = choose
+    return seen[0]
+
+
+def _measure_scans(sink, table: str, work: str, reps: int) -> None:
+    """``scan-k`` and ``scan-all`` on ``table``."""
+    import pyarrow.parquet as pq
+
+    convs = sorted({c for m in sink.load_manifests(table).values()
+                    for c in pq.read_table(os.path.join(table, m["file"]),
+                                           columns=["conv_id"])["conv_id"].to_pylist()})
+    keys = convs[:: max(len(convs) // SCAN_KEYS, 1)][:SCAN_KEYS]
+    for op, kw in (("scan-k", {"where": [("conv_id", "in", keys)]}), ("scan-all", {})):
+        def read(t, _r, kw=kw):
+            return sink.read_published(t, **kw).count()
+
+        n = _opened_bytes(sink, lambda: read(table, None))
+        _measure(sink, op, n, table, work, read, reps, copy=False)
 
 
 def main() -> None:
@@ -123,6 +164,7 @@ def main() -> None:
         n = _nbytes(glob.glob(os.path.join(base, "*.parquet")))
         _measure(sink, "compact", n, base, work, lambda t, r:
                  sink.compact_published(t, run_id=r), args.reps)
+        _measure_scans(sink, base, work, args.reps)
         shutil.rmtree(d, ignore_errors=True)
 
     ray.shutdown()
