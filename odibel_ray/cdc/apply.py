@@ -28,6 +28,7 @@ monotonic, so any key-aligned bucketing (``part`` itself, or
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -538,8 +539,6 @@ def _two_state_replay(log_dir, cut, group_fn, *, num_buckets, batch_size):
 
     from odibel_ray.cdc.schema import extract_timeline
 
-    from functools import partial
-
     tl = extract_timeline(log_dir)
     ds = rd.read_parquet(log_dir)
     ds = ds.map_batches(
@@ -860,6 +859,28 @@ def limit_arrow_threads(n: int = 1, io: int = 2) -> None:
         pass
 
 
+def map_items(fn, items: list, executor: str):
+    """Run ``fn(item) -> pa.Table`` once per item, in the driver or on Ray
+    Data: the one scheduler of every per-item op (a bucket read, compaction,
+    rewrite or join, a WAL part's replay). ``"driver"``: a lazy generator of
+    the tables, one item after another, so a caller that publishes each
+    table has published it before the next item runs. ``"ray_data"``: a
+    Dataset of one task per item (``limit_arrow_threads`` inside it); the
+    items ride in the task's closure. An empty ``items`` starts no job and
+    gives an empty iterator."""
+    if executor == "driver" or not items:
+        return (fn(item) for item in items)
+    import ray.data as rd
+
+    def task(batch: pa.Table) -> pa.Table:
+        limit_arrow_threads()
+        return fn(items[batch["i"][0].as_py()])
+
+    return rd.from_items([{"i": i} for i in range(len(items))],
+                         override_num_blocks=len(items)).map_batches(
+        task, batch_format="pyarrow", batch_size=1)
+
+
 def _wal_parts(log_dir: str) -> list[dict]:
     """The partitioned WAL's shards, ``[{"part": k, "files": [...]}]`` in
     part order, each shard's ``part=<k>/*.parquet`` files in name (= write)
@@ -890,19 +911,13 @@ def _read_wal_part(part: int, files: list[str]) -> pa.Table:
     return t.append_column("part", pa.array(np.full(len(t), part, np.int64)))
 
 
-def _replay_shard(batch: pa.Table, *, timeline: SchemaTimeline, history: bool,
-                  columns: list[str] | None = None) -> pa.Table:
+def _replay_shard(p: dict, *, timeline: SchemaTimeline, history: bool) -> pa.Table:
     """Replay one WAL partition end-to-end inside a single task: ordered read
     of the shard's files → prepare → apply. The reference's per-shard
     ``mapPartitions`` replay (``DBpediaTKGExtractionSpark.scala:34-43`` over
     ``IOUtil.readFilesSequentially``), Ray-Data-shaped."""
-    limit_arrow_threads()
-    outs = []
-    for row in batch.to_pylist():
-        t = _read_wal_part(int(row["part"]), row["files"])
-        ev = prepare_events(t, timeline, num_buckets=None)
-        outs.append(apply_group_history(ev) if history else apply_group_final(ev))
-    return pa.concat_tables(outs, promote_options="default")
+    ev = prepare_events(_read_wal_part(**p), timeline, num_buckets=None)
+    return apply_group_history(ev) if history else apply_group_final(ev)
 
 
 def replay_partitioned(
@@ -914,7 +929,7 @@ def replay_partitioned(
     """Shuffle-free replay: the change log is already hash-partitioned by key
     (a binlog's defining property — every key's events live in exactly one
     ``part=`` directory with monotonic LSN), so each partition replays
-    independently — a Dataset of shard descriptors fanned out over tasks, no
+    independently — one Ray Data task per partition (:func:`map_items`), no
     all-to-all exchange at any point.
 
     This is the throughput path; :func:`replay_dataset` (groupby shuffle) is
@@ -923,8 +938,6 @@ def replay_partitioned(
     converged state must fit a worker (at 100 TB: tens of thousands of
     partitions, exactly like the sink's buckets).
     """
-    import ray.data as rd
-
     from odibel_ray.cdc.schema import extract_timeline
 
     items = _wal_parts(log_dir)
@@ -934,11 +947,4 @@ def replay_partitioned(
             "path, or the log has not been written yet"
         )
     tl = timeline or extract_timeline(log_dir)
-    ds = rd.from_items(items, override_num_blocks=len(items))
-    from functools import partial
-
-    return ds.map_batches(
-        partial(_replay_shard, timeline=tl, history=history),
-        batch_format="pyarrow",
-        batch_size=1,
-    )
+    return map_items(partial(_replay_shard, timeline=tl, history=history), items, "ray_data")

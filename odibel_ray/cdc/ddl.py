@@ -30,10 +30,10 @@ an ordered log in ``<table>/_schema.json``. NO data file is touched:
 ``read_published`` resolves the operation log against the physical schema
 once per read (driver-side, one footer), then runs its normal zone-map /
 pushdown machinery entirely in PHYSICAL column space — predicates on
-renamed columns still prune files and row groups — and re-labels batches
-to the logical schema in a zero-copy ``map_batches`` step. Simplification
-vs Delta: the mapping is not versioned — a time-travel read applies the
-CURRENT mapping to the old files.
+renamed columns still prune files and row groups — and re-labels each
+bucket it reads to the logical schema (``SchemaMap.adapt``, zero-copy).
+Simplification vs Delta: the mapping is not versioned — a time-travel read
+applies the CURRENT mapping to the old files.
 
 Key columns are pinned by the layout (``_layout.json``) and cannot be
 renamed or dropped.
@@ -284,11 +284,6 @@ def _alter_locked(out_dir, *, add, rename, drop, widen, key_cols,
     return {"ops_applied": len(new_ops), "logical_columns": m.names}
 
 
-def _ddl_adapt(t: pa.Table, *, smap: SchemaMap, columns: list[str] | None) -> pa.Table:
-    """map_batches hook for read_published (module-level for pickling)."""
-    return smap.adapt(t, columns)
-
-
 def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
     """Rewrite the table so the accumulated schema ops become PHYSICAL —
     renamed columns get their logical names, added columns exist in the
@@ -306,8 +301,8 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
     after every bucket carries the stamp. ``alter_published`` and upserts
     are refused while the stamp is in flight (single-writer discipline)."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
+    from odibel_ray.cdc.apply import map_items
     from odibel_ray.cdc.sink import (
         LAYOUT_FILE,
         STAGING_DIR,
@@ -387,34 +382,25 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
                 if changed:
                     _atomic_write_json(os.path.join(out_dir, LAYOUT_FILE), layout)
                 bloom_cols = list(layout.get("bloom_cols") or [])
-            items = [{"m": json.dumps(m)} for m in pending.values()]
 
-            def _rewrite(batch: pa.Table) -> pa.Table:
-                from odibel_ray.cdc.apply import limit_arrow_threads
+            def _rewrite(m: dict) -> pa.Table:
+                out = smap.adapt(pq.read_table(os.path.join(out_dir, m["file"])))
+                # a bloom-indexed table keeps its equality pruning through
+                # the rewrite: like every bucket write, it stores the new
+                # file's filters, here on logical names, in its manifest
+                return _stage_bucket(
+                    out,
+                    bucket=int(m["bucket"]),
+                    filter_cols=_filter_cols(
+                        key_cols, [c for c in bloom_cols if c in out.column_names]),
+                    staging=staging,
+                    run_id=rid,
+                    n_events=int(m.get("n_events", m["rows_out"])),
+                    watermarks=json.dumps(m.get("watermarks", {})),
+                )
 
-                limit_arrow_threads()
-                outs = []
-                for m in map(json.loads, batch["m"].to_pylist()):
-                    out = smap.adapt(pq.read_table(os.path.join(out_dir, m["file"])))
-                    # a bloom-indexed table keeps its equality pruning through
-                    # the rewrite: like every bucket write, it stores the new
-                    # file's filters, here on logical names, in its manifest
-                    outs.append(_stage_bucket(
-                        out,
-                        bucket=int(m["bucket"]),
-                        filter_cols=_filter_cols(
-                            key_cols, [c for c in bloom_cols if c in out.column_names]),
-                        staging=staging,
-                        run_id=rid,
-                        n_events=int(m.get("n_events", m["rows_out"])),
-                        watermarks=json.dumps(m.get("watermarks", {})),
-                    ))
-                return pa.concat_tables(outs)
-
-            manifest_ds = rd.from_items(items).map_batches(
-                _rewrite, batch_format="pyarrow", batch_size=1
-            )
-            n_done = len(_publish_stream(manifest_ds.iter_rows(), out_dir))
+            out = map_items(_rewrite, list(pending.values()), "ray_data")
+            n_done = len(_publish_stream(out, out_dir))
         os.remove(_ops_path(out_dir))
         with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
             tman = json.load(f)

@@ -56,13 +56,14 @@ from odibel_ray.cdc.apply import (
     _read_wal_part,
     _SORT_KEYS,
     _wal_parts,
+    bucket_of_conv,
     compact_batch,
+    map_items,
     prepare_events,
 )
 from odibel_ray.cdc.ddl import (
     SCHEMA_OPS,
     SchemaMap,
-    _ddl_adapt,
     load_schema_meta,
     load_schema_ops,
     schema_map,
@@ -982,15 +983,18 @@ def _publish_base_row(row, out_dir: str, retained: frozenset[str] = frozenset())
     return manifest
 
 
-def _publish_stream(rows, out_dir: str, live: dict[int, dict] | None = None) -> list[dict]:
-    """Audit + atomically publish each manifest row of ``rows`` (an
-    iterable, consumed as groups finish) — ``delta-*`` rows append to their
-    bucket's manifest, base rows flip it to a fresh base. ``live``: the
-    bucket manifests the op loaded at its start; every flip updates it in
-    place, so :func:`_commit_table` needs no reload."""
+def _publish_stream(out, out_dir: str, live: dict[int, dict] | None = None) -> list[dict]:
+    """Audit + atomically publish each manifest row of ``out`` (manifest-row
+    tables from a driver generator, or a Ray Data Dataset of them; consumed
+    as groups finish) — ``delta-*`` rows append to their bucket's manifest,
+    base rows flip it to a fresh base. ``live``: the bucket manifests the
+    op loaded at its start; every flip updates it in place, so
+    :func:`_commit_table` needs no reload."""
     published = []
     publish_delay = float(os.environ.get("ODIBEL_TEST_PUBLISH_DELAY", "0"))
     retained = _retained_files(out_dir)
+    rows = out.iter_rows() if hasattr(out, "iter_rows") else (
+        r for t in out for r in t.to_pylist())
     for row in rows:
         if publish_delay:  # test hook: lets the kill-resume test land mid-publish
             time.sleep(publish_delay)
@@ -1038,34 +1042,21 @@ def _rows_as_events(t: pa.Table, bucket) -> pa.Table:
     return pa.table(cols)
 
 
-def _replay_parts(parts: list[dict], *, timeline: SchemaTimeline, staging: str, run_id: str,
-                  done: frozenset[int], metrics: str | None = None):
+def _replay_part(p: dict, *, timeline: SchemaTimeline, staging: str, run_id: str,
+                 done: frozenset[int], metrics: str | None = None) -> pa.Table:
     """The per-part body of a partitioned replay, which both of its
-    executors run: for each WAL partition not in ``done``, ordered read of
-    the shard's files → prepare → LWW apply → staged write. Yields one
-    manifest row table per part. Valid because the log is key-aligned
-    (bucket == part); see :func:`odibel_ray.cdc.apply.replay_partitioned`."""
-    for p in parts:
-        part = int(p["part"])
-        if part in done or not p["files"]:
-            # empty part=N dir: producer created it but never wrote a file
-            # (or it was vacuumed) — nothing to apply, not an error
-            continue
-        ev = prepare_events(_read_wal_part(part, p["files"]), timeline, num_buckets=None)
-        yield _apply_write_group(ev, staging=staging, run_id=run_id, metrics=metrics)
-
-
-def _shard_apply_write(batch: pa.Table, **kw) -> pa.Table:
-    """Shuffle-free sink task of the Ray Data partitioned replay: one task
-    per WAL partition runs :func:`_replay_parts` on its batch of shard
-    descriptors and returns their manifest rows."""
-    from odibel_ray.cdc.apply import limit_arrow_threads
-
-    limit_arrow_threads()
-    outs = list(_replay_parts(batch.to_pylist(), **kw))
-    if not outs:
+    executors run: unless WAL partition ``p`` is in ``done``, ordered read
+    of the shard's files → prepare → LWW apply → staged write. Returns the
+    part's manifest row (none for a done or empty part). Valid because the
+    log is key-aligned (bucket == part); see
+    :func:`odibel_ray.cdc.apply.replay_partitioned`."""
+    part = int(p["part"])
+    if part in done or not p["files"]:
+        # empty part=N dir: producer created it but never wrote a file
+        # (or it was vacuumed) — nothing to apply, not an error
         return _MANIFEST_SCHEMA.empty_table()
-    return pa.concat_tables(outs)
+    ev = prepare_events(_read_wal_part(part, p["files"]), timeline, num_buckets=None)
+    return _apply_write_group(ev, staging=staging, run_id=run_id, metrics=metrics)
 
 
 @_single_writer("out_dir")
@@ -1086,28 +1077,28 @@ def replay_publish(
 
     ``partitioned=True`` (requires ``num_buckets is None``): shuffle-free
     shard path — each WAL partition is read, applied and staged as its own
-    bucket (:func:`_replay_parts`). Otherwise the log is prepared with
+    bucket (:func:`_replay_part`). Otherwise the log is prepared with
     ``num_buckets`` (which also re-buckets) and each bucket's events go
     through :func:`_apply_write_group`.
 
-    Like :func:`incremental_apply`, two executors share the layout pin,
-    staging, audit, per-bucket manifest flip and epilogue. When the log's
-    ``part=*/*.parquet`` bytes are at most :data:`DRIVER_MAX_BYTES`, the
-    driver runs the per-bucket kernels one bucket at a time, with no Ray
-    Data job, and each bucket publishes before the next one is applied
-    (a partitioned replay also reads each part only then). Above it,
-    Ray Data runs one task per WAL partition (partitioned) or read →
+    Like :func:`incremental_apply`, one per-bucket body runs on either of
+    two schedulers, which share the layout pin, staging, audit, per-bucket
+    manifest flip and epilogue. When the log's ``part=*/*.parquet`` bytes
+    are at most :data:`DRIVER_MAX_BYTES`, the driver runs the body one
+    bucket at a time, with no Ray Data job, and each bucket publishes
+    before the next one is applied (a partitioned replay also reads each
+    part only then). Above it, Ray Data runs one task per WAL partition
+    (partitioned, :func:`~odibel_ray.cdc.apply.map_items`) or read →
     prepare → per-batch LWW combiner (:func:`compact_batch`) →
-    ``groupby("bucket")`` (hashed). The result's ``executor`` says which
-    ran (``"driver"`` or ``"ray_data"``). Manifest ``n_events`` and
-    ``n_events_applied`` of a hashed replay count a bucket's events after
-    the Ray Data combiner, which the driver does not run, so they may
-    differ between the two; data, files and watermarks do not differ.
+    ``groupby("bucket")`` (hashed, :func:`_grouped_apply`). The result's
+    ``executor`` says which ran (``"driver"`` or ``"ray_data"``). Manifest
+    ``n_events`` and ``n_events_applied`` of a hashed replay count a
+    bucket's events after the Ray Data combiner, which the driver does not
+    run, so they may differ between the two; data, files and watermarks do
+    not differ.
 
     ``snapshots=k`` enables snapshot retention (see :func:`enable_snapshots`);
     the run records a table version on completion."""
-    import ray.data as rd
-
     os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
     # Pin the bucket layout BEFORE any staging (the publish_dataset pattern):
     # a crashed run resumed with a different num_buckets would otherwise
@@ -1144,47 +1135,14 @@ def replay_publish(
     parts = _wal_parts(log_dir)
     executor = _executor_for([f for p in parts for f in p["files"]])
     group_kw = dict(staging=staging, run_id=run_id, metrics=metrics)
-    if executor == "driver" and partitioned:
-        rows = (r for t in _replay_parts(parts, timeline=timeline, done=done, **group_kw)
-                for r in t.to_pylist())
-    elif executor == "driver":
-        log = pa.concat_tables([_read_wal_part(**p) for p in parts] or [_empty_log_table()],
-                               promote_options="default")
-        groups = _split_by_bucket(prepare_events(log, timeline, num_buckets=num_buckets))
-        # one bucket at a time: each publishes before the next is applied
-        rows = (r for b, ev in groups.items() if b not in done
-                for r in _apply_write_group(ev, **group_kw).to_pylist())
-    elif partitioned:
-        # max(.., 1): an empty log dir (no part=* yet) must publish zero
-        # buckets, not crash from_items with override_num_blocks=0
-        shard_ds = rd.from_items(parts, override_num_blocks=max(len(parts), 1))
-        # Ray Data's default: one CPU per shard task
-        rows = shard_ds.map_batches(
-            partial(_shard_apply_write, timeline=timeline, done=done, **group_kw),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).iter_rows()
+    if partitioned:
+        out = map_items(partial(_replay_part, timeline=timeline, done=done, **group_kw),
+                        parts, executor)
     else:
-        ds = rd.read_parquet(log_dir)
-        ds = ds.map_batches(
-            prepare_events,
-            fn_kwargs={"timeline": timeline, "num_buckets": num_buckets},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-        if done:
-            done_arr = np.array(sorted(done), dtype=np.int64)
-
-            def _drop_done(t: pa.Table) -> pa.Table:
-                keep = ~np.isin(t["bucket"].to_numpy(zero_copy_only=False), done_arr)
-                return t.filter(pa.array(keep))
-
-            ds = ds.map_batches(_drop_done, batch_format="pyarrow", batch_size=batch_size)
-        ds = ds.map_batches(compact_batch, batch_format="pyarrow", batch_size=batch_size)
-        rows = ds.groupby("bucket").map_groups(
-            partial(_apply_write_group, **group_kw), batch_format="pyarrow",
-        ).iter_rows()
-    published = _publish_stream(rows, out_dir, live)
+        out = _grouped_apply(log_dir, parts, partial(_apply_write_group, **group_kw), executor,
+                             prep_kw={"timeline": timeline, "num_buckets": num_buckets},
+                             done=done, batch_size=batch_size)
+    published = _publish_stream(out, out_dir, live)
     tman = {
         "num_buckets": num_buckets,
         "timeline": timeline.to_json(),
@@ -1336,9 +1294,11 @@ def _resolved_table(out_dir: str) -> _Table:
 @dataclass
 class _ReadPlan:
     """One table read, resolved by :func:`_read_plan` from the table's cache
-    entry (:class:`_Table`) and executed in the driver (:func:`_read_buckets`:
-    :func:`lookup_key`, and :func:`read_published` at or below the cutover)
-    or by the Ray Data scan (:func:`read_published` above it).
+    entry (:class:`_Table`) and executed by one read body,
+    :func:`_read_buckets`: in the driver (:func:`lookup_key`, and
+    :func:`read_published` at or below the cutover), or in one Ray Data
+    task per bucket (:func:`read_published` above it), which gets the plan
+    in its closure.
 
     Cached per process and table directory, and reused while the stat token
     ``(st_ino, st_mtime_ns, st_size)`` of every bucket manifest, the TABLE
@@ -1503,11 +1463,11 @@ def _read_plan(out_dir: str, *, version: int | None = None, as_of=None,
 
 def _read_buckets(plan: _ReadPlan, buckets: list[dict], where: list | None,
                   where_logical: list | None) -> pa.Table:
-    """The driver's read of ``buckets``, bucket manifests each reduced to the
-    files the read opens: the body of :func:`lookup_key` and of a
-    :func:`read_published` at or below :data:`DRIVER_MAX_BYTES`. Returns
-    one table of the read plan's columns, or its typed :meth:`_ReadPlan.empty`
-    when no row matches.
+    """The one read body: ``buckets``, bucket manifests each reduced to the
+    files the read opens, read by :func:`lookup_key` and by
+    :func:`read_published` (in the driver, or one bucket per Ray Data
+    task). Returns one table of the read plan's columns, or its typed
+    :meth:`_ReadPlan.empty` when no row matches.
 
     ``where`` is the predicate in the physical column space of the buckets
     that fold the schema-op log, ``where_logical`` the one a flipped bucket
@@ -1564,18 +1524,19 @@ def read_published(
 ):
     """Dataset over manifested files only (readers never see unpublished data).
 
-    Two executors run the read, chosen by :func:`_executor_for` over the
-    files it opens: the buckets routing keeps (:func:`_bucket_prune`) and
-    the Bloom filters and footers do not rule out, every kept file of a
-    merge-on-read bucket included. At or below :data:`DRIVER_MAX_BYTES` the
-    driver reads them (:func:`_read_buckets`, the body of
-    :func:`lookup_key`) with no Ray Data job and returns one block
-    (``ray.data.from_blocks``); a routed key-set scan of a served table is
-    this case. Above it, Ray Data LWW-merges each bucket with merge-on-read
-    deltas inside a map task (one task per delta-bearing bucket — base +
-    deltas of one bucket are co-read and merged locally, no shuffle), and
-    delta-free buckets stream through a plain Parquet read, one task per
-    file. Both return the same rows and schema.
+    One read body, :func:`_read_buckets` (also the body of
+    :func:`lookup_key`), reads the buckets routing keeps
+    (:func:`_bucket_prune`) and the Bloom filters and footers do not rule
+    out, flipped buckets included; it runs on one of two schedulers, chosen
+    by :func:`_executor_for` over the files the read opens, every kept file
+    of a merge-on-read bucket included. At or below
+    :data:`DRIVER_MAX_BYTES` the driver runs it over every kept bucket,
+    with no Ray Data job, and returns one block (``ray.data.from_blocks``);
+    a routed key-set scan of a served table is this case. Above it, Ray
+    Data runs it in one task per kept bucket
+    (:func:`~odibel_ray.cdc.apply.map_items`): base and deltas of one
+    bucket are co-read and merged locally, no shuffle. Both return the
+    same rows and schema.
 
     ``columns=[...]`` prunes at the scan (only those columns leave storage);
     without it a non-``system`` read already prunes to the logical columns —
@@ -1613,8 +1574,6 @@ def read_published(
         blooms_admit,
         check_where,
         file_may_match,
-        filter_table,
-        where_expr,
     )
 
     plan = _read_plan(out_dir, version=version, as_of=as_of, columns=columns, system=system)
@@ -1626,10 +1585,8 @@ def read_published(
     manifests = _bucket_prune(plan, where) if where else plan.manifests
     files_total = sum(1 + len(m.get("deltas", [])) for m in plan.listed.values())
     # zero-row buckets exist for their watermarks (a bucket whose only
-    # events were deletes-of-nonexistent still pins resume state) — but
-    # scanning their empty files yields schema-less empty blocks from the
-    # parquet reader, which poison any downstream concat; the manifest
-    # already knows they contribute no rows, so skip them at the scan
+    # events were deletes-of-nonexistent still pins resume state); the
+    # manifest already knows they contribute no rows, so the read skips them
     plain, done, mor = [], [], []  # bucket manifests
     for b, m in sorted(manifests.items()):
         if m.get("deltas"):
@@ -1637,15 +1594,13 @@ def read_published(
         elif m.get("rows_out", 1) != 0:
             (done if b in plan.flipped else plain).append(m)
     # metadata-only DDL (generic tables): the prune/pushdown machinery runs
-    # in PHYSICAL column space and batches are re-labelled to the logical
-    # schema at the end (cdc/ddl.py); flipped buckets (`done`) are already
+    # in PHYSICAL column space and _read_buckets re-labels each bucket to
+    # the logical schema (cdc/ddl.py); flipped buckets (`done`) are already
     # logical on disk and read directly, so a reader mid-rewrite (or after
     # a crash) sees the correct logical table either way
-    smap = plan.smap
-    final_cols = plan.physical
     where_logical = where
-    if smap is not None and where:
-        where, feasible = smap.translate_where(where)
+    if plan.smap is not None and where:
+        where, feasible = plan.smap.translate_where(where)
         if not feasible:
             # value predicate on an unmaterialized column: pending
             # (physical) files provably match nothing; flipped files
@@ -1682,79 +1637,16 @@ def read_published(
         prune_stats["footers_read"] = plan.footers_read
     if empty is not None:
         return rd.from_arrow(empty)
+    kept = [*plain, *mor, *done]
     if _executor_for([os.path.join(out_dir, f) for f in opened]) == "driver":
         # one block: from_arrow would start a remote metadata task per table,
         # from_blocks computes it here (6-10 ms less CPU per routed
         # serve_mixed scan on a 1-CPU host; see CHANGES.md)
-        return rd.from_blocks([_read_buckets(plan, [*plain, *mor, *done], where, where_logical)])
-
-    def scan(ms: list[dict], cols: list[str] | None, w):
-        """Ray Data read of the files of delta-free bucket manifests ``ms``,
-        one read task per file, projected to ``cols`` and filtered by ``w``
-        in a map fused into the read. Every
-        block then carries the read's schema: a read task yields a block
-        without one when it reads no row, which happens when ``w`` is
-        pushed into the Parquet scan and fails every row of a file, or
-        when a small file's rows are split over more blocks than it has
-        rows. Gathering such blocks fails."""
-        paths = [os.path.join(out_dir, m["file"]) for m in ms]
-        if not w:
-            return rd.read_parquet(paths, columns=cols, override_num_blocks=len(paths))
-        expr = where_expr(w)
-
-        def _filter(t: pa.Table) -> pa.Table:
-            t = t.filter(expr)
-            return t if cols is None else t.select(cols)
-
-        read_cols = None if cols is None else list(dict.fromkeys([*cols, *(c for c, _, _ in w)]))
-        return rd.read_parquet(
-            paths, columns=read_cols, override_num_blocks=len(paths)
-        ).map_batches(_filter, batch_format="pyarrow", batch_size=None)
-
-    pieces = [scan(plain, final_cols, where)] if plain else []
-    if mor:
-        # merge-on-read buckets filter AFTER the merge, so they read the
-        # predicate columns too
-        read_cols = None
-        if final_cols is not None:
-            where_cols = [c for c, _, _ in where] if where else []
-            read_cols = list(dict.fromkeys([*final_cols, *where_cols]))
-        layout = plan.layout
-
-        def _merge_bucket(batch: pa.Table) -> pa.Table:
-            from odibel_ray.cdc.apply import limit_arrow_threads
-
-            limit_arrow_threads()
-            outs = []
-            for m in batch["m"].to_pylist():
-                t = _read_bucket(out_dir, json.loads(m), layout, columns=read_cols)
-                if where:
-                    t = filter_table(t, where)
-                outs.append(t.select(final_cols) if final_cols is not None else t)
-            return pa.concat_tables(outs, promote_options="default")
-
-        merged = rd.from_items([{"m": json.dumps(m)} for m in mor]).map_batches(
-            _merge_bucket, batch_format="pyarrow", batch_size=1
-        )
-        pieces.append(merged)
-    ds = None
-    if pieces:
-        ds = pieces[0] if len(pieces) == 1 else pieces[0].union(*pieces[1:])
-        if smap is not None:
-            # zero-copy relabel physical → logical (renames are relabels,
-            # added columns are null arrays, widened columns cast)
-            ds = ds.map_batches(
-                partial(_ddl_adapt, smap=smap, columns=plan.columns),
-                batch_format="pyarrow",
-            )
-        elif final_cols is not None:
-            ds = ds.select_columns(final_cols)
-    if done:
-        dpiece = scan(done, plan.columns, where_logical)
-        if plan.columns is not None:
-            dpiece = dpiece.select_columns(plan.columns)  # pin column order for union
-        ds = dpiece if ds is None else ds.union(dpiece)
-    return ds
+        return rd.from_blocks([_read_buckets(plan, kept, where, where_logical)])
+    # resolved in the driver: a bad column raises here, and no task
+    # rereads the schema footer
+    plan.empty()
+    return map_items(lambda m: _read_buckets(plan, [m], where, where_logical), kept, "ray_data")
 
 
 def lookup_key(
@@ -2357,7 +2249,7 @@ def join_published(
             continue  # no left rows ⇒ nothing to emit for these join types
         if b not in right.manifests and join_type in ("inner", "left semi"):
             continue
-        buckets.append({"bucket": int(b)})
+        buckets.append(int(b))
     joined_schema = left.empty().join(
         right.empty(), keys=keys, join_type=join_type, right_suffix=right_suffix,
     ).schema
@@ -2370,22 +2262,12 @@ def join_published(
             return plan.empty()
         return _read_bucket(plan.out_dir, m, plan.layout, columns=plan.columns)
 
-    def join_bucket(batch: pa.Table) -> pa.Table:
-        from odibel_ray.cdc.apply import limit_arrow_threads
+    def join_bucket(b: int) -> pa.Table:
+        j = read_side(left, b).join(read_side(right, b), keys=keys, join_type=join_type,
+                                    right_suffix=right_suffix)
+        return j.select(joined_schema.names).cast(joined_schema)
 
-        limit_arrow_threads()
-        outs = []
-        for b in batch["bucket"].to_pylist():
-            lt = read_side(left, b)
-            rt = read_side(right, b)
-            j = lt.join(rt, keys=keys, join_type=join_type,
-                        right_suffix=right_suffix)
-            outs.append(j.select(joined_schema.names).cast(joined_schema))
-        return pa.concat_tables(outs) if outs else joined_schema.empty_table()
-
-    return rd.from_items(buckets).map_batches(
-        join_bucket, batch_format="pyarrow", batch_size=1
-    )
+    return map_items(join_bucket, buckets, "ray_data")
 
 
 @_single_writer("dst_dir")
@@ -2442,7 +2324,7 @@ def rebucket_published(
         partial(_apply_write_group, staging=staging, run_id=run_id),
         batch_format="pyarrow",
     )
-    published = _publish_stream(manifest_ds.iter_rows(), dst_dir)
+    published = _publish_stream(manifest_ds, dst_dir)
     tman.update({"num_buckets": num_buckets, "rebucketed_from": src_dir})
     all_manifests, _ = _commit_table(dst_dir, tman, "rebucket_published", run_id)
     return {
@@ -2464,19 +2346,19 @@ def compact_published(
 ) -> dict:
     """Fold merge-on-read deltas back into their buckets' base files — the
     lakehouse compaction that bounds a MOR table's read amplification. One
-    task per delta-bearing bucket: read base + deltas, LWW-merge (drop
-    tombstones), stage a fresh base under this run's name, then the ordinary
-    write-audit-publish pointer flip clears the manifest's delta list and
-    sweeps the folded files. Resumable: a killed compaction left either the
-    old manifest (deltas intact — recompact) or the new one (already clean);
-    ``min_deltas`` skips buckets not worth rewriting yet.
+    per-bucket body per delta-bearing bucket: read base + deltas, LWW-merge
+    (drop tombstones), stage a fresh base under this run's name, then the
+    ordinary write-audit-publish pointer flip clears the manifest's delta
+    list and sweeps the folded files. Resumable: a killed compaction left
+    either the old manifest (deltas intact — recompact) or the new one
+    (already clean); ``min_deltas`` skips buckets not worth rewriting yet.
 
-    Like :func:`incremental_apply`, two executors: when the target buckets'
+    Like :func:`incremental_apply`, the body runs on one of two schedulers
+    (:func:`~odibel_ray.cdc.apply.map_items`): when the target buckets'
     base and delta bytes are at most :data:`DRIVER_MAX_BYTES` the driver
-    compacts them one after another, otherwise a Ray Data task per bucket
-    does; the result's ``executor`` says which ran."""
-    import ray.data as rd
-
+    compacts them one after another, each publishing before the next is
+    read, otherwise one Ray Data task per bucket does; the result's
+    ``executor`` says which ran."""
     if snapshots is not None:
         enable_snapshots(out_dir, keep_last=snapshots)
     with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
@@ -2513,24 +2395,10 @@ def compact_published(
             metrics=metrics,
         )
 
-    def _compact_batch(batch: pa.Table) -> pa.Table:
-        from odibel_ray.cdc.apply import limit_arrow_threads
-
-        limit_arrow_threads()
-        return pa.concat_tables(
-            [_compact_bucket(json.loads(m)) for m in batch["m"].to_pylist()]
-        )
-
-    ordered = [m for _, m in sorted(targets.items())]
     executor = _executor_for([os.path.join(out_dir, f) for f in _manifest_files(targets)])
-    if executor == "driver":
-        rows = (r for m in ordered for r in _compact_bucket(m).to_pylist())
-    else:
-        rows = rd.from_items([{"m": json.dumps(m)} for m in ordered]).map_batches(
-            _compact_batch, batch_format="pyarrow", batch_size=1
-        ).iter_rows()
+    out = map_items(_compact_bucket, [m for _, m in sorted(targets.items())], executor)
     live = dict(manifests)
-    published = _publish_stream(rows, out_dir, live)
+    published = _publish_stream(out, out_dir, live)
     all_manifests, snap = _commit_table(out_dir, tman, "compact_published", run_id, live)
     return {
         "compacted": len(published),
@@ -2609,24 +2477,24 @@ def incremental_apply(
     (``feed_dir``) requires the base row for before-values, so it is
     CoW-only.
 
-    Both executors run one per-bucket apply (:func:`_apply_bucket`: for
-    ``"cow"``, the bucket's own base read with :func:`_read_bucket`, then
-    :func:`_apply_write_group`) over the prepared events grouped by bucket,
-    and share the lease, staging, audit, per-bucket manifest flip and
-    epilogue; only the grouping differs. When the log's
-    ``part=*/*.parquet`` bytes — plus, for ``"cow"``, the table's base and
-    delta bytes — are at most :data:`DRIVER_MAX_BYTES`, the driver reads
-    the micro-batch and splits it by bucket itself, with no Ray Data job;
-    above it, one Ray Data pipeline (read → prepare → per-batch LWW
-    combiner → ``groupby("bucket")``) does. Either way only the touched
-    buckets' bases are read. The result's ``executor`` says which ran
+    One per-bucket body (:func:`_apply_bucket`: for ``"cow"``, the bucket's
+    own base read with :func:`_read_bucket`, then
+    :func:`_apply_write_group`) runs on either of two schedulers
+    (:func:`_grouped_apply`), which share the lease, staging, audit,
+    per-bucket manifest flip and epilogue. When the log's
+    ``part=*/*.parquet`` bytes — plus, for ``"cow"``, the base and delta
+    bytes of the buckets the log's events route to (its WAL parts on a
+    partitioned table, its ``conv_id`` values hashed on a hashed one) —
+    are at most :data:`DRIVER_MAX_BYTES`, the driver reads the micro-batch
+    and splits it by bucket itself, with no Ray Data job; above it, one
+    Ray Data pipeline (read → prepare → per-batch LWW combiner →
+    ``groupby("bucket")``) does. Either way only the touched buckets'
+    bases are read. The result's ``executor`` says which ran
     (``"driver"`` or ``"ray_data"``), and ``touched`` counts the buckets
     published. Manifest ``n_events`` counts a bucket's new events (after
     the Ray Data combiner, so it may differ between the two) plus, for
     ``"cow"``, its base rows; data, files and watermarks do not differ.
     """
-    import ray.data as rd
-
     if mode not in ("cow", "mor"):
         raise ValueError(f"mode must be 'cow' or 'mor', got {mode!r}")
     if mode == "mor" and feed_dir:
@@ -2668,8 +2536,18 @@ def incremental_apply(
     if not parts:
         raise FileNotFoundError(f"no WAL partitions (part=*/) found under {log_dir!r}")
     inputs = [f for p in parts for f in p["files"]]
-    if mode == "cow":
-        inputs += [os.path.join(out_dir, f) for f in _manifest_files(manifests)]
+    if mode == "cow" and _executor_for(inputs) == "driver":
+        # copy-on-write also reads the bases of the buckets the log's events
+        # route to (a superset: malformed and applied events count)
+        if num_buckets is None:
+            touched = {int(p["part"]) for p in parts if p["files"]}
+        else:
+            conv = [pc.drop_null(pq.read_table(f, columns=["conv_id"])["conv_id"])
+                    .to_numpy(zero_copy_only=False) for f in inputs]
+            touched = set(np.unique(bucket_of_conv(
+                np.concatenate(conv or [np.array([], object)]), num_buckets)).tolist())
+        inputs += [os.path.join(out_dir, f) for f in _manifest_files(
+            {b: m for b, m in manifests.items() if b in touched})]
     executor = _executor_for(inputs)
     staging = os.path.join(out_dir, STAGING_DIR, run_id)
     group_kw = dict(staging=staging, run_id=run_id, metrics=metrics)
@@ -2685,20 +2563,11 @@ def incremental_apply(
     }
     apply_bucket = partial(_apply_bucket, out_dir=out_dir, bases=bases,
                            layout=_table_layout(out_dir) if bases else None, group_kw=group_kw)
-    prep_kw = {"timeline": timeline, "num_buckets": num_buckets, "watermarks": wm}
-    if executor == "driver":
-        log = pa.concat_tables([_read_wal_part(**p) for p in parts], promote_options="default")
-        groups = _split_by_bucket(prepare_events(log, **prep_kw)).values()
-        # one bucket at a time: each publishes before the next is read
-        rows = (r for ev in groups for r in apply_bucket(ev).to_pylist())
-    else:
-        rows = rd.read_parquet(log_dir).map_batches(
-            prepare_events, fn_kwargs=prep_kw, batch_format="pyarrow", batch_size=batch_size,
-        ).map_batches(
-            compact_batch, batch_format="pyarrow", batch_size=batch_size
-        ).groupby("bucket").map_groups(apply_bucket, batch_format="pyarrow").iter_rows()
+    out = _grouped_apply(log_dir, parts, apply_bucket, executor, batch_size=batch_size,
+                         prep_kw={"timeline": timeline, "num_buckets": num_buckets,
+                                  "watermarks": wm})
     live = dict(manifests)
-    published = _publish_stream(rows, out_dir, live)
+    published = _publish_stream(out, out_dir, live)
     if not published:
         # nothing applied → table state unchanged → no new snapshot version
         return {"published_now": 0, "published_total": len(manifests), "touched": 0,
@@ -2729,6 +2598,37 @@ def _split_by_bucket(ev: pa.Table) -> dict[int, pa.Table]:
     keys, starts = np.unique(b, return_index=True)
     ends = np.append(starts[1:], len(b))
     return {int(k): ev.slice(lo, hi - lo) for k, lo, hi in zip(keys, starts, ends)}
+
+
+def _grouped_apply(log_dir: str, parts: list[dict], fn, executor: str, *, prep_kw: dict,
+                   batch_size: int, done: frozenset[int] = frozenset()):
+    """The one grouped scheduler of a hashed :func:`replay_publish` and of
+    :func:`incremental_apply`: read the log, :func:`prepare_events` with
+    ``prep_kw``, drop the ``done`` buckets, and run ``fn`` once per
+    bucket's events. ``"driver"``: the log is read and split by bucket
+    (:func:`_split_by_bucket`) here, and a lazy generator applies one
+    bucket at a time, so each publishes before the next is applied.
+    ``"ray_data"``: one execution, read → prepare → per-batch LWW combiner
+    (:func:`compact_batch`) → ``groupby("bucket").map_groups(fn)``."""
+    if executor == "driver":
+        log = pa.concat_tables([_read_wal_part(**p) for p in parts] or [_empty_log_table()],
+                               promote_options="default")
+        groups = _split_by_bucket(prepare_events(log, **prep_kw))
+        return (fn(ev) for b, ev in groups.items() if b not in done)
+    import ray.data as rd
+
+    ds = rd.read_parquet(log_dir).map_batches(
+        prepare_events, fn_kwargs=prep_kw, batch_format="pyarrow", batch_size=batch_size)
+    if done:
+        done_arr = np.array(sorted(done), dtype=np.int64)
+
+        def _drop_done(t: pa.Table) -> pa.Table:
+            keep = ~np.isin(t["bucket"].to_numpy(zero_copy_only=False), done_arr)
+            return t.filter(pa.array(keep))
+
+        ds = ds.map_batches(_drop_done, batch_format="pyarrow", batch_size=batch_size)
+    ds = ds.map_batches(compact_batch, batch_format="pyarrow", batch_size=batch_size)
+    return ds.groupby("bucket").map_groups(fn, batch_format="pyarrow")
 
 
 def _apply_bucket(ev: pa.Table, *, out_dir: str, bases: dict[int, dict], layout: dict | None,
@@ -3014,7 +2914,7 @@ def publish_dataset(
         ),
         batch_format="pyarrow",
     )
-    published = _publish_stream(manifest_ds.iter_rows(), out_dir)
+    published = _publish_stream(manifest_ds, out_dir)
     tman = {
         # clustered layouts advertise no key-hash modulus: a key's bucket is
         # not derivable from the key, so lookup_key falls back to its
@@ -3325,7 +3225,7 @@ def upsert_published(
         metrics=metrics,
     )
     manifest_ds = tagged.groupby("_bucket").map_groups(group_fn, batch_format="pyarrow")
-    published = _publish_stream(manifest_ds.iter_rows(), out_dir)
+    published = _publish_stream(manifest_ds, out_dir)
     if feed_dir is not None or mode == "mor" or prev_seq:
         # keep the sequence monotonic across feed-less writes too
         tman["write_seq"] = seq

@@ -124,8 +124,15 @@ def _pagerank_broadcast(
             contrib, batch_format="pyarrow", batch_size=batch_size
         ).to_pandas()  # node-sized × blocks; bounded by the broadcast budget
         sums = partials.groupby("node")["contrib"].sum()
+        at = idx.get_indexer(sums.index)
+        if len(at) and at.min() < 0:
+            # the same -1 on the dst side would silently add into vec[-1]
+            raise ValueError(
+                "pagerank: edge destination node absent from the node "
+                "universe (nondeterministic upstream edge pipeline?)"
+            )
         vec = np.zeros(n)
-        vec[idx.get_indexer(sums.index)] = sums.to_numpy()
+        vec[at] = sums.to_numpy()
         rank = base + damping * vec
     return rd.from_arrow(pa.table({"node": nodes, "rank": pa.array(rank)}))
 
@@ -644,7 +651,7 @@ def k_core(
     peeling: each round recomputes degrees within the surviving subgraph
     and drops nodes below ``k``, until a fixpoint (rounds needed = peeling
     depth, typically small; ``max_rounds`` is a runaway guard). Output:
-    ``(node, core_degree)`` — the node's degree inside the k-core.
+    ``(node, deg)`` — the node's degree inside the k-core.
 
     Each round is one combiner-first degree aggregate over the surviving
     edge set plus one guarded-broadcast semi join of edges against the

@@ -594,6 +594,11 @@ def pq_topk(
     ref = _broadcast((q_ids, dt))
 
     def local_topk(t: pa.Table, b) -> pa.Table:
+        if len(t) == 0:
+            # no codes, no candidates: never partition a 0-wide distance row
+            return pa.table({query_id_col: pa.array([], pa.int64()),
+                             id_col: pa.array([], pa.int64()),
+                             "_adc": pa.array([], pa.float64())})
         q_ids, dt = _deref(b)
         t = t.combine_chunks()
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)

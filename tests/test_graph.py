@@ -80,6 +80,20 @@ def test_pagerank_null_edges_and_empty(ray_session):
     assert pagerank(empty, iterations=2).count() == 0
 
 
+def test_pagerank_unknown_dst_node_raises(ray_session):
+    """An edge whose destination is not in the node universe fails loudly,
+    as one whose source is not does, instead of adding its rank into the
+    universe's last node."""
+    import ray.data as rd
+
+    from odibel_ray.graph import _pagerank_broadcast
+
+    edges = rd.from_arrow(pa.table({"src": ["a", "b"], "dst": ["b", "z"]}))
+    universe = pa.table({"node": ["a", "b"], "outdeg": pa.array([1, 1], pa.int64())})
+    with pytest.raises(ValueError, match="destination node absent"):
+        _pagerank_broadcast(edges, "src", "dst", universe, 2, 0.85, 1024)
+
+
 def test_pagerank_int_node_ids(ray_session):
     import ray.data as rd
 

@@ -219,10 +219,11 @@ def test_table_manifest_needs_no_reload(ray_session, small_log, tmp_path, monkey
 
 def test_executor_follows_the_size_cutover(ray_session, small_log, tmp_path, monkeypatch):
     """The driver runs at or below ``DRIVER_MAX_BYTES`` of input: the log's
-    Parquet bytes for a replay and for a MOR apply, plus the table's bucket
-    files for CoW, the target buckets' base and delta bytes for a
-    compaction, and the bytes of the files a read opens after routing. A
-    no-op apply reports the executor it read the log with."""
+    Parquet bytes for a replay and for a MOR apply, plus, for CoW, the
+    bucket files of the buckets the log's keys route to, the target
+    buckets' base and delta bytes for a compaction, and the bytes of the
+    files a read opens after routing. A no-op apply reports the executor it
+    read the log with."""
     prefix, mid, full = _logs(small_log, tmp_path)
 
     def log_bytes(log):
@@ -278,11 +279,29 @@ def test_executor_follows_the_size_cutover(ray_session, small_log, tmp_path, mon
 
     assert run(table_bytes(True), compact_published, out_dir=out, run_id="c2") == "driver"
 
+    def routed_bytes(log):
+        """Bytes of the buckets of ``out`` that ``log``'s keys hash to."""
+        conv = pc.drop_null(pads.dataset(log, format="parquet", partitioning="hive")
+                            .to_table(columns=["conv_id"])["conv_id"])
+        routed = set(bucket_of_conv(conv.to_numpy(zero_copy_only=False), 8).tolist())
+        return sum(os.path.getsize(os.path.join(out, f))
+                   for b, m in load_manifests(out).items() if b in routed
+                   for f in [m["file"], *(d["file"] for d in m.get("deltas", []))])
+
     cow = dict(log_dir=full, out_dir=out, mode="cow")
-    assert run(log_bytes(full) + table_bytes() - 1, incremental_apply, run_id="w1", **cow) \
-        == "ray_data"
-    assert run(log_bytes(full) + table_bytes(), incremental_apply, run_id="w2", **cow) \
-        == "driver"
+    assert run(log_bytes(full) + routed_bytes(full) - 1, incremental_apply, run_id="w1",
+               **cow) == "ray_data"
+    assert run(log_bytes(full) + routed_bytes(full), incremental_apply, run_id="w2",
+               **cow) == "driver"
+
+    # a CoW apply whose events touch one bucket weighs that bucket, not the
+    # table: it takes the driver below the log plus the whole table
+    one = _log_touching(full, str(tmp_path / "one"), -1, {3}, 8)
+    assert 0 < routed_bytes(one) < table_bytes()
+    assert run(log_bytes(one) + routed_bytes(one), incremental_apply, log_dir=one, out_dir=out,
+               run_id="w3", mode="cow") == "driver"
+    assert run(log_bytes(one) + routed_bytes(one) - 1, incremental_apply, log_dir=one,
+               out_dir=out, run_id="w4", mode="cow") == "ray_data"
 
 
 def _log_touching(log_dir: str, out: str, cutoff: int, buckets: set[int],

@@ -891,6 +891,35 @@ def test_pq_topk_recall_vs_exact(ray_session):
     assert rows[0]["vec_id"] == 99991 and rows[0]["rank"] == 0
 
 
+def test_pq_topk_empty_batch(ray_session):
+    """pq_topk's per-batch kernel, handed a zero-row batch of codes, returns
+    the typed empty ``(query_id, vec_id, _adc)`` table, as ivfpq_topk's
+    does."""
+    from odibel_ray.sim import pq_topk
+
+    class Captured(Exception):
+        pass
+
+    class Codes:
+        """Stands in for the codes Dataset: keeps the kernel pq_topk maps."""
+
+        def map_batches(self, fn, fn_args=(), **kw):
+            self.fn, self.args = fn, fn_args
+            raise Captured
+
+    books = np.random.default_rng(0).normal(size=(2, 4, 2))
+    queries = pa.table({"query_id": pa.array([1], pa.int64()),
+                        "embedding": pa.array([[0.1, 0.2, 0.3, 0.4]])})
+    codes = Codes()
+    with pytest.raises(Captured):
+        pq_topk(codes, queries, books, k=3)
+    empty = pa.table({"vec_id": pa.array([], pa.int64()), "pq_code": pa.array([], pa.binary())})
+    out = codes.fn(empty, *codes.args)
+    assert out.num_rows == 0
+    assert out.schema == pa.schema(
+        [("query_id", pa.int64()), ("vec_id", pa.int64()), ("_adc", pa.float64())])
+
+
 def test_ivfpq_topk_recall(ray_session):
     """IVF routing + residual PQ codes: recall vs exact cosine must beat
     plain PQ-level noise at full probe coverage, and a planted

@@ -11,9 +11,11 @@ through each executor, forced by moving the cutover to an extreme. A write
 runs on a fresh copy of the table each time; a read runs on the table
 itself, after one untimed read warms its cache entry, and its input is the
 bytes of the files it opens. Prints one line per (op, input bytes,
-executor) with the median wall time and process-tree CPU time. The cutover
-is the input size at which the driver's wall time reaches the Ray Data
-path's time on the smallest input.
+executor) with the median wall time and process-tree CPU time, then one
+``crossover`` line per op: the smallest measured input at which the
+driver's median wall time reaches Ray Data's median wall time on the same
+input, or ``none up to N MB`` when the driver stays faster at every
+measured size.
 
     python3 tools/measure_cutover.py [--work DIR] [--reps 3]
 
@@ -41,6 +43,8 @@ APPLY_FRACS = (0.501, 0.505, 0.51, 0.55, 0.6, 0.7, 0.8, 0.9)  # slice (0.5, f] o
 LOG_CONVS = (250, 1_000, 4_000, 8_000, 16_000, 24_000)
 FORCE = {"driver": 1 << 62, "ray_data": 0}
 SCAN_KEYS = 8  # conversations in a routed scan's ``in`` list, as in serve_mixed
+#: op → input bytes → executor → median wall time (s), filled by _measure
+WALLS: dict[str, dict[int, dict[str, float]]] = {}
 
 
 def _nbytes(paths) -> int:
@@ -57,7 +61,7 @@ def _measure(sink, op: str, nbytes: int, base: str, work: str, run, reps: int,
              copy: bool = True) -> None:
     """Time ``run(table, run_id)`` ``reps`` times per executor, on a fresh
     copy of ``base`` each time (``copy``), or on ``base`` itself after one
-    untimed run (a read)."""
+    untimed run (a read). Records the median wall times in ``WALLS``."""
     for executor, cutover in FORCE.items():
         sink.DRIVER_MAX_BYTES = cutover
         walls, cpus = [], []
@@ -71,9 +75,19 @@ def _measure(sink, op: str, nbytes: int, base: str, work: str, run, reps: int,
             wall, cpu = _timed(lambda: run(table, f"{executor}{i}"))
             walls.append(wall)
             cpus.append(cpu)
+        WALLS.setdefault(op, {}).setdefault(nbytes, {})[executor] = statistics.median(walls)
         print(f"{op:8s} {nbytes / 1e6:7.2f} MB {executor:8s} "
               f"wall {statistics.median(walls):6.3f} s  cpu {statistics.median(cpus):6.3f} s",
               flush=True)
+
+
+def _print_crossovers() -> None:
+    """Per op, the smallest input at which the driver's median wall time
+    reaches Ray Data's at the same input."""
+    for op, sizes in WALLS.items():
+        at = next((n for n, w in sorted(sizes.items()) if w["driver"] >= w["ray_data"]), None)
+        found = f"{at / 1e6:.2f} MB" if at is not None else f"none up to {max(sizes) / 1e6:.2f} MB"
+        print(f"crossover {op:8s} {found}", flush=True)
 
 
 def _opened_bytes(sink, read) -> int:
@@ -167,6 +181,7 @@ def main() -> None:
         _measure_scans(sink, base, work, args.reps)
         shutil.rmtree(d, ignore_errors=True)
 
+    _print_crossovers()
     ray.shutdown()
     if args.work is None:
         shutil.rmtree(work, ignore_errors=True)
