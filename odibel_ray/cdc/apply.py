@@ -36,6 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from odibel_ray.cdc.lww import _same_next_key_mask, keep_last_per_key
 from odibel_ray.cdc.schema import SchemaTimeline
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -212,21 +213,6 @@ def dead_letter_scan(
     return ds
 
 
-def _keep_last_mask(t: pa.Table) -> np.ndarray:
-    """Boolean mask of the max-LSN row per key. ``t`` MUST already be sorted by
-    ``(conv_id, turn_idx, lsn)`` and combined into one chunk. One shared
-    neighbor-compare kernel (:func:`odibel_ray.cdc.lww._same_next_key_mask`)
-    backs every LWW mask in the package so null-safety fixes propagate."""
-    from odibel_ray.cdc.lww import _same_next_key_mask
-
-    n = len(t)
-    mask = np.ones(n, dtype=bool)
-    if n <= 1:
-        return mask
-    mask[: n - 1] = ~_same_next_key_mask(t, ("conv_id", "turn_idx"))
-    return mask
-
-
 _SORT_KEYS = [("conv_id", "ascending"), ("turn_idx", "ascending"), ("lsn", "ascending")]
 
 
@@ -234,16 +220,14 @@ def compact_batch(t: pa.Table) -> pa.Table:
     """Within-batch LWW pre-compaction (shuffle combiner).
 
     Keeps the max-LSN event per key *within this batch* — including tombstones,
-    which must survive until the final merge (SURVEY.md §7 step 5). Associative
-    with the final keep-last, so safe at any batch boundary. Cuts shuffle volume
-    by the update ratio (the reference has no analog; Spark AQE was its only
+    which must survive until the final merge (SURVEY.md §7 step 5) — through
+    the package's one keep-last, :func:`odibel_ray.cdc.lww.keep_last_per_key`
+    on ``(conv_id, turn_idx)`` and ``lsn``. Associative with the final
+    keep-last, so safe at any batch boundary. Cuts shuffle volume by the
+    update ratio (the reference has no analog; Spark AQE was its only
     lever, ``management/spark_mgr.py:23-24``).
     """
-    if len(t) == 0:
-        return t
-    t = t.combine_chunks()
-    t = t.take(pc.sort_indices(t, sort_keys=_SORT_KEYS))
-    return t.filter(pa.array(_keep_last_mask(t)))
+    return keep_last_per_key(t, ("conv_id", "turn_idx"), "lsn")
 
 
 def apply_group_final(t: pa.Table) -> pa.Table:
@@ -253,11 +237,7 @@ def apply_group_final(t: pa.Table) -> pa.Table:
     (``TemporalWindowBuilder.scala:37-50`` upsert + ``buildEntries`` flush) —
     expressed as vectorized kernels instead of per-row state.
     """
-    if len(t) == 0:
-        return t.drop_columns(["op", "lsn", "part", "bucket"])
-    t = t.combine_chunks()
-    t = t.take(pc.sort_indices(t, sort_keys=_SORT_KEYS))
-    t = t.filter(pa.array(_keep_last_mask(t)))
+    t = compact_batch(t)
     t = t.filter(pc.not_equal(t["op"], "D"))
     return t.drop_columns(["op", "lsn", "part", "bucket"])
 
@@ -286,8 +266,6 @@ def apply_group_history(t: pa.Table) -> pa.Table:
 
     next_same = np.zeros(n, dtype=bool)
     if n > 1:
-        from odibel_ray.cdc.lww import _same_next_key_mask
-
         next_same[: n - 1] = _same_next_key_mask(t, ("conv_id", "turn_idx"))
 
     lsn_end = np.where(next_same, np.roll(lsn, -1), INT64_MAX)
@@ -481,8 +459,6 @@ def _compact_sides(t: pa.Table, *, cut: int) -> pa.Table:
     n = len(t)
     keep = np.ones(n, dtype=bool)
     if n > 1:
-        from odibel_ray.cdc.lww import _same_next_key_mask
-
         same_next = _same_next_key_mask(t, ("conv_id", "turn_idx"))
         le = t["lsn"].to_numpy(zero_copy_only=False) <= cut
         keep[: n - 1] = ~(same_next & (le[:-1] == le[1:]))
@@ -506,8 +482,6 @@ def _feed_states(
     n = len(t)
     first = np.ones(n, dtype=bool)
     if n > 1:
-        from odibel_ray.cdc.lww import _same_next_key_mask
-
         first[1:] = ~_same_next_key_mask(t, ("conv_id", "turn_idx"))
     starts = np.flatnonzero(first)
     ends = np.append(starts[1:], n) - 1  # max-LSN row per key
@@ -651,8 +625,6 @@ def replay_summary_stats(
         if n == 0:
             return pa.table({"stat": pa.array([], pa.string()),
                              "val": pa.array([], pa.int64())})
-        from odibel_ray.cdc.lww import _same_next_key_mask
-
         # h preserves the (conv, turn, lsn) sort of apply_group_history
         h = h.combine_chunks()
         same_key = np.zeros(n, dtype=bool)

@@ -299,7 +299,13 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
     crash) sees the correct logical table either way. Re-running resumes:
     already-flipped buckets are skipped, and the op log is removed only
     after every bucket carries the stamp. ``alter_published`` and upserts
-    are refused while the stamp is in flight (single-writer discipline)."""
+    are refused while the stamp is in flight (single-writer discipline).
+
+    The rewrite follows the sink's executor cutover: the driver rewrites
+    one bucket after another when the pending buckets' base files total at
+    most ``sink.DRIVER_MAX_BYTES``, otherwise one Ray Data task per bucket
+    does; the result's ``executor`` says which ran (None when nothing was
+    rewritten)."""
     import pyarrow.parquet as pq
 
     from odibel_ray.cdc.apply import map_items
@@ -309,6 +315,7 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
         TABLE_MANIFEST,
         _atomic_write_json,
         _commit_table,
+        _executor_for,
         _filter_cols,
         _publish_stream,
         _stage_bucket,
@@ -320,7 +327,7 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
     meta = load_schema_meta(out_dir)
     ops = meta["ops"]
     if not ops:
-        return {"materialized": 0, "skipped": 0, "out_dir": out_dir}
+        return {"materialized": 0, "skipped": 0, "executor": None, "out_dir": out_dir}
     with table_lock(out_dir, owner=f"materialize_ddl:{run_id}"):
         manifests = load_manifests(out_dir)
         # refuse BEFORE stamping: a stamp followed by this raise would wedge
@@ -339,7 +346,7 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
         if not meta.get("materialized_run"):
             _atomic_write_json(_ops_path(out_dir), {**meta, "materialized_run": rid})
         pending = {b: m for b, m in sorted(manifests.items()) if m.get("run_id") != rid}
-        n_done = 0
+        n_done, executor = 0, None
         if pending:
             first = next(iter(pending.values()))
             physical = pq.read_schema(os.path.join(out_dir, first["file"]))
@@ -399,7 +406,8 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
                     watermarks=json.dumps(m.get("watermarks", {})),
                 )
 
-            out = map_items(_rewrite, list(pending.values()), "ray_data")
+            executor = _executor_for([os.path.join(out_dir, m["file"]) for m in pending.values()])
+            out = map_items(_rewrite, list(pending.values()), executor)
             n_done = len(_publish_stream(out, out_dir))
         os.remove(_ops_path(out_dir))
         with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
@@ -413,5 +421,6 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
         "skipped": len(manifests) - n_done,
         "ops_cleared": len(ops),
         "snapshot": snap,
+        "executor": executor,
         "out_dir": out_dir,
     }

@@ -73,7 +73,12 @@ def _same_next_key_mask(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
 
 
 def keep_last_per_key(t: pa.Table, keys: Sequence[str], lsn_col: str = "lsn") -> pa.Table:
-    """Sort by (keys, lsn) and keep the max-LSN row per key. Vectorized LWW."""
+    """Sort by (keys, lsn) and keep the max-LSN row per key. Vectorized LWW,
+    and the one keep-last every bucket write runs (a transcript apply or
+    combiner, a base ∪ deltas merge, a generic upsert). Null keys are one
+    key (:func:`_same_next_key_mask`). The sort is stable, so of two rows
+    with the same key and LSN the later one in ``t`` wins. Rows are
+    returned in key order; tombstones are kept."""
     if len(t) <= 1:
         return t
     t = t.combine_chunks()
@@ -204,6 +209,73 @@ def change_windows(
     return ds.groupby("bucket").map_groups(windows, batch_format="pyarrow")
 
 
+def change_feed_group(t: pa.Table, keys: Sequence[str], values: Sequence[str]) -> pa.Table:
+    """The pairing kernel of :func:`change_feed` for one group: ``t`` holds
+    both states' rows of some keys, ``keys + values`` plus a ``_side``
+    column (-1 old, +1 new), at most one row per key per side. Sort on the
+    keys and ``_side``, then pair neighbours: a key on one side only is a
+    delete or an insert, a key on both sides whose values differ (null ==
+    null counts as equal) is an update. Null keys are one key. Returns
+    ``*keys, change, {v}_before, {v}_after`` rows."""
+    t = t.combine_chunks()
+    sort_keys = [(k, "ascending") for k in keys] + [("_side", "ascending")]
+    t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+    n = len(t)
+    same_next = np.zeros(n, dtype=bool)
+    if n > 1:
+        same_next[: n - 1] = _same_next_key_mask(t, keys)
+    same_prev = np.zeros(n, dtype=bool)
+    same_prev[1:] = same_next[: n - 1]
+    side = t["_side"].to_numpy(zero_copy_only=False)
+    paired = same_next | same_prev
+    only_old = (~paired) & (side == -1)
+    only_new = (~paired) & (side == 1)
+    differs = np.zeros(n, dtype=bool)
+    if n > 1:
+        d = np.zeros(n - 1, dtype=bool)
+        for c in values:
+            col = t[c]
+            eq = pc.equal(col.slice(1), col.slice(0, n - 1))
+            both_null = pc.and_(
+                pc.is_null(col.slice(1)), pc.is_null(col.slice(0, n - 1))
+            )
+            eqv = pc.or_(pc.fill_null(eq, False), both_null).to_numpy(
+                zero_copy_only=False
+            )
+            d |= ~eqv
+        differs[: n - 1] = d & same_next[: n - 1]
+    changed_old = differs & same_next & (side == -1)
+    idx = np.arange(n)
+    del_rows = t.take(pa.array(idx[only_old]))
+    ins_rows = t.take(pa.array(idx[only_new]))
+    upd_old_idx = idx[changed_old]
+    upd_old = t.take(pa.array(upd_old_idx))
+    upd_new = t.take(pa.array(upd_old_idx + 1))
+
+    def mk(key_src: pa.Table, before: pa.Table | None, after: pa.Table | None,
+           label: str) -> pa.Table:
+        m = len(key_src)
+        arrs = [key_src[k] for k in keys]
+        names = list(keys)
+        arrs.append(pa.array(np.full(m, label, dtype=object), pa.string()))
+        names.append("change")
+        for v in values:
+            vt = t.schema.field(v).type
+            arrs.append(before[v] if before is not None else pa.nulls(m, vt))
+            names.append(f"{v}_before")
+            arrs.append(after[v] if after is not None else pa.nulls(m, vt))
+            names.append(f"{v}_after")
+        return pa.table(dict(zip(names, arrs)))
+
+    return pa.concat_tables(
+        [
+            mk(del_rows, del_rows, None, "delete"),
+            mk(ins_rows, None, ins_rows, "insert"),
+            mk(upd_old, upd_old, upd_new, "update"),
+        ]
+    )
+
+
 def change_feed(
     old: "ray.data.Dataset",
     new: "ray.data.Dataset",
@@ -225,9 +297,12 @@ def change_feed(
     value column differs (null == null counts as equal).
 
     Same single-exchange shape as :func:`outer_diff`: tag each side, union,
-    shuffle once on the key hash, pair rows group-locally — no join operator,
-    so at 100 TB the cost is one all-to-all over ``keys + values`` only.
-    Both inputs must be converged states (at most one row per key per side).
+    shuffle once on the key hash, pair rows group-locally
+    (:func:`change_feed_group`, the kernel a copy-on-write
+    ``upsert_published(feed_dir=)`` also runs over one bucket's old and new
+    rows) — no join operator, so at 100 TB the cost is one all-to-all over
+    ``keys + values`` only. Both inputs must be converged states (at most
+    one row per key per side); a null key is one key.
     """
     from odibel_ray.tuning import default_num_buckets
 
@@ -243,69 +318,11 @@ def change_feed(
 
         return f
 
-    def feed(t: pa.Table) -> pa.Table:
-        t = t.combine_chunks()
-        sort_keys = [(k, "ascending") for k in keys] + [("_side", "ascending")]
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
-        n = len(t)
-        same_next = np.zeros(n, dtype=bool)
-        if n > 1:
-            same_next[: n - 1] = _same_next_key_mask(t, keys)
-        same_prev = np.roll(same_next, 1)
-        same_prev[0] = False
-        side = t["_side"].to_numpy(zero_copy_only=False)
-        paired = same_next | same_prev
-        only_old = (~paired) & (side == -1)
-        only_new = (~paired) & (side == 1)
-        differs = np.zeros(n, dtype=bool)
-        if n > 1:
-            d = np.zeros(n - 1, dtype=bool)
-            for c in values:
-                col = t[c]
-                eq = pc.equal(col.slice(1), col.slice(0, n - 1))
-                both_null = pc.and_(
-                    pc.is_null(col.slice(1)), pc.is_null(col.slice(0, n - 1))
-                )
-                eqv = pc.or_(pc.fill_null(eq, False), both_null).to_numpy(
-                    zero_copy_only=False
-                )
-                d |= ~eqv
-            differs[: n - 1] = d & same_next[: n - 1]
-        changed_old = differs & same_next & (side == -1)
-        idx = np.arange(n)
-        del_rows = t.take(pa.array(idx[only_old]))
-        ins_rows = t.take(pa.array(idx[only_new]))
-        upd_old_idx = idx[changed_old]
-        upd_old = t.take(pa.array(upd_old_idx))
-        upd_new = t.take(pa.array(upd_old_idx + 1))
-
-        def mk(key_src: pa.Table, before: pa.Table | None, after: pa.Table | None,
-               label: str) -> pa.Table:
-            m = len(key_src)
-            arrs = [key_src[k] for k in keys]
-            names = list(keys)
-            arrs.append(pa.array(np.full(m, label, dtype=object), pa.string()))
-            names.append("change")
-            for v in values:
-                vt = t.schema.field(v).type
-                arrs.append(before[v] if before is not None else pa.nulls(m, vt))
-                names.append(f"{v}_before")
-                arrs.append(after[v] if after is not None else pa.nulls(m, vt))
-                names.append(f"{v}_after")
-            return pa.table(dict(zip(names, arrs)))
-
-        return pa.concat_tables(
-            [
-                mk(del_rows, del_rows, None, "delete"),
-                mk(ins_rows, None, ins_rows, "insert"),
-                mk(upd_old, upd_old, upd_new, "update"),
-            ]
-        )
-
     tagged = old.map_batches(tag(-1), batch_format="pyarrow", batch_size=batch_size).union(
         new.map_batches(tag(1), batch_format="pyarrow", batch_size=batch_size)
     )
-    return tagged.groupby("bucket").map_groups(feed, batch_format="pyarrow")
+    return tagged.groupby("bucket").map_groups(
+        change_feed_group, fn_args=(keys, values), batch_format="pyarrow")
 
 
 def outer_diff(

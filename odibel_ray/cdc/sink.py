@@ -52,9 +52,7 @@ import pyarrow.parquet as pq
 
 from odibel_ray.cdc.apply import (
     _empty_log_table,
-    _keep_last_mask,
     _read_wal_part,
-    _SORT_KEYS,
     _wal_parts,
     bucket_of_conv,
     compact_batch,
@@ -68,6 +66,7 @@ from odibel_ray.cdc.ddl import (
     load_schema_ops,
     schema_map,
 )
+from odibel_ray.cdc.lww import change_feed_group, keep_last_per_key
 from odibel_ray.cdc.schema import SchemaTimeline, extract_timeline
 
 MANIFEST_DIR = "_manifests"
@@ -515,8 +514,7 @@ def _apply_write_group(
             feed_t, os.path.join(feed["dir"], f"bucket={bucket}", f"state-{tag}.parquet")
         )
 
-    t = t.take(pc.sort_indices(t, sort_keys=_SORT_KEYS))
-    t = t.filter(pa.array(_keep_last_mask(t)))
+    t = keep_last_per_key(t, TRANSCRIPT_KEYS, "lsn")
     if not delta:
         t = t.filter(pc.not_equal(t["op"], "D"))
     cols = {c: t[c] for c in LOGICAL_COLUMNS}
@@ -555,15 +553,20 @@ def merge_base_deltas(
     keys: Sequence[str] = ("conv_id", "turn_idx"),
 ) -> pa.Table:
     """LWW-merge one bucket's base table with its merge-on-read delta files:
-    keep the max-``_lsn`` row per key across base ∪ deltas, drop tombstones.
-    Base rows are implicit inserts; delta rows carry ``_op`` (``D`` rows are
+    keep the max-``_lsn`` row per key across base ∪ deltas
+    (:func:`~odibel_ray.cdc.lww.keep_last_per_key`), drop tombstones. Base
+    rows are implicit inserts; delta rows carry ``_op`` (``D`` rows are
     tombstones that must shadow older base/delta rows). Same-key comparisons
     are within one WAL partition (a key's events live in one part), where LSN
     is totally ordered — the same convergence argument as
-    :func:`incremental_apply`. Output keeps the base column layout (no
-    ``_op``). Generic tables merge on their layout ``keys``; their base
-    files carry no ``_lsn`` (treated as older than every delta, and the
-    column is dropped again on the way out)."""
+    :func:`incremental_apply`. Of two rows of one key and ``_lsn`` the later
+    one wins, and a null key is one key. Output keeps the base column
+    layout (no ``_op``), sorted by key; payload columns may be nested.
+    Generic tables merge on their layout ``keys``; their base files carry
+    no ``_lsn`` (treated as older than every delta, and the column is
+    dropped again on the way out — but kept when ``base`` is None). A
+    copy-on-write :func:`upsert_published` rewrites a bucket through this
+    merge too."""
     base_had_lsn = base is None or "_lsn" in base.column_names
     parts = []
     if base is not None and len(base):
@@ -581,19 +584,7 @@ def merge_base_deltas(
         out = base if base is not None else pa.table({})
         return out.drop_columns(["_op"]) if "_op" in out.column_names else out
     t = pa.concat_tables(parts, promote_options="default").combine_chunks()
-    sort_keys = [(k, "ascending") for k in keys] + [("_lsn", "ascending")]
-    t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
-    n = len(t)
-    mask = np.ones(n, dtype=bool)
-    if n > 1:
-        same_next = np.ones(n - 1, dtype=bool)
-        for k in keys:
-            c = t[k]
-            same_next &= pc.fill_null(
-                pc.equal(c.slice(1), c.slice(0, n - 1)), False
-            ).to_numpy(zero_copy_only=False)
-        mask[: n - 1] = ~same_next
-    t = t.filter(pa.array(mask))
+    t = keep_last_per_key(t, keys, "_lsn")
     t = t.filter(pc.not_equal(t["_op"], "D"))
     drop = ["_op"] + ([] if base_had_lsn else ["_lsn"])
     return t.drop_columns(drop)
@@ -2207,7 +2198,9 @@ def join_published(
     the right, so the join runs as ONE map task per bucket — each task reads
     the two bucket files (LWW-merging any merge-on-read deltas per side) and
     joins in Arrow. Zero exchange: at 10^10 rows per side this moves no data
-    between workers at all.
+    between workers at all. Like :func:`read_published`, the join runs in
+    the driver and returns one block when the kept buckets' base and delta
+    files on both sides total at most :data:`DRIVER_MAX_BYTES`.
 
     ``how``: ``inner | left_outer | full_outer | left_semi | left_anti``.
     ``left_columns``/``right_columns`` prune each side's bucket read (join
@@ -2267,6 +2260,10 @@ def join_published(
                                     right_suffix=right_suffix)
         return j.select(joined_schema.names).cast(joined_schema)
 
+    files = [os.path.join(p.out_dir, f) for p in (left, right)
+             for f in _manifest_files({b: p.manifests[b] for b in buckets if b in p.manifests})]
+    if _executor_for(files) == "driver":
+        return rd.from_blocks([pa.concat_tables([join_bucket(b) for b in buckets])])
     return map_items(join_bucket, buckets, "ray_data")
 
 
@@ -2674,18 +2671,23 @@ def _keyed_write_group(
     :func:`upsert_published`.
 
     Rows carry ``_bucket`` and, for upserts, a ``_delete`` flag (delete rows
-    carry their key; their other columns are null). A bucket with no published base in
-    ``bucket_files`` stages the group's live rows as its base. Otherwise
-    ``mode="cow"`` rewrites the base: base rows whose key the group touches
-    are dropped and the update rows appended, so re-running the same
-    updates converges to the same file contents. ``mode="mor"`` stages the
-    group as a DELTA of ``_lsn = seq`` rows with tombstones retained
-    (``_op = 'D'``) — no base read, no base rewrite. A group that updates
-    AND deletes one key keeps the update, in both modes. ``sort_by``
-    (range-clustered layouts) sorts the bucket file by the cluster column so
-    its Parquet row-group stats stay tight. With ``feed_dir`` (copy-on-write
-    only) the bucket's row-level change feed stages alongside and publishes
-    in the same atomic pointer flip."""
+    carry their key; their other columns are null). A ``publish_dataset``
+    group (no ``_delete``) stages as it is, sorted by ``sort_by`` when given
+    (range-clustered layouts, so the file's Parquet row-group stats stay
+    tight). An upsert group becomes LWW rows — its deletes (``_op = 'D'``)
+    then its updates (``_op = 'U'``), all at ``_lsn = seq`` — and goes
+    through the one keep-last (:func:`~odibel_ray.cdc.lww.keep_last_per_key`),
+    so a group that updates AND deletes one key keeps the update, and a
+    null key is one key, in both modes. ``mode="mor"`` stages the kept rows
+    as a DELTA, tombstones retained — no base read, no base rewrite.
+    ``mode="cow"``, and any bucket with no published base in
+    ``bucket_files``, stages :func:`merge_base_deltas` of the base and those
+    rows, so re-running the same updates converges to the same file
+    contents. Both files are sorted by key, and a generic base never gets
+    ``_lsn`` or ``_op``. With ``feed_dir`` (copy-on-write only) the bucket's
+    row-level change feed — :func:`~odibel_ray.cdc.lww.change_feed_group`
+    over its old and new rows — stages alongside and publishes in the same
+    atomic pointer flip."""
     from odibel_ray.cdc.apply import limit_arrow_threads
 
     if len(t) == 0:
@@ -2694,49 +2696,42 @@ def _keyed_write_group(
     t = t.combine_chunks()
     bucket = int(t["_bucket"][0].as_py())
     n_events = len(t)
-    if sort_by is not None:
-        t = t.take(pc.sort_indices(t, sort_keys=[(sort_by, "ascending")]))
-    ups, dels = t, t.slice(0, 0)
-    if "_delete" in t.column_names:
-        dmask = pc.fill_null(t["_delete"], False)
-        ups, dels = t.filter(pc.invert(dmask)), t.filter(dmask)
-    # _z is the z-order sort helper, never persisted
-    drop = [c for c in ("_bucket", "_delete", "_z") if c in t.column_names]
-    ups, dels = ups.drop_columns(drop), dels.drop_columns(drop)
-    if len(ups) and len(dels):
-        # the update wins: drop the tombstones of updated keys (the join
-        # runs on the keys only — Arrow joins reject nested payload columns)
-        probe = dels.select(key_cols).append_column("__row", pa.array(np.arange(len(dels))))
-        keep = probe.join(ups.select(key_cols), keys=key_cols, join_type="left anti")
-        dels = dels.take(np.sort(keep["__row"].to_numpy()))
-    old_file = (bucket_files or {}).get(bucket)
     stage = partial(_stage_bucket, bucket=bucket, filter_cols=_filter_cols(key_cols, bloom_cols),
                     staging=staging, run_id=run_id, n_events=n_events, metrics=metrics)
+    if "_delete" not in t.column_names:
+        if sort_by is not None:
+            t = t.take(pc.sort_indices(t, sort_keys=[(sort_by, "ascending")]))
+        # _z is the z-order sort helper, never persisted
+        return stage(t.drop_columns([c for c in ("_bucket", "_z") if c in t.column_names]))
+    dmask = pc.fill_null(t["_delete"], False)
+    dels, ups = t.filter(dmask), t.filter(pc.invert(dmask))
+    rows = pa.concat_tables([dels, ups]).drop_columns(["_bucket", "_delete"])
+    rows = rows.append_column("_lsn", pa.array(np.full(len(rows), seq, np.int64)))
+    rows = rows.append_column("_op", pa.array(["D"] * len(dels) + ["U"] * len(ups)))
+    old_file = (bucket_files or {}).get(bucket)
     if old_file is not None and mode == "mor":
-        out = pa.concat_tables([ups, dels])
-        out = out.append_column("_lsn", pa.array(np.full(len(out), seq, np.int64)))
-        out = out.append_column("_op", pa.array(["U"] * len(ups) + ["D"] * len(dels)))
         # named by (write_seq, run_id): a resume of the same run overwrites
         # its own delta, a later run (next write_seq) never does
         tag = hashlib.sha1(json.dumps([seq, run_id]).encode()).hexdigest()[:16]
-        return stage(out, delta_tag=tag)
+        return stage(keep_last_per_key(rows, key_cols, "_lsn"), delta_tag=tag)
     if old_file is None and len(ups) == 0:
         # delete-only group aimed at a bucket that was never published:
         # nothing to remove, nothing to write — publishing here would pin a
         # phantom zero-row bucket file that every future read opens
         return _MANIFEST_SCHEMA.empty_table()
-    old = None
-    new = ups
-    if old_file is not None:
-        old = pq.read_table(os.path.join(out_dir, old_file))
-        touched = pa.concat_tables([ups.select(key_cols), dels.select(key_cols)])
-        survivors = old.join(touched, keys=key_cols, join_type="left anti")
-        new = pa.concat_tables([survivors, ups], promote_options="default").combine_chunks()
+    old = None if old_file is None else pq.read_table(os.path.join(out_dir, old_file))
+    new = merge_base_deltas(old, [rows], keys=key_cols)
+    if old is None:  # the merge keeps _lsn without a base
+        new = new.drop_columns(["_lsn"])
     feed = None
     if feed_dir is not None:
-        feed_t = _upsert_feed_table(old, ups, dels.select(key_cols), key_cols, feed_values, seq)
-        if feed_t is not None:
-            feed = (feed_t, os.path.join(feed_dir, f"bucket={bucket}", f"upsert-{run_id}.parquet"))
+        cols = key_cols + feed_values
+        sides = [(-1, new.slice(0, 0) if old is None else old), (1, new)]
+        feed_t = change_feed_group(pa.concat_tables(
+            [x.select(cols).append_column("_side", pa.array(np.full(len(x), side, np.int64)))
+             for side, x in sides]), key_cols, feed_values)
+        feed_t = feed_t.append_column("_lsn", pa.array(np.full(len(feed_t), seq, np.int64)))
+        feed = (feed_t, os.path.join(feed_dir, f"bucket={bucket}", f"upsert-{run_id}.parquet"))
     return stage(new, feed=feed)
 
 
@@ -2972,79 +2967,6 @@ def _to_physical_update(t: pa.Table, smap, canon: pa.Schema) -> pa.Table:
     return pa.table(cols)
 
 
-def _upsert_feed_table(
-    old: pa.Table | None,
-    ups: pa.Table,
-    dels: pa.Table,
-    key_cols: list[str],
-    feed_values: list[str],
-    feed_seq: int,
-) -> pa.Table:
-    """The bucket's row-level change feed for one upsert run, in the exact
-    shape of :func:`odibel_ray.cdc.lww.change_feed` / ``table_changes``
-    (``keys, change, {v}_before, {v}_after, _lsn``) so every downstream
-    consumer (derived/mview/joinview refresh) reads it unchanged. No-op
-    updates (every feed value equal) emit nothing; ``_lsn`` is the table's
-    write sequence — constant within a run, increasing across runs, which is
-    all the latest-transition resolution needs."""
-    cols = key_cols + feed_values
-    if old is not None and len(old):
-        old_v = old.select(cols)
-    else:
-        old_v = None
-
-    def with_before(side: pa.Table) -> pa.Table:
-        if old_v is None:  # brand-new bucket: every before-image is NULL
-            for v in feed_values:
-                side = side.append_column(f"{v}_before", pa.nulls(len(side), side[v].type))
-            return side
-        renamed = old_v.rename_columns(key_cols + [f"{v}_before" for v in feed_values])
-        return side.join(renamed, keys=key_cols, join_type="left outer")
-
-    out_parts = []
-    if len(ups):
-        u = ups.select([c for c in cols if c in ups.column_names])
-        u = with_before(u)
-        # change: insert when no before-row existed; drop exact no-ops
-        if old_v is not None:
-            probe = old_v.select(key_cols).append_column(
-                "__had", pa.array(np.ones(len(old_v), bool))
-            )
-            u = u.join(probe, keys=key_cols, join_type="left outer")
-            had = pc.fill_null(u["__had"], False)
-            u = u.drop_columns(["__had"])
-        else:
-            had = pa.array(np.zeros(len(u), bool))
-        same = pc.fill_null(had, False).to_numpy(zero_copy_only=False).copy()
-        for v in feed_values:
-            a, b = u[v], u[f"{v}_before"]
-            eq = pc.fill_null(pc.equal(a, b), False)
-            both_null = pc.and_(pc.is_null(a), pc.is_null(b))
-            same &= pc.or_(eq, both_null).to_numpy(zero_copy_only=False)
-        change = np.where(had.to_numpy(zero_copy_only=False), "update", "insert")
-        u = u.append_column("change", pa.array(change, pa.string()))
-        u = u.filter(pa.array(~same))
-        after_cols = {k: u[k] for k in key_cols}
-        after_cols["change"] = u["change"]
-        for v in feed_values:
-            after_cols[f"{v}_before"] = u[f"{v}_before"]
-            after_cols[f"{v}_after"] = u[v]
-        out_parts.append(pa.table(after_cols))
-    if len(dels) and old_v is not None:
-        d = old_v.join(dels.select(key_cols), keys=key_cols, join_type="left semi")
-        if len(d):
-            del_cols = {k: d[k] for k in key_cols}
-            del_cols["change"] = pa.array(["delete"] * len(d), pa.string())
-            for v in feed_values:
-                del_cols[f"{v}_before"] = d[v]
-                del_cols[f"{v}_after"] = pa.nulls(len(d), d.schema.field(v).type)
-            out_parts.append(pa.table(del_cols))
-    if not out_parts:
-        return None
-    feed = pa.concat_tables(out_parts, promote_options="default").combine_chunks()
-    return feed.append_column("_lsn", pa.array(np.full(len(feed), feed_seq, np.int64)))
-
-
 @_single_writer("out_dir")
 def upsert_published(
     updates,
@@ -3067,10 +2989,13 @@ def upsert_published(
     ``updates`` rows are full replacement rows for their key (at most one row
     per key); ``deletes`` is an optional Dataset carrying (at least) the key
     columns of rows to remove. A key that is both updated and deleted in one
-    call keeps its update row, in both modes. Untouched buckets keep their
-    current files. Idempotent: re-running the same updates/deletes over an
-    already-updated table converges to the same state, so a crash-resume
-    just re-runs.
+    call keeps its update row, and a null key is one key, in both modes:
+    every bucket write is the one LWW merge (:func:`_keyed_write_group`),
+    which sorts and never joins, so nested (``list<struct>``) payload
+    columns work in both modes and the rewritten files come out sorted by
+    key. Untouched buckets keep their current files. Idempotent:
+    re-running the same updates/deletes over an already-updated table
+    converges to the same state, so a crash-resume just re-runs.
     Cost is O(touched buckets), never O(table).
 
     ``mode``: ``"cow"`` (default) rewrites each touched bucket;
@@ -3087,11 +3012,13 @@ def upsert_published(
     produces, so downstream derived/mview/joinview refreshes consume it
     directly — the write-time CDF that lets a maintained-table CASCADE skip
     snapshot diffs; see ``refresh_pipeline(chain_feeds=True)``). Computed
-    inside the per-bucket rewrite from state the upsert already holds (old
-    bucket rows + replacement rows), staged next to the bucket's data and
-    published in the same atomic pointer flip. No-op updates emit nothing;
-    ``_lsn`` carries the table's write sequence. ``feed_values`` defaults to
-    every non-key column.
+    inside the per-bucket rewrite from state the upsert already holds (the
+    bucket's old and new rows, paired by
+    :func:`~odibel_ray.cdc.lww.change_feed_group`, the kernel of
+    ``change_feed``), staged next to the bucket's data and published in the
+    same atomic pointer flip; every rewritten bucket stages one feed file.
+    No-op updates emit nothing; ``_lsn`` carries the table's write
+    sequence. ``feed_values`` defaults to every non-key column.
     """
     from odibel_ray.cdc.lww import bucket_of_keys
 

@@ -539,6 +539,21 @@ def _lex_insertion_index(
     return before[rank[n:]]
 
 
+def _same_key_pairs(
+    a: pa.Table, a_idx: np.ndarray, b: pa.Table, b_idx: np.ndarray, on: Sequence[str]
+) -> np.ndarray:
+    """``keep[j]`` = row ``a_idx[j]`` of ``a`` and row ``b_idx[j]`` of ``b``
+    have equal ``on`` columns (null == null, as the key hash has it). Run
+    after a kernel expands candidates by a 62-bit key hash, so a hash
+    collision between two keys never pairs their rows."""
+    keep = np.ones(len(a_idx), dtype=bool)
+    for k in on:
+        x, y = a[k].take(pa.array(a_idx)), b[k].take(pa.array(b_idx))
+        eq = pc.or_(pc.fill_null(pc.equal(x, y), False), pc.and_(pc.is_null(x), pc.is_null(y)))
+        keep &= eq.to_numpy(zero_copy_only=False)
+    return keep
+
+
 def range_join(
     points: "ray.data.Dataset",
     intervals: "ray.data.Dataset",
@@ -626,8 +641,8 @@ def range_join(
         pts = pts.take(pc.sort_indices(pts, sort_keys=sort_keys))
         pts_ts = pts[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
         # key runs are delimited by a 62-bit key hash on both sides; a
-        # same-bucket hash collision (~2^-62 per key pair) could merge two
-        # keys' runs — verify with the real key tuple if that ever matters
+        # same-bucket hash collision merges two keys' runs, so the expanded
+        # pairs are checked against the real key tuple below
         pk = bucket_of_keys(pts, on, 1 << 62)
         ik = bucket_of_keys(ivs, on, 1 << 62)
         # keys sorted ascending ⇒ (pk, ts) lexicographic within the bucket
@@ -654,8 +669,9 @@ def range_join(
             - np.repeat(seg_starts, counts)
             + np.repeat(a, counts)
         )
-        p_idx = pa.array(p_idx_np)
-        i_idx = pa.array(i_idx_np)
+        keep = _same_key_pairs(pts, p_idx_np, ivs, i_idx_np, on)
+        p_idx = pa.array(p_idx_np[keep])
+        i_idx = pa.array(i_idx_np[keep])
         out = pts.take(p_idx)
         for c in payload_cols:
             out = out.append_column(c, ivs[c].take(i_idx))
@@ -787,6 +803,8 @@ def interval_overlap_join(
             + np.repeat(lo, counts)
         )
         keep = le[l_idx] > rs[r_idx]  # the second overlap bound
+        l_idx, r_idx = l_idx[keep], r_idx[keep]
+        keep = _same_key_pairs(lt, l_idx, rt, r_idx, on)  # a hash collision
         l_idx, r_idx = l_idx[keep], r_idx[keep]
         out = lt.take(pa.array(l_idx))
         for c in [start_col, end_col] + right_payload:

@@ -563,7 +563,9 @@ def cut_intervals(
     corpus: intervals merge per doc (union), travel as one packed int64
     blob through the guarded broadcast join, and the cut is a numpy byte
     mask per doc. Returns every corpus row as
-    ``(id_col, text_col, n_cut_bytes)``."""
+    ``(id_col, text_col, n_cut_bytes)``. Offsets are UTF-8 byte offsets: a
+    cut that splits a multi-byte sequence raises ``ValueError`` naming the
+    document (the corpus contract is single-byte, ASCII text)."""
     from odibel_ray.ops.relational import broadcast_hash_join
 
     def merge_lists(t: pa.Table) -> pa.Table:
@@ -605,7 +607,7 @@ def cut_intervals(
         blobs = t["_cuts"].to_pylist()
         out_t: list[str] = []
         out_n: list[int] = []
-        for s, blob in zip(texts, blobs):
+        for i, (s, blob) in enumerate(zip(texts, blobs)):
             if not blob:
                 out_t.append(s)
                 out_n.append(0)
@@ -616,7 +618,15 @@ def cut_intervals(
             keep = np.ones(len(b), bool)
             for s0, e0 in zip(starts, ends):
                 keep[s0:e0] = False
-            out_t.append(b[keep].tobytes().decode())
+            try:
+                out_t.append(b[keep].tobytes().decode())
+            except UnicodeDecodeError as e:
+                doc = t[id_col][i].as_py()
+                raise ValueError(
+                    f"cut_intervals: a cut in {id_col}={doc!r} splits a multi-byte "
+                    "UTF-8 sequence; cut offsets are byte offsets, so the corpus "
+                    f"must be single-byte (ASCII) text ({e})"
+                ) from None
             out_n.append(int((~keep).sum()))
         return pa.table(
             {id_col: t[id_col],

@@ -722,3 +722,43 @@ def test_interval_overlap_join_matches_brute_force(ray_session):
         left_payload=["id"], right_payload=["id"],
         left_schema=a.schema, right_schema=b.schema,
     ).count() == 0
+
+
+def test_range_joins_pair_real_keys_on_hash_collision(ray_session, monkeypatch):
+    """Every key collides on the kernels' 62-bit key hash (one bucket, so
+    both keys meet in one group): ``range_join`` and
+    ``interval_overlap_join`` still pair only rows whose key columns are
+    equal."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from odibel_ray.cdc import lww
+    from odibel_ray.ops.relational import interval_overlap_join, range_join
+
+    real = lww.bucket_of_keys
+
+    def colliding(t, keys, num_buckets):
+        if num_buckets == 1 << 62:
+            return np.zeros(len(t), dtype=np.int64)
+        return real(t, keys, num_buckets)
+
+    monkeypatch.setattr(lww, "bucket_of_keys", colliding)
+    pts = pa.table({"k": pa.array([1, 2], pa.int64()), "ts": pa.array([5, 5], pa.int64()),
+                    "pid": pa.array([0, 1], pa.int64())})
+    ivs = pa.table({"k": pa.array([1], pa.int64()), "s": pa.array([0], pa.int64()),
+                    "e": pa.array([10], pa.int64()), "iid": pa.array([10], pa.int64())})
+    out = range_join(
+        rd.from_arrow(pts), rd.from_arrow(ivs), "k", "ts", "s", "e", payload_cols=["iid"],
+        num_buckets=1, points_schema=pts.schema, intervals_schema=ivs.schema,
+    ).take_all()
+    assert [(r["pid"], r["iid"]) for r in out] == [(0, 10)]
+    left = pa.table({"k": ["x", "y"], "start": pa.array([0, 0], pa.int64()),
+                     "end": pa.array([10, 10], pa.int64()), "id": pa.array([1, 2], pa.int64())})
+    right = pa.table({"k": ["x"], "start": pa.array([5], pa.int64()),
+                      "end": pa.array([15], pa.int64()), "id": pa.array([3], pa.int64())})
+    got = interval_overlap_join(
+        rd.from_arrow(left), rd.from_arrow(right), "k", left_payload=["id"],
+        right_payload=["id"], num_buckets=1, left_schema=left.schema,
+        right_schema=right.schema,
+    ).take_all()
+    assert [(r["id"], r["id_r"]) for r in got] == [(1, 3)]

@@ -11,6 +11,7 @@ import os
 import shutil
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -24,6 +25,7 @@ from odibel_ray.cdc import (
     compact_published,
     count_published,
     incremental_apply,
+    join_published,
     lookup_key,
     publish_dataset,
     read_published,
@@ -609,3 +611,29 @@ def test_replay_commits_without_reload(ray_session, small_log, oracle_final, tmp
     res = replay_publish(small_log["log_dir"], out, **kw)
     assert res["published_now"] == res["published_total"] - 2
     assert check(out, res) == want
+
+
+def test_ddl_rewrite_and_join_follow_the_cutover(ray_session, tmp_path, sink_executor,
+                                                 executions):
+    """``materialize_ddl`` and ``join_published`` pick their executor by the
+    size cutover: the rewrite reports it, and a driver join starts no Ray
+    Data execution and returns one block. Both executors give the rows a
+    pandas merge of the two tables gives."""
+    left = _generic_table(tmp_path)
+    res = materialize_ddl(left, run_id="rw")
+    assert res["executor"] == sink_executor and res["materialized"] == 4
+    right = str(tmp_path / "right")
+    publish_dataset(rd.from_arrow(pa.table({"k": [f"k{i:03d}" for i in range(0, 60, 3)],
+                                            "w": list(range(20))})),
+                    right, key_cols=["k"], num_buckets=4, run_id="p1")
+    executions.clear()
+    joined = join_published(left, right, how="left_outer")
+    n = joined.count()
+    assert bool(executions) == (sink_executor == "ray_data"), executions
+    if sink_executor == "driver":
+        assert joined.num_blocks() == 1
+    got = joined.to_pandas().sort_values("k").reset_index(drop=True)
+    want = read_published(left).to_pandas().merge(
+        read_published(right).to_pandas(), on="k", how="left").sort_values("k")
+    assert n == 40
+    pd.testing.assert_frame_equal(got, want.reset_index(drop=True), check_dtype=False)

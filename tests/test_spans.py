@@ -410,3 +410,28 @@ def test_cut_contaminated_spans(ray_session):
     assert out[1]["n_cut_bytes"] >= 100  # the secret (+ maybe a flank byte)
     assert secret not in out[1]["text"]
     assert train[1][:55] in out[1]["text"]  # unique prefix survives
+
+
+def test_cut_intervals_split_utf8_names_the_doc(ray_session):
+    """A byte cut that splits a multi-byte UTF-8 sequence raises a
+    ``ValueError`` naming the document and the byte-offset contract; cuts
+    that split nothing, a whole multi-byte character included, still work."""
+    import pyarrow as pa
+    import pytest
+    import ray.data as rd
+
+    from odibel_ray.spans import cut_intervals
+
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array([7, 8], pa.int64()),
+                                   "text": ["héllo", "hello"]}))
+
+    def cuts(rows):
+        return rd.from_arrow(pa.table({k: pa.array(v, pa.int64())
+                                       for k, v in zip(("doc_id", "start", "end"), zip(*rows))}))
+
+    out = {r["doc_id"]: r for r in cut_intervals(docs, cuts([(7, 1, 3), (8, 0, 1)])).take_all()}
+    assert out[7]["text"] == "hllo" and out[7]["n_cut_bytes"] == 2
+    assert out[8]["text"] == "ello"
+    # Ray Data re-raises a task's error wrapped; its message carries the cause
+    with pytest.raises(Exception, match=r"ValueError: .*doc_id=7 splits a multi-byte.*byte offs"):
+        cut_intervals(docs, cuts([(7, 1, 2)])).take_all()
