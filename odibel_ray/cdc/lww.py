@@ -215,7 +215,8 @@ def change_feed_group(t: pa.Table, keys: Sequence[str], values: Sequence[str]) -
     column (-1 old, +1 new), at most one row per key per side. Sort on the
     keys and ``_side``, then pair neighbours: a key on one side only is a
     delete or an insert, a key on both sides whose values differ (null ==
-    null counts as equal) is an update. Null keys are one key. Returns
+    null counts as equal; nested values compare as Python values) is an
+    update. Null keys are one key. Returns
     ``*keys, change, {v}_before, {v}_after`` rows."""
     t = t.combine_chunks()
     sort_keys = [(k, "ascending") for k in keys] + [("_side", "ascending")]
@@ -233,15 +234,23 @@ def change_feed_group(t: pa.Table, keys: Sequence[str], values: Sequence[str]) -
     differs = np.zeros(n, dtype=bool)
     if n > 1:
         d = np.zeros(n - 1, dtype=bool)
+        pairs = np.flatnonzero(same_next[: n - 1])
         for c in values:
             col = t[c]
-            eq = pc.equal(col.slice(1), col.slice(0, n - 1))
-            both_null = pc.and_(
-                pc.is_null(col.slice(1)), pc.is_null(col.slice(0, n - 1))
-            )
-            eqv = pc.or_(pc.fill_null(eq, False), both_null).to_numpy(
-                zero_copy_only=False
-            )
+            if pa.types.is_nested(col.type):
+                # pc.equal has no kernel for nested types: compare only the
+                # paired neighbours, as Python values (None == None)
+                eqv = np.ones(n - 1, dtype=bool)
+                eqv[pairs] = [a == b for a, b in zip(col.take(pairs).to_pylist(),
+                                                     col.take(pairs + 1).to_pylist())]
+            else:
+                eq = pc.equal(col.slice(1), col.slice(0, n - 1))
+                both_null = pc.and_(
+                    pc.is_null(col.slice(1)), pc.is_null(col.slice(0, n - 1))
+                )
+                eqv = pc.or_(pc.fill_null(eq, False), both_null).to_numpy(
+                    zero_copy_only=False
+                )
             d |= ~eqv
         differs[: n - 1] = d & same_next[: n - 1]
     changed_old = differs & same_next & (side == -1)

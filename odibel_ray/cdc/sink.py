@@ -142,14 +142,64 @@ def _filter_cols(key_cols: list[str], bloom_cols: list[str] | None) -> list[str]
     return list(dict.fromkeys([key_cols[0], *(bloom_cols or [])]))
 
 
+def _leaf_paths(name: str, type_: pa.DataType) -> list[str]:
+    """The Parquet leaf column paths pyarrow writes for an Arrow column
+    ``name`` of type ``type_``, in file order (struct fields by name, lists
+    as ``<name>.list.element``, maps as ``<name>.key_value.key`` and
+    ``.value``)."""
+    if pa.types.is_struct(type_):
+        return [p for i in range(type_.num_fields)
+                for p in _leaf_paths(f"{name}.{type_.field(i).name}", type_.field(i).type)]
+    if pa.types.is_map(type_):
+        return [*_leaf_paths(f"{name}.key_value.key", type_.key_type),
+                *_leaf_paths(f"{name}.key_value.value", type_.item_type)]
+    if (pa.types.is_list(type_) or pa.types.is_large_list(type_)
+            or pa.types.is_fixed_size_list(type_)):
+        return _leaf_paths(f"{name}.list.element", type_.value_type)
+    return [name]
+
+
 def _write_data_file(table: pa.Table, path: str) -> None:
-    """Every data-file write in the sink goes through here so the Parquet
-    codec is one knob: ``ODIBEL_PARQUET_CODEC`` (default ``snappy`` — the
-    hot-path read trade; ``zstd`` roughly halves cold-storage bytes at a
-    small CPU cost, the usual choice for a 100-TB lake). Read at call time
-    inside the writing task, so it applies on workers too."""
+    """The one writer of every table data file (base, merge-on-read delta,
+    compaction, change feed, generic bucket, DDL rewrite).
+
+    The codec is one knob: ``ODIBEL_PARQUET_CODEC`` (default ``snappy`` —
+    the hot-path read trade; ``zstd`` roughly halves cold-storage bytes at
+    a small CPU cost, the usual choice for a 100-TB lake). Read at call time
+    inside the writing task, so it applies on workers too.
+
+    Each column's encoding is chosen from its Arrow type and the distinct
+    count observed in ``table``, never from its name or the table's kind:
+
+    - integer and temporal columns (Parquet INT32/INT64) are written
+      ``DELTA_BINARY_PACKED`` with no dictionary: LSNs, turn indexes and
+      timestamps are unique or near-sorted, so a dictionary stores every
+      value twice while their deltas pack into a few bits;
+    - flat string and binary columns get a dictionary only when at most
+      half their non-null values are distinct, else they are PLAIN;
+    - floating-point and boolean columns are PLAIN;
+    - nested columns, and every other type, keep pyarrow's default
+      (dictionary on every leaf).
+
+    Encodings change bytes only: every file decodes to the same rows and
+    Arrow schema, and files written with pyarrow's defaults read alongside."""
+    dictionary, encoding = [], {}
+    for name, col in zip(table.column_names, table.columns):
+        t = col.type
+        if pa.types.is_integer(t) or pa.types.is_temporal(t):
+            encoding[name] = "DELTA_BINARY_PACKED"
+        elif (pa.types.is_string(t) or pa.types.is_large_string(t)
+              or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+            # pc.unique counts null as a value; it hashes about twice as
+            # fast as pc.count_distinct
+            distinct = len(pc.unique(col)) - (col.null_count > 0)
+            if 2 * distinct <= len(col) - col.null_count:
+                dictionary.append(name)
+        elif not (pa.types.is_floating(t) or pa.types.is_boolean(t)):
+            dictionary.extend(_leaf_paths(name, t))
     pq.write_table(
-        table, path, compression=os.environ.get("ODIBEL_PARQUET_CODEC", "snappy")
+        table, path, compression=os.environ.get("ODIBEL_PARQUET_CODEC", "snappy"),
+        use_dictionary=dictionary, column_encoding=encoding,
     )
 
 
@@ -1900,21 +1950,40 @@ def lineage_table(out_dir: str) -> pa.Table:
     return pa.Table.from_pylist(rows)
 
 
+def _add_column_bytes(acc: dict[str, int], path: str) -> None:
+    """Add one Parquet file's compressed column-chunk bytes, summed over its
+    row groups, to ``acc`` per top-level column (a nested column's leaves
+    count toward it). Reads the footer only."""
+    md = pq.read_metadata(path)
+    schema = md.schema.to_arrow_schema()
+    owners = [f.name for f in schema for _ in _leaf_paths(f.name, f.type)]
+    for r in range(md.num_row_groups):
+        rg = md.row_group(r)
+        for i, name in enumerate(owners):
+            acc[name] = acc.get(name, 0) + rg.column(i).total_compressed_size
+
+
 def table_stats(out_dir: str) -> dict:
     """Physical health report of a published table — the operator's
     ``DESCRIBE``: logical/physical row counts, bytes, merge-on-read delta
-    backlog, bucket skew, watermark spread. Metadata-only (manifests +
-    Parquet footers; no data read, no Ray session), so it is cheap at any
-    table size and safe to run concurrently with a writer."""
+    backlog, bucket skew, watermark spread, and ``column_bytes``: the
+    compressed column-chunk bytes per stored column over every live base
+    and delta file, which shows what each column's encoding costs.
+    Metadata-only (manifests + Parquet footers; no data read, no Ray
+    session), so it is cheap at any table size and safe to run
+    concurrently with a writer."""
     from odibel_ray.cdc.quality import get_expectations
 
     with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
         tman = json.load(f)
     manifests = load_manifests(out_dir)
     buckets = []
+    column_bytes: dict[str, int] = {}
     for b, m in sorted(manifests.items()):
         base_path = os.path.join(out_dir, m["file"])
         deltas = m.get("deltas", [])
+        for path in [base_path, *(os.path.join(out_dir, d["file"]) for d in deltas)]:
+            _add_column_bytes(column_bytes, path)
         delta_rows = sum(int(d["rows_out"]) for d in deltas)
         delta_bytes = sum(
             os.path.getsize(os.path.join(out_dir, d["file"])) for d in deltas
@@ -1943,6 +2012,7 @@ def table_stats(out_dir: str) -> dict:
         "bytes_base": sum(b["base_bytes"] for b in buckets),
         "bytes_delta": sum(b["delta_bytes"] for b in buckets),
         "deltas_total": sum(b["n_deltas"] for b in buckets),
+        "column_bytes": column_bytes,
         # buckets carrying deltas pay the merge on read — compaction signal
         "buckets_with_deltas": sum(1 for b in buckets if b["n_deltas"]),
         # skew: a bucket K× the mean serializes its stage at cluster scale
@@ -2533,16 +2603,17 @@ def incremental_apply(
     if not parts:
         raise FileNotFoundError(f"no WAL partitions (part=*/) found under {log_dir!r}")
     inputs = [f for p in parts for f in p["files"]]
+    log = None
     if mode == "cow" and _executor_for(inputs) == "driver":
         # copy-on-write also reads the bases of the buckets the log's events
         # route to (a superset: malformed and applied events count)
         if num_buckets is None:
             touched = {int(p["part"]) for p in parts if p["files"]}
         else:
-            conv = [pc.drop_null(pq.read_table(f, columns=["conv_id"])["conv_id"])
-                    .to_numpy(zero_copy_only=False) for f in inputs]
-            touched = set(np.unique(bucket_of_conv(
-                np.concatenate(conv or [np.array([], object)]), num_buckets)).tolist())
+            # read whole, once: a driver apply gets this same table
+            log = _read_log(parts)
+            conv = pc.drop_null(log["conv_id"]).to_numpy(zero_copy_only=False)
+            touched = set(np.unique(bucket_of_conv(conv, num_buckets)).tolist())
         inputs += [os.path.join(out_dir, f) for f in _manifest_files(
             {b: m for b, m in manifests.items() if b in touched})]
     executor = _executor_for(inputs)
@@ -2562,7 +2633,7 @@ def incremental_apply(
                            layout=_table_layout(out_dir) if bases else None, group_kw=group_kw)
     out = _grouped_apply(log_dir, parts, apply_bucket, executor, batch_size=batch_size,
                          prep_kw={"timeline": timeline, "num_buckets": num_buckets,
-                                  "watermarks": wm})
+                                  "watermarks": wm}, log=log)
     live = dict(manifests)
     published = _publish_stream(out, out_dir, live)
     if not published:
@@ -2597,8 +2668,16 @@ def _split_by_bucket(ev: pa.Table) -> dict[int, pa.Table]:
     return {int(k): ev.slice(lo, hi - lo) for k, lo, hi in zip(keys, starts, ends)}
 
 
+def _read_log(parts: list[dict]) -> pa.Table:
+    """The whole log of :func:`_wal_parts` ``parts`` as one table, each
+    part's files in order (the driver executor's read)."""
+    return pa.concat_tables([_read_wal_part(**p) for p in parts] or [_empty_log_table()],
+                            promote_options="default")
+
+
 def _grouped_apply(log_dir: str, parts: list[dict], fn, executor: str, *, prep_kw: dict,
-                   batch_size: int, done: frozenset[int] = frozenset()):
+                   batch_size: int, done: frozenset[int] = frozenset(),
+                   log: pa.Table | None = None):
     """The one grouped scheduler of a hashed :func:`replay_publish` and of
     :func:`incremental_apply`: read the log, :func:`prepare_events` with
     ``prep_kw``, drop the ``done`` buckets, and run ``fn`` once per
@@ -2606,10 +2685,12 @@ def _grouped_apply(log_dir: str, parts: list[dict], fn, executor: str, *, prep_k
     (:func:`_split_by_bucket`) here, and a lazy generator applies one
     bucket at a time, so each publishes before the next is applied.
     ``"ray_data"``: one execution, read → prepare → per-batch LWW combiner
-    (:func:`compact_batch`) → ``groupby("bucket").map_groups(fn)``."""
+    (:func:`compact_batch`) → ``groupby("bucket").map_groups(fn)``. A
+    driver run uses ``log``, the caller's :func:`_read_log` of ``parts``,
+    when given."""
     if executor == "driver":
-        log = pa.concat_tables([_read_wal_part(**p) for p in parts] or [_empty_log_table()],
-                               promote_options="default")
+        if log is None:
+            log = _read_log(parts)
         groups = _split_by_bucket(prepare_events(log, **prep_kw))
         return (fn(ev) for b, ev in groups.items() if b not in done)
     import ray.data as rd
@@ -2686,8 +2767,8 @@ def _keyed_write_group(
     contents. Both files are sorted by key, and a generic base never gets
     ``_lsn`` or ``_op``. With ``feed_dir`` (copy-on-write only) the bucket's
     row-level change feed — :func:`~odibel_ray.cdc.lww.change_feed_group`
-    over its old and new rows — stages alongside and publishes in the same
-    atomic pointer flip."""
+    over the old and new rows of the keys the group carries — stages
+    alongside and publishes in the same atomic pointer flip."""
     from odibel_ray.cdc.apply import limit_arrow_threads
 
     if len(t) == 0:
@@ -2726,10 +2807,20 @@ def _keyed_write_group(
     feed = None
     if feed_dir is not None:
         cols = key_cols + feed_values
-        sides = [(-1, new.slice(0, 0) if old is None else old), (1, new)]
+        # only the keys this group carries can change: pair the old and new
+        # rows whose every key column value occurs in the group (a superset
+        # of its keys; an unchanged key yields no feed row)
+        carried = [(k, pc.unique(rows[k])) for k in key_cols]
+
+        def side_rows(x: pa.Table, side: int) -> pa.Table:
+            for k, values in carried:
+                x = x.filter(pc.is_in(x[k], value_set=values, skip_nulls=False))
+            x = x.select(cols)
+            return x.append_column("_side", pa.array(np.full(len(x), side, np.int64)))
+
         feed_t = change_feed_group(pa.concat_tables(
-            [x.select(cols).append_column("_side", pa.array(np.full(len(x), side, np.int64)))
-             for side, x in sides]), key_cols, feed_values)
+            [side_rows(new.slice(0, 0) if old is None else old, -1), side_rows(new, 1)]),
+            key_cols, feed_values)
         feed_t = feed_t.append_column("_lsn", pa.array(np.full(len(feed_t), seq, np.int64)))
         feed = (feed_t, os.path.join(feed_dir, f"bucket={bucket}", f"upsert-{run_id}.parquet"))
     return stage(new, feed=feed)

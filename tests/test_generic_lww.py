@@ -54,6 +54,29 @@ def test_nested_upsert_and_update(ray_session, tmp_path, mode):
     assert _rows(out) == rows
 
 
+def test_cow_feed_compares_nested_values(ray_session, tmp_path):
+    """A copy-on-write upsert with ``feed_dir`` and the default
+    ``feed_values`` (every non-key column, the ``list<struct>`` one
+    included) feeds the delete, the insert and the two updates (one of a
+    nested value only), and nothing for an unchanged or an untouched key."""
+    out, feed = str(tmp_path / "t"), str(tmp_path / "feed")
+    items = [[{"name": "x", "n": 1}], [], None, [{"name": "y", "n": 2}], [{"name": "z", "n": 3}]]
+    publish_dataset(rd.from_arrow(pa.table({
+        "k": ["a", "b", "c", "d", "f"], "v": [1, 2, 3, 4, 6], "items": pa.array(items, ITEMS),
+    })), out, key_cols=["k"], num_buckets=2, run_id="p1")
+    upsert_published(rd.from_arrow(pa.table({
+        "k": ["a", "b", "d", "e"], "v": [1, 2, 40, 5],
+        "items": pa.array([[{"name": "x", "n": 1}], [{"name": "w", "n": 9}],
+                           [{"name": "y", "n": 2}], None], ITEMS),
+    })), out, deletes=rd.from_arrow(pa.table({"k": ["c"]})), run_id="u1", feed_dir=feed)
+    assert _feed_rows(feed, "u1") == [
+        ("b", "update", 2, 2, [], [{"name": "w", "n": 9}], 1),
+        ("c", "delete", 3, None, None, None, 1),
+        ("d", "update", 4, 40, [{"name": "y", "n": 2}], [{"name": "y", "n": 2}], 1),
+        ("e", "insert", None, 5, None, None, 1),
+    ]
+
+
 @pytest.mark.parametrize("mode", ["cow", "mor"])
 def test_null_key_upsert_is_one_key(ray_session, tmp_path, mode):
     """An upsert of a null key replaces the null-keyed row, as the transcript

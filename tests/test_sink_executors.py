@@ -306,6 +306,32 @@ def test_executor_follows_the_size_cutover(ray_session, small_log, tmp_path, mon
                out_dir=out, run_id="w4", mode="cow") == "ray_data"
 
 
+def test_driver_cow_apply_reads_each_log_file_once(ray_session, small_log, oracle_final,
+                                                   tmp_path, monkeypatch):
+    """A driver copy-on-write apply on a hashed table reads each WAL file
+    once: the executor sizing (the log's keys route it to buckets) and the
+    apply share one read of the log."""
+    prefix, _, full = _logs(small_log, tmp_path)
+    monkeypatch.setattr(sink, "DRIVER_MAX_BYTES", EXECUTOR_CUTOVERS["driver"])
+    out = str(tmp_path / "tbl")
+    replay_publish(prefix, out, num_buckets=8, run_id="r1")
+    log_files = sorted(glob.glob(os.path.join(full, "part=*", "*.parquet")))
+    reads = dict.fromkeys(log_files, 0)
+    real = pq.read_table
+
+    def counted(source, *a, **k):
+        if source in reads:
+            reads[source] += 1
+        return real(source, *a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(pq, "read_table", counted)
+        res = incremental_apply(full, out, run_id="w1", mode="cow")
+    assert res["executor"] == "driver" and res["touched"] > 0
+    assert log_files and reads == dict.fromkeys(log_files, 1)
+    assert collect_sorted(read_published(out), KEYS).equals(oracle_final)
+
+
 def _log_touching(log_dir: str, out: str, cutoff: int, buckets: set[int],
                   num_buckets: int) -> str:
     """``log_dir`` cut to its events at or below ``cutoff``, its schema

@@ -412,6 +412,26 @@ def test_table_stats_reports_delta_backlog(ray_session, small_log, tmp_path):
     assert s2["deltas_total"] == 0 and s2["buckets_with_deltas"] == 0
     assert len(s2["buckets"]) == 8
 
+    # column_bytes: compressed column-chunk bytes per stored column, summed
+    # from the footers of every live base and delta, with no data read
+    def footer_bytes(name):
+        md = pq.read_metadata(os.path.join(out, name))
+        return sum(md.row_group(r).column(i).total_compressed_size
+                   for r in range(md.num_row_groups) for i in range(md.num_columns))
+
+    stored = [*KEYS, "role", "text", "tool_name", "score", "ts", "_lsn", "_part", "_bucket"]
+    for s, ops in ((s0, False), (s1, True), (s2, False)):
+        cb = s["column_bytes"]
+        assert sorted(cb) == sorted(stored + ["_op"] * ops) and all(v > 0 for v in cb.values())
+        assert sum(cb.values()) < s["bytes_base"] + s["bytes_delta"]
+    assert s1["column_bytes"]["text"] > s0["column_bytes"]["text"]
+    files = [f for m in load_manifests(out).values()
+             for f in [m["file"], *(d["file"] for d in m.get("deltas", []))]]
+    assert sum(s2["column_bytes"].values()) == sum(map(footer_bytes, files))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pq, "read_table", lambda *a, **k: pytest.fail("table_stats read data"))
+        assert table_stats(out)["column_bytes"] == s2["column_bytes"]
+
 
 def test_table_stats_reports_logical_contract(ray_session, tmp_path):
     """DESCRIBE surfaces the table's logical contract: pending DDL ops, the
