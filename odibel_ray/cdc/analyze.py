@@ -78,13 +78,13 @@ def analyze_published(
     ``{column: {"nulls": n, "ndv": n, "min": v, "max": v}, ...}`` plus a
     ``"_table"`` entry with row count, method and the snapshot version the
     statistics reflect (when snapshots are enabled)."""
-    from odibel_ray.cdc.sink import list_snapshots, read_published
+    from odibel_ray.cdc.sink import _read_plan, list_snapshots, read_published
     from odibel_ray.ops.sketches import _hll_estimate
 
     if method not in ("hll", "exact"):
         raise ValueError("method must be 'hll' or 'exact'")
     ds = read_published(out_dir, columns=columns)
-    cols = list(columns) if columns is not None else list(ds.schema().names)
+    cols = list(columns) if columns is not None else _read_plan(out_dir).empty().column_names
 
     partials_ds = ds.map_batches(
         lambda t: _batch_partial(t, cols, method),

@@ -190,11 +190,6 @@ class SchemaMap:
         return pa.table(cols)
 
 
-def schema_map(out_dir: str, physical: pa.Schema) -> SchemaMap | None:
-    ops = load_schema_ops(out_dir)
-    return SchemaMap(physical, ops) if ops else None
-
-
 def alter_published(
     out_dir: str,
     *,
@@ -207,11 +202,12 @@ def alter_published(
     within one call; call repeatedly for other orders). Metadata-only and
     validated against the CURRENT logical schema before anything is
     written."""
-    from odibel_ray.cdc.sink import TABLE_MANIFEST, _table_layout, load_manifests
+    from odibel_ray.cdc.sink import TABLE_MANIFEST, _read_plan, table_lock
 
     if not os.path.exists(os.path.join(out_dir, TABLE_MANIFEST)):
         raise FileNotFoundError(f"no published table under {out_dir}")
-    layout = _table_layout(out_dir)
+    plan = _read_plan(out_dir)
+    layout = plan.layout
     if layout["system"]:
         raise ValueError(
             "alter_published targets GENERIC published tables; transcript "
@@ -220,27 +216,19 @@ def alter_published(
     key_cols = set(layout["key_cols"])
     cluster_cols = set(layout["cluster_by"] or [])
 
-    manifests = load_manifests(out_dir)
-    if not manifests:
+    if not plan.checked:
         raise FileNotFoundError(f"no published buckets under {out_dir}")
-    import pyarrow.parquet as pq
-
-    from odibel_ray.cdc.sink import table_lock
-
     # the op log is a read-modify-write: without the writer lease a
     # concurrent alter (or an in-flight materialize_ddl stamping
     # materialized_run between our load and our write) would be clobbered
     with table_lock(out_dir, owner="alter_published"):
         return _alter_locked(out_dir, add=add, rename=rename, drop=drop,
                              widen=widen, key_cols=key_cols,
-                             cluster_cols=cluster_cols, manifests=manifests)
+                             cluster_cols=cluster_cols)
 
 
-def _alter_locked(out_dir, *, add, rename, drop, widen, key_cols,
-                  cluster_cols, manifests):
-    import pyarrow.parquet as pq
-
-    from odibel_ray.cdc.sink import _atomic_write_json
+def _alter_locked(out_dir, *, add, rename, drop, widen, key_cols, cluster_cols):
+    from odibel_ray.cdc.sink import _atomic_write_json, _read_plan
 
     meta = load_schema_meta(out_dir)
     if meta.get("materialized_run"):
@@ -249,9 +237,7 @@ def _alter_locked(out_dir, *, add, rename, drop, widen, key_cols,
             f"materialize_ddl(run_id={meta['materialized_run']!r}) to finish "
             "it before altering further"
         )
-    physical = pq.read_schema(
-        os.path.join(out_dir, next(iter(sorted(m["file"] for m in manifests.values()))))
-    )
+    physical = _read_plan(out_dir).schema
     ops = meta["ops"]
     new_ops = []
     for name, typ in (add or {}).items():
@@ -318,9 +304,8 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
         _executor_for,
         _filter_cols,
         _publish_stream,
+        _read_plan,
         _stage_bucket,
-        _table_layout,
-        load_manifests,
         table_lock,
     )
 
@@ -329,7 +314,8 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
     if not ops:
         return {"materialized": 0, "skipped": 0, "executor": None, "out_dir": out_dir}
     with table_lock(out_dir, owner=f"materialize_ddl:{run_id}"):
-        manifests = load_manifests(out_dir)
+        plan = _read_plan(out_dir)
+        manifests = plan.checked
         # refuse BEFORE stamping: a stamp followed by this raise would wedge
         # the table (upserts/alter refuse while the stamp is in flight, and
         # re-running would just re-raise)
@@ -348,14 +334,13 @@ def materialize_ddl(out_dir: str, *, run_id: str = "ddl-rw-0") -> dict:
         pending = {b: m for b, m in sorted(manifests.items()) if m.get("run_id") != rid}
         n_done, executor = 0, None
         if pending:
-            first = next(iter(pending.values()))
-            physical = pq.read_schema(os.path.join(out_dir, first["file"]))
-            smap = SchemaMap(physical, ops)
+            # a pending bucket's physical schema: on a resume the plan
+            # prefers the buckets the stamped run has not rewritten
+            smap = SchemaMap(plan.schema, ops)
             staging = os.path.join(out_dir, STAGING_DIR, rid)
             os.makedirs(staging, exist_ok=True)
-            table_layout = _table_layout(out_dir)
-            key_cols = table_layout["key_cols"]
-            layout = table_layout["pinned"]
+            key_cols = plan.layout["key_cols"]
+            layout = plan.layout["pinned"]
             bloom_cols: list[str] = []
             if layout is not None:
                 # Translate layout column references through the rename/drop

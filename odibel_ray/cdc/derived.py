@@ -193,6 +193,7 @@ def create_derived(
     from odibel_ray.cdc.mview import _base_keys
     from odibel_ray.cdc.sink import (
         _atomic_write_json,
+        _read_plan,
         enable_snapshots,
         list_snapshots,
         publish_dataset,
@@ -203,7 +204,7 @@ def create_derived(
     keys = _base_keys(base_out)
     spec = _check_spec(transform, keys)
     if spec["columns"] is None:
-        probe = read_published(base_out).schema()
+        probe = _read_plan(base_out).empty().schema
         spec["columns"] = [n for n in probe.names if n not in keys]
     if snapshot_policy(base_out) is None:
         enable_snapshots(base_out)

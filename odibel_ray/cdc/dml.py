@@ -369,12 +369,10 @@ def merge_published(
     import shutil
 
     import numpy as np
-    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from odibel_ray.cdc.ddl import SCHEMA_OPS, load_schema_meta
     from odibel_ray.cdc.lww import _same_next_key_mask, bucket_of_keys
-    from odibel_ray.cdc.sink import _read_bucket, load_manifests, upsert_published
+    from odibel_ray.cdc.sink import _read_bucket, _read_plan, upsert_published
 
     run_id = _dml_run_id(run_id, "merge")
     if when_matched not in ("update", "delete", None):
@@ -404,7 +402,8 @@ def merge_published(
                          "is not derivable from the key); maintain the hash-bucketed primary")
     keys = layout["key_cols"]
     num_buckets = layout["num_buckets"]
-    if os.path.exists(os.path.join(out_dir, SCHEMA_OPS)) and load_schema_meta(out_dir).get("ops"):
+    plan = _read_plan(out_dir)
+    if plan.ops:
         raise ValueError(
             "MERGE over a table with pending metadata-only schema ops is not "
             "supported (the classification reads physical files directly); "
@@ -423,14 +422,14 @@ def merge_published(
         if c not in src_names:
             raise ValueError(f"condition references source column {c!r} not in source")
 
-    manifests = load_manifests(out_dir)
+    manifests = plan.checked
     bucket_file = {b: os.path.join(out_dir, m["file"]) for b, m in manifests.items()}
     t_cond_cols = sorted(
         set(_merge_cond_cols(matched_condition, "t"))
         | set(_merge_cond_cols(not_matched_by_source_condition, "t"))
     )
     if bucket_file:
-        canon = pq.read_schema(next(iter(sorted(bucket_file.values()))))
+        canon = plan.schema
     else:
         canon = src_schema  # merge into an empty table: inserts define the schema
     for c in t_cond_cols:

@@ -86,14 +86,6 @@ def _norm_right_columns(right_columns, right_schema: pa.Schema, right_keys) -> d
     return {c: c for c in right_columns}
 
 
-def _phys_schema(table_dir: str) -> pa.Schema:
-    """A published table's physical Arrow schema (metadata-only read)."""
-    from odibel_ray.cdc.sink import read_published
-
-    s = read_published(table_dir).schema()
-    return pa.schema([pa.field(n, t) for n, t in zip(s.names, s.types)])
-
-
 def _join_once(
     left_ds,
     right_ds,
@@ -110,7 +102,7 @@ def _join_once(
     """left ⟕/⨝ right with the right side renamed into the view's namespace.
     The probe side streams; the build side goes through the guarded broadcast
     (bucketed-shuffle fallback past the byte budget). ``right_schema`` (the
-    right table's physical schema) keeps the join well-typed when the build
+    right table's read schema) keeps the join well-typed when the build
     side restricts to ZERO rows (e.g. a refresh whose dirty keys all lost
     their match)."""
     from odibel_ray.ops.relational import broadcast_hash_join
@@ -169,6 +161,7 @@ def create_join_view(
     from odibel_ray.cdc.mview import _base_keys
     from odibel_ray.cdc.sink import (
         _atomic_write_json,
+        _read_plan,
         enable_snapshots,
         list_snapshots,
         publish_dataset,
@@ -185,11 +178,8 @@ def create_join_view(
         raise ValueError(
             f"on={on} must match the right table's key columns {right_keys} 1:1"
         )
-    left_schema = read_published(left_out).schema()
-    right_schema_ds = read_published(right_out).schema()
-    right_schema = pa.schema(
-        [pa.field(n, t) for n, t in zip(right_schema_ds.names, right_schema_ds.types)]
-    )
+    left_schema = _read_plan(left_out).empty().schema
+    right_schema = _read_plan(right_out).empty().schema
     rcols = _norm_right_columns(right_columns, right_schema, right_keys)
     if left_columns is None:
         left_columns = [n for n in left_schema.names if n not in left_keys]
@@ -278,6 +268,7 @@ def refresh_join_view(
     from odibel_ray.cdc.derived import _dirty_keys_batch
     from odibel_ray.cdc.sink import (
         _atomic_write_json,
+        _read_plan,
         list_snapshots,
         read_published,
         table_changes,
@@ -387,7 +378,7 @@ def refresh_join_view(
         scoped_left, right_restricted,
         left_keys=left_keys, on=on, right_keys=right_keys, how=how,
         left_columns=left_columns, right_columns=rcols, batch_size=batch_size,
-        right_schema=_phys_schema(right),
+        right_schema=_read_plan(right).empty().schema,
     ).materialize()
     # dirty keys with no recomputed row: left row deleted, or how='inner'
     # and the match vanished (dirty is already globally distinct, so the
@@ -426,6 +417,7 @@ def _full_refresh(out_dir: str, meta: dict, *, run_id: str, batch_size: int,
     that no longer qualify, upsert the rest (changed buckets only)."""
     from odibel_ray.cdc.sink import (
         _atomic_write_json,
+        _read_plan,
         list_snapshots,
         read_published,
         upsert_published,
@@ -443,7 +435,7 @@ def _full_refresh(out_dir: str, meta: dict, *, run_id: str, batch_size: int,
         read_published(right, columns=need_right),
         left_keys=left_keys, on=on, right_keys=right_keys, how=how,
         left_columns=left_columns, right_columns=rcols, batch_size=batch_size,
-        right_schema=_phys_schema(right),
+        right_schema=_read_plan(right).empty().schema,
     ).materialize()
     cur_keys = read_published(out_dir, system=True, columns=left_keys)
     deletes = broadcast_anti_join(cur_keys, updates, on=left_keys)

@@ -481,6 +481,7 @@ def refresh_view(
 
     from odibel_ray.cdc.sink import (
         _atomic_write_json,
+        _read_plan,
         list_snapshots,
         read_published,
         table_changes,
@@ -528,7 +529,7 @@ def refresh_view(
             v1 = v0
 
     nb = default_num_buckets(None)
-    canon = _view_schema(view_out)
+    canon = _read_plan(view_out).empty().schema
 
     if strategy == "delta":
         import shutil
@@ -640,18 +641,6 @@ def refresh_view(
         "groups_deleted": int(n_del),
         "buckets_rewritten": res["buckets_rewritten"],
     }
-
-
-def _view_schema(view_out: str) -> pa.Schema:
-    import pyarrow.parquet as pq
-
-    from odibel_ray.cdc.sink import load_manifests
-
-    manifests = load_manifests(view_out)
-    if manifests:
-        first = sorted(m["file"] for m in manifests.values())[0]
-        return pq.read_schema(os.path.join(view_out, first))
-    raise FileNotFoundError(f"view {view_out} has no published state")
 
 
 def _full_refresh(view_out: str, meta: dict, plan: _Plan, *, run_id: str,

@@ -39,11 +39,12 @@ import copy
 import hashlib
 import json
 import os
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -63,8 +64,6 @@ from odibel_ray.cdc.ddl import (
     SCHEMA_OPS,
     SchemaMap,
     load_schema_meta,
-    load_schema_ops,
-    schema_map,
 )
 from odibel_ray.cdc.lww import change_feed_group, keep_last_per_key
 from odibel_ray.cdc.schema import SchemaTimeline, extract_timeline
@@ -201,6 +200,29 @@ def _write_data_file(table: pa.Table, path: str) -> None:
         table, path, compression=os.environ.get("ODIBEL_PARQUET_CODEC", "snappy"),
         use_dictionary=dictionary, column_encoding=encoding,
     )
+
+
+def _reject_null_fixed_size_lists(t: pa.Table) -> None:
+    """Raise a ValueError naming the first column of ``t`` that holds a null
+    fixed-size list at any depth, which Parquet cannot store readably; the
+    per-batch pre-pass of :func:`publish_dataset` and
+    :func:`upsert_published`, before the bucket shuffle, so nothing stages."""
+
+    def has_null(a: pa.Array) -> bool:
+        if pa.types.is_fixed_size_list(a.type) and a.null_count:
+            return True
+        if isinstance(a, pa.StructArray):
+            return any(map(has_null, a.flatten()))
+        if isinstance(a, (pa.ListArray, pa.LargeListArray, pa.FixedSizeListArray)):
+            return has_null(a.flatten())
+        return False
+
+    for name, col in zip(t.column_names, t.columns):
+        if any(map(has_null, col.chunks)):
+            raise ValueError(
+                f"column {name!r} ({col.type}) holds a null fixed-size list, which "
+                "Parquet cannot store readably; fill it or cast the column to a "
+                "variable-size list")
 
 
 class ConcurrentWriterError(RuntimeError):
@@ -730,9 +752,11 @@ def _manifest_problems(out_dir: str, m: dict, rows=None):
 
 
 def load_manifests(out_dir: str) -> dict[int, dict]:
-    """The bucket manifests readers may trust; fsck reports the others."""
-    return {int(m["bucket"]): m for m in _bucket_manifest_files(out_dir)
-            if next(_manifest_problems(out_dir, m), None) is None}
+    """Copies of the bucket manifests readers may trust (``{}`` for no
+    buckets or no directory; ``fsck_table`` reports the others), resolved
+    like every read: each file is stat-ed on every call and its footer
+    reread only when its stat token changed (:meth:`_ReadPlan.passes`)."""
+    return _read_plan(out_dir).checked
 
 
 # ---------------------------------------------------------------------------
@@ -847,20 +871,16 @@ def _retained_files(out_dir: str) -> frozenset[str]:
     return frozenset(files)
 
 
-def record_snapshot(out_dir: str, op: str) -> dict | None:
-    """Freeze the table's current manifest set as the next version (no-op
-    unless snapshots are enabled), then expire beyond the policy's
-    ``keep_last``. Called by every publish op after its last manifest flip
-    (:func:`_commit_table`); a crash before this point simply means the next
-    successful op records the state — retained files from prior snapshots
-    are never at risk because the in-publish sweep keeps everything
-    ``_retained_files`` lists."""
-    return _record_snapshot(out_dir, op, None)
-
-
-def _record_snapshot(out_dir: str, op: str, manifests: dict[int, dict] | None) -> dict | None:
-    """:func:`record_snapshot` over the live bucket ``manifests`` when the
-    caller already holds them (None: load them)."""
+def record_snapshot(out_dir: str, op: str,
+                    manifests: dict[int, dict] | None = None) -> dict | None:
+    """Freeze the table's live bucket ``manifests`` (None: load them) as the
+    next version (no-op unless snapshots are enabled), then expire beyond
+    the policy's ``keep_last``. Called by every publish op after its last
+    manifest flip (:func:`_commit_table`), with the manifests it already
+    holds; a crash before this point simply means the next successful op
+    records the state — retained files from prior snapshots are never at
+    risk because the in-publish sweep keeps everything ``_retained_files``
+    lists."""
     keep_last = snapshot_policy(out_dir)
     if keep_last is None:
         return None
@@ -1069,7 +1089,7 @@ def _commit_table(out_dir: str, tman: dict, op: str, run_id: str,
         }
     )
     _atomic_write_json(os.path.join(out_dir, TABLE_MANIFEST), tman)
-    snap = _record_snapshot(out_dir, op, manifests)
+    snap = record_snapshot(out_dir, op, manifests)
     return manifests, (snap["version"] if snap else None)
 
 
@@ -1212,21 +1232,21 @@ def _stat_token(path: str) -> tuple | None:
     return (st.st_ino, st.st_mtime_ns, st.st_size)
 
 
-class _Bucket(NamedTuple):
+class _Bucket:
     """One parsed bucket manifest, the stat token of its file (None for a
     retained version's) and its files' Bloom filters (``key_filter``),
-    decoded: file name → column → :class:`~odibel_ray.cdc.skipping.Bloom`."""
+    decoded on first use, so a writer that only checks the manifest never
+    decodes them: file name → column → :class:`~odibel_ray.cdc.skipping.Bloom`."""
 
-    token: tuple | None
-    manifest: dict
-    blooms: dict[str, dict | None]
+    def __init__(self, manifest: dict, token: tuple | None = None):
+        self.manifest, self.token = manifest, token
 
+    @cached_property
+    def blooms(self) -> dict[str, dict | None]:
+        from odibel_ray.cdc.skipping import decode_blooms
 
-def _parsed_bucket(m: dict, token: tuple | None = None) -> _Bucket:
-    from odibel_ray.cdc.skipping import decode_blooms
-
-    return _Bucket(token, m, {e["file"]: decode_blooms(e.get("key_filter"))
-                              for e in [m, *m.get("deltas", [])]})
+        return {e["file"]: decode_blooms(e.get("key_filter"))
+                for e in [self.manifest, *self.manifest.get("deltas", [])]}
 
 
 #: tables whose resolution a process keeps, the least recently read dropped
@@ -1241,11 +1261,11 @@ _TABLES_LOCK = threading.Lock()
 
 class _Table:
     """A table resolved once per manifest version: the per-process cache
-    entry behind every read plan (:func:`_resolved_table`). It holds the
-    layout, the schema-op log, the parsed bucket manifests with their
-    decoded key filters, and, under each file's stat token, the row count of
-    every live file a read checked and the full footers of the last
-    ``_FOOTER_CACHE_SIZE`` live files a read opened. It is rebuilt when the
+    entry behind every read plan (:func:`_resolved_table`), writers' too. It
+    holds the layout, the schema-op log, the parsed bucket manifests with
+    their decoded key filters, and, under each file's stat token, the row
+    count of every checked live file and the full footers of the last
+    ``_FOOTER_CACHE_SIZE`` live files read. It is rebuilt when the
     stat token of a bucket manifest, the TABLE manifest, ``_layout.json`` or
     the schema log changes; a rebuild reparses only the bucket manifests
     whose token changed and keeps only the live files' row counts and
@@ -1262,7 +1282,7 @@ class _Table:
         for fn, token in tokens.items():
             bk = reuse.get(fn)
             if bk is None or bk.token != token:
-                bk = _parsed_bucket(_read_bucket_manifest(root, fn), token)
+                bk = _Bucket(_read_bucket_manifest(root, fn), token)
             self.parsed[fn] = bk
         self.buckets = {int(bk.manifest["bucket"]): bk for bk in self.parsed.values()}
         self.live = _manifest_files({b: bk.manifest for b, bk in self.buckets.items()})
@@ -1274,10 +1294,10 @@ class _Table:
 
     def footer(self, name: str) -> tuple:
         """``(footer, read)``: data file ``name``'s Parquet footer (None when
-        the file does not exist) and whether it was read from disk. The file
-        is stat-ed on every call; a live file's footer is reused while its
-        stat token is unchanged and it is among the last
-        ``_FOOTER_CACHE_SIZE`` footers read."""
+        it does not exist, or vanishes before it is read) and whether it was
+        read from disk. The file is stat-ed on every call; a live file's
+        footer is reused while its stat token is unchanged and it is among
+        the last ``_FOOTER_CACHE_SIZE`` footers read."""
         path = os.path.join(self.root, name)
         token = _stat_token(path)
         if token is None:
@@ -1285,7 +1305,10 @@ class _Table:
         hit = self.footers.get(name)
         if hit is not None and hit[0] == token:
             return hit[1], False
-        md = pq.read_metadata(path)
+        try:
+            md = pq.read_metadata(path)
+        except FileNotFoundError:
+            return None, False
         if name in self.live:
             self.rows[name] = (token, md.num_rows)
             self.footers[name] = (token, md)
@@ -1341,6 +1364,11 @@ class _ReadPlan:
     task per bucket (:func:`read_published` above it), which gets the plan
     in its closure.
 
+    It is the one resolver of a table: :func:`load_manifests` returns its
+    :attr:`checked`; writers, DDL and DML take :attr:`schema`, :attr:`smap`
+    and ``mrun`` from it, :func:`table_stats` its footers, and maintained
+    views a base's schema from ``empty().schema`` (one footer, no data).
+
     Cached per process and table directory, and reused while the stat token
     ``(st_ino, st_mtime_ns, st_size)`` of every bucket manifest, the TABLE
     manifest, ``_layout.json`` and the schema log is unchanged: the layout,
@@ -1355,7 +1383,7 @@ class _ReadPlan:
 
     Existence is still checked on every read. Live bucket manifests are
     checked when a read is about to open them: a whole-table read checks
-    every bucket (:attr:`manifests`), a routed read only the buckets it
+    every bucket (:attr:`checked`), a routed read only the buckets it
     keeps (:func:`_bucket_prune`). The check stats every file and compares
     the manifested row count with the file's footer, read from disk only
     when its stat token changed. A retained version's manifests are
@@ -1383,19 +1411,28 @@ class _ReadPlan:
         return {b: bk.manifest for b, bk in sorted(self.buckets.items())}
 
     @cached_property
+    def checked(self) -> dict[int, dict]:
+        """A copy of every bucket manifest that passes the manifest check,
+        ``{}`` when none does (:func:`load_manifests`); pickle copies these
+        JSON dicts about 3x faster than ``copy.deepcopy``."""
+        kept = {b: bk.manifest for b, bk in sorted(self.buckets.items()) if self.passes(b)}
+        return pickle.loads(pickle.dumps(kept, pickle.HIGHEST_PROTOCOL))
+
+    @property
     def manifests(self) -> dict[int, dict]:
-        """The buckets a whole-table read opens: a copy of every one that
-        passes the manifest check."""
-        found = {b: copy.deepcopy(m) for b, m in self.listed.items() if self.passes(b)}
-        if not found:
+        """The buckets a whole-table read opens: :attr:`checked`, which must
+        not be empty."""
+        if not self.checked:
             raise FileNotFoundError(f"no published buckets under {self.out_dir}")
-        return found
+        return self.checked
 
     def footer(self, name: str):
-        """Data file ``name``'s footer, None when it does not exist
-        (:meth:`_Table.footer`)."""
+        """Data file ``name``'s footer (:meth:`_Table.footer`); raises
+        FileNotFoundError when the file does not exist."""
         md, read = self.table.footer(name)
         self.footers_read += read
+        if md is None:
+            raise FileNotFoundError(os.path.join(self.out_dir, name))
         return md
 
     def num_rows(self, name: str) -> int | None:
@@ -1439,11 +1476,7 @@ class _ReadPlan:
     def schema(self) -> pa.Schema:
         """Physical schema of the buckets that fold ``ops`` (of any bucket
         when all are flipped; key column types agree across buckets)."""
-        name = self.listed[self._schema_bucket]["file"]
-        md = self.footer(name)
-        if md is None:
-            raise FileNotFoundError(os.path.join(self.out_dir, name))
-        return md.schema.to_arrow_schema()
+        return self.footer(self.listed[self._schema_bucket]["file"]).schema.to_arrow_schema()
 
     @cached_property
     def smap(self) -> SchemaMap | None:
@@ -1491,7 +1524,7 @@ def _read_plan(out_dir: str, *, version: int | None = None, as_of=None,
     table = _resolved_table(out_dir)
     buckets = table.buckets
     if version is not None:
-        buckets = {b: _parsed_bucket(m) for b, m in snapshot_manifests(out_dir, version).items()}
+        buckets = {b: _Bucket(m) for b, m in snapshot_manifests(out_dir, version).items()}
         if not buckets:
             raise FileNotFoundError(f"no published buckets under {out_dir}")
     layout = copy.deepcopy(table.layout)
@@ -1950,11 +1983,10 @@ def lineage_table(out_dir: str) -> pa.Table:
     return pa.Table.from_pylist(rows)
 
 
-def _add_column_bytes(acc: dict[str, int], path: str) -> None:
+def _add_column_bytes(acc: dict[str, int], md: pq.FileMetaData) -> None:
     """Add one Parquet file's compressed column-chunk bytes, summed over its
-    row groups, to ``acc`` per top-level column (a nested column's leaves
-    count toward it). Reads the footer only."""
-    md = pq.read_metadata(path)
+    row groups (footer ``md``), to ``acc`` per top-level column (a nested
+    column's leaves count toward it)."""
     schema = md.schema.to_arrow_schema()
     owners = [f.name for f in schema for _ in _leaf_paths(f.name, f.type)]
     for r in range(md.num_row_groups):
@@ -1976,14 +2008,14 @@ def table_stats(out_dir: str) -> dict:
 
     with open(os.path.join(out_dir, TABLE_MANIFEST)) as f:
         tman = json.load(f)
-    manifests = load_manifests(out_dir)
+    plan = _read_plan(out_dir)
     buckets = []
     column_bytes: dict[str, int] = {}
-    for b, m in sorted(manifests.items()):
+    for b, m in plan.checked.items():
         base_path = os.path.join(out_dir, m["file"])
         deltas = m.get("deltas", [])
-        for path in [base_path, *(os.path.join(out_dir, d["file"]) for d in deltas)]:
-            _add_column_bytes(column_bytes, path)
+        for name in [m["file"], *(d["file"] for d in deltas)]:
+            _add_column_bytes(column_bytes, plan.footer(name))
         delta_rows = sum(int(d["rows_out"]) for d in deltas)
         delta_bytes = sum(
             os.path.getsize(os.path.join(out_dir, d["file"])) for d in deltas
@@ -2027,7 +2059,7 @@ def table_stats(out_dir: str) -> dict:
         "cluster_by": tman.get("cluster_by"),
         # pending metadata-only DDL ops and the CHECK constraint, so DESCRIBE
         # shows the table's full logical contract, not just its bytes
-        "schema_ops": load_schema_ops(out_dir),
+        "schema_ops": plan.ops,
         "expectations": get_expectations(out_dir),
         "snapshot_policy": snapshot_policy(out_dir),
         "snapshots": [
@@ -2965,6 +2997,7 @@ def publish_dataset(
         expect = get_expectations(out_dir) or None  # resumed run keeps the gate
 
     def tag(t: pa.Table) -> pa.Table:
+        _reject_null_fixed_size_lists(t)
         if expect:
             from odibel_ray.cdc.quality import enforce_batch
 
@@ -3113,7 +3146,8 @@ def upsert_published(
     """
     from odibel_ray.cdc.lww import bucket_of_keys
 
-    layout = _table_layout(out_dir)
+    plan = _read_plan(out_dir)
+    layout = plan.layout
     if layout["system"]:
         raise FileNotFoundError(
             f"{out_dir} is not a generic published table (no _layout.json; "
@@ -3134,7 +3168,7 @@ def upsert_published(
             "mode='mor' cannot emit a change feed (the feed is computed from "
             "the copy-on-write rewrite state); use mode='cow' with feed_dir"
         )
-    manifests = load_manifests(out_dir)
+    manifests = plan.checked
     if mode == "cow" and any(m.get("deltas") for m in manifests.values()):
         raise ValueError(
             "table has merge-on-read deltas; compact_published first (or "
@@ -3143,23 +3177,21 @@ def upsert_published(
     bucket_files = {b: m["file"] for b, m in manifests.items()}
     if updates is None and deletes is None:
         raise ValueError("pass updates rows, deletes rows, or both")
+    # metadata-only DDL: updates arrive with LOGICAL names; files keep ONE
+    # physical schema, so translate logical→physical on write (cdc/ddl.py)
+    smap = None
     if bucket_files:
-        canon = pq.read_schema(os.path.join(out_dir, next(iter(sorted(bucket_files.values())))))
+        if plan.mrun:
+            raise ValueError(
+                "a materialize_ddl rewrite is in flight on this table "
+                "(mixed physical schemas); finish it before upserting"
+            )
+        canon, smap = plan.schema, plan.smap
     elif updates is None:
         raise ValueError("delete-only upsert needs a published table to delete from")
     else:
         canon = updates.schema().base_schema
     canon_names = list(canon.names)
-    # metadata-only DDL: updates arrive with LOGICAL names; files keep ONE
-    # physical schema, so translate logical→physical on write (cdc/ddl.py)
-    smap = None
-    if bucket_files and os.path.exists(os.path.join(out_dir, SCHEMA_OPS)):
-        if load_schema_meta(out_dir).get("materialized_run"):
-            raise ValueError(
-                "a materialize_ddl rewrite is in flight on this table "
-                "(mixed physical schemas); finish it before upserting"
-            )
-        smap = schema_map(out_dir, canon)
     if feed_dir is not None and smap is not None:
         raise ValueError(
             "feed_dir with an active schema op log is not supported (the feed "
@@ -3194,6 +3226,7 @@ def upsert_published(
     os.makedirs(staging, exist_ok=True)
 
     def tag_updates(t: pa.Table) -> pa.Table:
+        _reject_null_fixed_size_lists(t)
         t = t.combine_chunks()
         if smap is not None:
             t = _to_physical_update(t, smap, canon)

@@ -39,7 +39,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 #: (module, function) pairs timed, by the name the sink calls them through
 TIMED = {
     "odibel_ray.cdc.sink": [
-        "load_manifests", "extract_timeline", "_read_wal_part", "prepare_events",
+        "load_manifests", "_resolved_table", "extract_timeline", "_read_wal_part", "prepare_events",
         "_split_by_bucket", "_apply_write_group", "keep_last_per_key", "_read_bucket",
         "merge_base_deltas", "_stage_bucket", "_write_data_file", "_publish_delta_row",
         "_publish_base_row", "_sweep_bucket_versions", "_commit_table",
