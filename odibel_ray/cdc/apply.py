@@ -389,41 +389,19 @@ def replay_change_feed(
     )
 
 
-def feed_table(
-    t: pa.Table,
-    *,
-    cut: int | None = None,
-    mask_col: str | None = None,
-    values: Sequence[str] = ("text",),
-    with_lsn: bool = False,
-) -> pa.Table:
-    """Group-local change-feed rows from one key-complete event group: per key
-    classify insert/update/delete between the before-state (max-LSN event on
-    the before side) and the after-state (max-LSN event overall). The before
-    side is ``lsn <= cut`` or a boolean ``mask_col`` column.
-
-    ``values`` picks which columns the feed carries (and compares for update
-    detection) as ``{v}_before``/``{v}_after`` — the default matches the
-    north-rule invariant (per-turn ``text``); a materialized view's refresh
-    asks for the columns its aggregates read (``odibel_ray.cdc.mview``).
-
-    ``with_lsn=True`` appends ``_lsn`` — the after-state event's LSN (the
-    delete event's for deletes). Per key it strictly advances across
-    successive state transitions, so a consumer of TELESCOPED feeds (several
-    applies' state files read together) can resolve "latest transition per
-    key" without any file ordering (``odibel_ray.cdc.derived``)."""
-    values = list(values)
+def feed_table(t: pa.Table, *, cut: int) -> pa.Table:
+    """Group-local change-feed rows from one key-complete event group, the
+    kernel of :func:`replay_change_feed`: per key classify
+    insert/update/delete of ``text`` between the before-state (max-LSN
+    event with ``lsn <= cut``) and the after-state (max-LSN event overall).
+    A bucket write's feed is :func:`odibel_ray.cdc.lww.change_feed_group`
+    instead, over the base rows and the write's LWW winners."""
     if len(t) == 0:
-        fields = [("conv_id", pa.string()), ("turn_idx", pa.int64()), ("change", pa.string())]
-        for v in values:
-            vt = t.schema.field(v).type if v in t.column_names else pa.string()
-            fields += [(f"{v}_before", vt), (f"{v}_after", vt)]
-        if with_lsn:
-            fields.append(("_lsn", pa.int64()))
-        return pa.schema(fields).empty_table()
-    t, starts, bi, ends, live_b, live_a, neq = _feed_states(
-        t, cut=cut, mask_col=mask_col, values=values
-    )
+        vt = t.schema.field("text").type if "text" in t.column_names else pa.string()
+        return pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int64()),
+                          ("change", pa.string()), ("text_before", vt),
+                          ("text_after", vt)]).empty_table()
+    t, starts, bi, ends, live_b, live_a, neq = _feed_states(t, cut=cut)
     upd = live_b & live_a & neq
     dele = live_b & ~live_a
     ins = ~live_b & live_a
@@ -436,15 +414,10 @@ def feed_table(
         "turn_idx": t["turn_idx"].take(pa.array(starts)).take(sel).cast(pa.int64()),
         "change": pa.array(label, pa.string()),
     }
-    for v in values:
-        col = t[v]
-        vb = col.take(pa.array(bi)).take(sel)
-        va = col.take(pa.array(ends)).take(sel)
-        null_v = pa.scalar(None, col.type)
-        cols[f"{v}_before"] = pc.if_else(lb, vb, null_v)
-        cols[f"{v}_after"] = pc.if_else(la, va, null_v)
-    if with_lsn:
-        cols["_lsn"] = t["lsn"].take(pa.array(ends)).take(sel).cast(pa.int64())
+    col = t["text"]
+    null_v = pa.scalar(None, col.type)
+    cols["text_before"] = pc.if_else(lb, col.take(pa.array(bi)).take(sel), null_v)
+    cols["text_after"] = pc.if_else(la, col.take(pa.array(ends)).take(sel), null_v)
     return pa.table(cols)
 
 
@@ -465,16 +438,11 @@ def _compact_sides(t: pa.Table, *, cut: int) -> pa.Table:
     return t.filter(pa.array(keep))
 
 
-def _feed_states(
-    t: pa.Table,
-    cut: int | None = None,
-    mask_col: str | None = None,
-    values: Sequence[str] = ("text",),
-):
+def _feed_states(t: pa.Table, cut: int, values: Sequence[str] = ("text",)):
     """Group-local two-state decomposition: sort the group's events, find per
-    key the max-LSN event on the *before side* (``lsn <= cut``, or rows where
-    the boolean ``mask_col`` is true) and overall (after-state), and whether
-    any of the ``values`` columns differs null-safely. Returns
+    key the max-LSN event on the *before side* (``lsn <= cut``) and overall
+    (after-state), and whether any of the ``values`` columns differs
+    null-safely. Returns
     ``(sorted_table, starts, before_idx, after_idx, live_b, live_a, neq)``
     with the index arrays per key segment."""
     t = t.combine_chunks()
@@ -485,10 +453,7 @@ def _feed_states(
         first[1:] = ~_same_next_key_mask(t, ("conv_id", "turn_idx"))
     starts = np.flatnonzero(first)
     ends = np.append(starts[1:], n) - 1  # max-LSN row per key
-    if mask_col is not None:
-        before_side = t[mask_col].to_numpy(zero_copy_only=False).astype(bool)
-    else:
-        before_side = t["lsn"].to_numpy(zero_copy_only=False) <= cut
+    before_side = t["lsn"].to_numpy(zero_copy_only=False) <= cut
     idx = np.arange(n)
     before_idx = np.maximum.reduceat(np.where(before_side, idx, -1), starts)
     has_b = before_idx >= 0

@@ -210,14 +210,20 @@ def change_windows(
 
 
 def change_feed_group(t: pa.Table, keys: Sequence[str], values: Sequence[str]) -> pa.Table:
-    """The pairing kernel of :func:`change_feed` for one group: ``t`` holds
-    both states' rows of some keys, ``keys + values`` plus a ``_side``
-    column (-1 old, +1 new), at most one row per key per side. Sort on the
-    keys and ``_side``, then pair neighbours: a key on one side only is a
-    delete or an insert, a key on both sides whose values differ (null ==
-    null counts as equal; nested values compare as Python values) is an
-    update. Null keys are one key. Returns
-    ``*keys, change, {v}_before, {v}_after`` rows."""
+    """The pairing kernel of :func:`change_feed` for one group, and of every
+    bucket write's change feed: ``t`` holds both states' rows of some keys,
+    ``keys + values`` plus a ``_side`` column (-1 old, +1 new), at most one
+    row per key per side. Sort on the keys and ``_side``, then pair
+    neighbours: a key on one side only is a delete or an insert, a key on
+    both sides whose values differ (null == null counts as equal; nested
+    values compare as Python values) is an update. Null keys are one key.
+    Returns ``*keys, change, {v}_before, {v}_after`` rows.
+
+    When ``t`` also carries ``_op`` and ``_lsn``, its new side is a change
+    set, a bucket write's LWW winners (``sink._write_bucket``): a
+    tombstone (``_op = 'D'``) there counts as absent, an old row whose key
+    the new side does not carry is unchanged, and every feed row ends with
+    its new-side row's ``_lsn``."""
     t = t.combine_chunks()
     sort_keys = [(k, "ascending") for k in keys] + [("_side", "ascending")]
     t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
@@ -227,10 +233,14 @@ def change_feed_group(t: pa.Table, keys: Sequence[str], values: Sequence[str]) -
         same_next[: n - 1] = _same_next_key_mask(t, keys)
     same_prev = np.zeros(n, dtype=bool)
     same_prev[1:] = same_next[: n - 1]
-    side = t["_side"].to_numpy(zero_copy_only=False)
+    old = t["_side"].to_numpy(zero_copy_only=False) == -1
     paired = same_next | same_prev
-    only_old = (~paired) & (side == -1)
-    only_new = (~paired) & (side == 1)
+    changes = "_op" in t.column_names
+    gone = np.zeros(n, dtype=bool)  # a new-side tombstone
+    if changes:
+        gone = ~old & pc.fill_null(pc.equal(t["_op"], "D"), False).to_numpy(zero_copy_only=False)
+    gone_next = np.zeros(n, dtype=bool)
+    gone_next[: n - 1] = gone[1:]
     differs = np.zeros(n, dtype=bool)
     if n > 1:
         d = np.zeros(n - 1, dtype=bool)
@@ -253,34 +263,30 @@ def change_feed_group(t: pa.Table, keys: Sequence[str], values: Sequence[str]) -
                 )
             d |= ~eqv
         differs[: n - 1] = d & same_next[: n - 1]
-    changed_old = differs & same_next & (side == -1)
-    idx = np.arange(n)
-    del_rows = t.take(pa.array(idx[only_old]))
-    ins_rows = t.take(pa.array(idx[only_new]))
-    upd_old_idx = idx[changed_old]
-    upd_old = t.take(pa.array(upd_old_idx))
-    upd_new = t.take(pa.array(upd_old_idx + 1))
+    # old-row index of each delete and update (its new-side pair is the next
+    # row), new-row index of each insert
+    dels = np.flatnonzero(old & (same_next & gone_next | ~paired & (not changes)))
+    ins = np.flatnonzero(~old & ~paired & ~gone)
+    upds = np.flatnonzero(old & differs & ~gone_next)
 
-    def mk(key_src: pa.Table, before: pa.Table | None, after: pa.Table | None,
+    def mk(at: np.ndarray, before: np.ndarray | None, after: np.ndarray | None,
            label: str) -> pa.Table:
-        m = len(key_src)
-        arrs = [key_src[k] for k in keys]
-        names = list(keys)
-        arrs.append(pa.array(np.full(m, label, dtype=object), pa.string()))
-        names.append("change")
+        m = len(at)
+        cols = {k: t[k].take(at) for k in keys}
+        cols["change"] = pa.array(np.full(m, label, dtype=object), pa.string())
         for v in values:
             vt = t.schema.field(v).type
-            arrs.append(before[v] if before is not None else pa.nulls(m, vt))
-            names.append(f"{v}_before")
-            arrs.append(after[v] if after is not None else pa.nulls(m, vt))
-            names.append(f"{v}_after")
-        return pa.table(dict(zip(names, arrs)))
+            cols[f"{v}_before"] = t[v].take(before) if before is not None else pa.nulls(m, vt)
+            cols[f"{v}_after"] = t[v].take(after) if after is not None else pa.nulls(m, vt)
+        if changes:  # a delete's new-side row is its tombstone, the next row
+            cols["_lsn"] = t["_lsn"].take(at + 1 if after is None else after)
+        return pa.table(cols)
 
     return pa.concat_tables(
         [
-            mk(del_rows, del_rows, None, "delete"),
-            mk(ins_rows, None, ins_rows, "insert"),
-            mk(upd_old, upd_old, upd_new, "update"),
+            mk(dels, dels, None, "delete"),
+            mk(ins, None, ins, "insert"),
+            mk(upds, upds, upds + 1, "update"),
         ]
     )
 
@@ -307,9 +313,8 @@ def change_feed(
 
     Same single-exchange shape as :func:`outer_diff`: tag each side, union,
     shuffle once on the key hash, pair rows group-locally
-    (:func:`change_feed_group`, the kernel a copy-on-write
-    ``upsert_published(feed_dir=)`` also runs over one bucket's old and new
-    rows) — no join operator, so at 100 TB the cost is one all-to-all over
+    (:func:`change_feed_group`, the kernel every bucket write's change
+    feed also runs) — no join operator, so at 100 TB the cost is one all-to-all over
     ``keys + values`` only. Both inputs must be converged states (at most
     one row per key per side); a null key is one key.
     """

@@ -436,10 +436,11 @@ def _atomic_write_json(path: str, obj: dict) -> None:
     os.replace(tmp, path)
 
 
-def _bucket_watermarks(t: pa.Table) -> dict[str, int]:
-    """max LSN per WAL partition among this group's events (vectorized)."""
-    part = t["part"].to_numpy(zero_copy_only=False)
-    lsn = t["lsn"].to_numpy(zero_copy_only=False)
+def _bucket_watermarks(*tables: pa.Table) -> dict[str, int]:
+    """max ``_lsn`` per WAL partition (``_part``) over the stored-form rows
+    of ``tables`` (vectorized), in partition order."""
+    part = np.concatenate([t["_part"].to_numpy(zero_copy_only=False) for t in tables])
+    lsn = np.concatenate([t["_lsn"].to_numpy(zero_copy_only=False) for t in tables])
     out: dict[str, int] = {}
     for p in np.unique(part):
         out[str(int(p))] = int(lsn[part == p].max())
@@ -528,81 +529,127 @@ def _stage_bucket(
     )
 
 
-def _apply_write_group(
-    t: pa.Table,
+def _write_bucket(
+    rows: pa.Table,
     *,
+    layout: dict,
     staging: str,
     run_id: str,
-    metrics: str | None = None,
-    base_wms: dict[int, dict[str, int]] | None = None,
+    bases: dict[int, dict] | None = None,
+    mor: bool = False,
+    out_dir: str = "",
+    seq: int = 0,
     feed: dict | None = None,
+    metrics: str | None = None,
 ) -> pa.Table:
-    """Final LWW apply of one bucket's events + deterministic staged write;
-    returns ONE manifest row.
+    """The one bucket write of every keyed table, transcript and generic:
+    stage one bucket's changes and return its ONE manifest row. ``rows``
+    are in stored form: the ``layout``'s key and payload columns, ``_lsn``,
+    ``_op`` (``D`` marks a tombstone) and ``_bucket``, plus ``_part`` on a
+    transcript table. A replay and an apply reach it through
+    :func:`_write_events`, an upsert through :func:`_write_upsert`, a
+    rebucket directly.
 
-    ``base_wms`` (merge-on-read, the published buckets' watermarks): a
-    bucket that already has a base stages only its compacted new events as
-    a DELTA — no base read, no base rewrite. Tombstones are RETAINED
-    (``_op = 'D'``) so the reader's merge can shadow base rows. The delta
-    filename is derived from the bucket's post-apply watermark STATE, not
-    the run_id, so a crash-resume that re-applies the same events under a
-    fresh run_id overwrites the crashed run's delta instead of stacking a
-    duplicate. A bucket with no published base gets an ordinary base write.
+    The group's LWW winners are one
+    :func:`~odibel_ray.cdc.lww.keep_last_per_key` of ``rows``. With
+    ``mor``, a bucket that has a base in ``bases`` (published bucket
+    manifests, reduced to their file names and watermarks) stages the
+    winners as a DELTA, tombstones retained — no base read, no base
+    rewrite. Every other write stages the bucket's next base:
+    :func:`merge_base_deltas` of the base, read with :func:`_read_bucket`,
+    and the winners; a bucket with no base stages the winners without their
+    tombstones, and a generic table's base never gets ``_lsn`` or ``_op``.
 
-    ``feed`` (``{dir, values, lsn}``, copy-on-write only): the group carries
-    a ``_base`` side marker, and the bucket's change-data feed stages with
-    its data (see :func:`incremental_apply`)."""
-    if len(t) == 0:
-        # a shard whose events all failed prepare's validity filter publishes
-        # nothing — skip, don't IndexError the whole run
+    A transcript write's watermarks are the per-part max ``_lsn`` of its
+    rows and of the base rows it folds in (for a delta, merged with the
+    base's), and its ``n_events`` counts both. Its delta is named by that
+    post-apply watermark STATE, not the run_id, so a crash-resume that
+    re-applies the same events under a fresh run_id overwrites the crashed
+    run's delta instead of stacking a duplicate. A generic write counts its
+    rows, and names its delta by ``(seq, run_id)``: a resume of the same
+    run overwrites its own delta, a later run (next ``seq``) never does.
+
+    ``feed`` (``{dir, values, lsn}``, never with a delta): the bucket's
+    row-level change feed, :func:`~odibel_ray.cdc.lww.change_feed_group`
+    over the base rows of the keys the group carries and the winners, stages
+    with the data and publishes in the same pointer flip. A transcript
+    feed file is named by the watermark state (``state-<hash>``), so a
+    resume overwrites rather than duplicates it (two applies of a bucket
+    always advance some part's max LSN); a generic one by its run
+    (``upsert-<run_id>``). Its ``_lsn`` is each key's winner's."""
+    if len(rows) == 0:
+        # a shard whose events all failed prepare's validity filter
+        # publishes nothing — skip, don't IndexError the whole run
         return _MANIFEST_SCHEMA.empty_table()
     delay = float(os.environ.get("ODIBEL_TEST_APPLY_DELAY", "0"))
     if delay:  # test hook: lets the kill-resume test catch the run mid-publish
         time.sleep(delay)
-    t = t.combine_chunks()
-    bucket = int(t["bucket"][0].as_py())
-    n_events = len(t)
-    wms = _bucket_watermarks(t)
-    delta = base_wms is not None and bucket in base_wms
-    feed_out = None
-    if feed is not None:
-        from odibel_ray.cdc.apply import feed_table
-
-        feed_t = feed_table(
-            t, mask_col="_base", values=feed["values"] or ("text",),
-            with_lsn=feed["lsn"],
-        )
-        # feed filename is derived from the bucket's post-apply watermark
-        # STATE, not the run_id: a crash between feed publish and the
-        # bucket manifest write makes the resume re-apply the same events
-        # (same watermark map) under a fresh run_id — a deterministic
-        # name means the resume OVERWRITES the crashed run's feed file
-        # instead of double-counting its change rows. Two different
-        # applies of a bucket always advance some part's max LSN, so the
-        # watermark map (hashed, since parts can also drop out when all
-        # their rows are deleted) uniquely tags each state transition.
-        tag = hashlib.sha1(json.dumps(wms).encode()).hexdigest()[:16]
-        feed_out = (
-            feed_t, os.path.join(feed["dir"], f"bucket={bucket}", f"state-{tag}.parquet")
-        )
-
-    t = keep_last_per_key(t, TRANSCRIPT_KEYS, "lsn")
-    if not delta:
-        t = t.filter(pc.not_equal(t["op"], "D"))
-    cols = {c: t[c] for c in LOGICAL_COLUMNS}
-    cols.update(_lsn=t["lsn"], _part=t["part"], _bucket=t["bucket"])
+    os.makedirs(staging, exist_ok=True)
+    keys, system = layout["key_cols"], layout["system"]
+    bucket = int(rows["_bucket"][0].as_py())
+    if not system:
+        rows = rows.drop_columns(["_bucket"])
+    base = (bases or {}).get(bucket)
+    delta = mor and base is not None
+    old = None if delta or base is None else _read_bucket(out_dir, base, layout)
+    win = keep_last_per_key(rows, keys, "_lsn")
+    kw = {"n_events": len(rows)}
+    if system:
+        wms = _bucket_watermarks(rows, *([] if old is None else [old]))
+        if delta:
+            # effective watermarks: merged(base, every delta) — keeps
+            # _watermark_matrix and the next run's idempotence filter exact
+            wms = _merged_watermarks(base["watermarks"], wms)
+        kw["n_events"] = kw["events"] = len(rows) + (0 if old is None else len(old))
+        kw["watermarks"] = json.dumps(wms)
+    stage = partial(_stage_bucket, bucket=bucket, staging=staging, run_id=run_id,
+                    filter_cols=_filter_cols(keys, layout["bloom_cols"]), metrics=metrics, **kw)
     if delta:
-        cols["_op"] = t["op"]
-    out = pa.table(cols)
-    kw = dict(bucket=bucket, filter_cols=TRANSCRIPT_KEYS[:1], staging=staging, run_id=run_id,
-              n_events=n_events, metrics=metrics, events=n_events)
-    if delta:
-        # effective watermarks: merged(base, every delta) — keeps
-        # _watermark_matrix and the next run's idempotence filter exact
-        merged = _merged_watermarks(base_wms[bucket], wms)
-        tag = hashlib.sha1(json.dumps(merged, sort_keys=True).encode()).hexdigest()[:16]
-        return _stage_bucket(out, watermarks=json.dumps(merged), delta_tag=tag, **kw)
-    return _stage_bucket(out, watermarks=json.dumps(wms), feed=feed_out, **kw)
+        state = wms if system else [seq, run_id]
+        tag = hashlib.sha1(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
+        return stage(win, delta_tag=tag)
+    if old is None:
+        new = win.filter(pc.not_equal(win["_op"], "D"))
+        new = new.drop_columns(["_op"] if system else ["_op", "_lsn"])
+    else:
+        new = merge_base_deltas(old, [win], keys=keys)
+    if feed is None:
+        return stage(new)
+    cols = [*keys, *feed["values"]]
+    # only the keys the group carries can change: the base rows whose every
+    # key column value occurs among them (a superset; the kernel leaves a
+    # key with no winner unchanged)
+    carried = win.select(cols).slice(0, 0) if old is None else old.select(cols)
+    for k in keys:
+        carried = carried.filter(
+            pc.is_in(carried[k], value_set=pc.unique(win[k]), skip_nulls=False))
+    sides = [(carried, -1), (win.select([*cols, "_lsn", "_op"]), 1)]
+    feed_t = change_feed_group(pa.concat_tables(
+        [t.append_column("_side", pa.array(np.full(len(t), side, np.int64))) for t, side in sides],
+        promote_options="default"), keys, feed["values"])
+    if not feed["lsn"]:
+        feed_t = feed_t.drop_columns(["_lsn"])
+    name = (f"state-{hashlib.sha1(json.dumps(wms).encode()).hexdigest()[:16]}" if system
+            else f"upsert-{run_id}")
+    path = os.path.join(feed["dir"], f"bucket={bucket}", f"{name}.parquet")
+    return stage(new, feed=(feed_t, path))
+
+
+def _bases(manifests: dict[int, dict]) -> dict[int, dict]:
+    """Bucket manifests reduced to what :func:`_write_bucket` needs of a
+    base: the file names :func:`_read_bucket` opens, and the watermarks a
+    transcript delta advances."""
+    return {b: {"file": m["file"], "deltas": [{"file": d["file"]} for d in m.get("deltas", [])],
+                "watermarks": m["watermarks"]} for b, m in manifests.items()}
+
+
+def _write_events(ev: pa.Table, **kw) -> pa.Table:
+    """One bucket's prepared transcript events (:func:`prepare_events`) as
+    stored-form rows through :func:`_write_bucket`; the per-bucket body of
+    a replay and an apply."""
+    cols = {c: ev[c] for c in LOGICAL_COLUMNS}
+    cols.update(_lsn=ev["lsn"], _part=ev["part"], _bucket=ev["bucket"], _op=ev["op"])
+    return _write_bucket(pa.table(cols), **kw)
 
 
 def _bucket_filename(bucket: int, run_id: str) -> str:
@@ -1093,17 +1140,7 @@ def _commit_table(out_dir: str, tman: dict, op: str, run_id: str,
     return manifests, (snap["version"] if snap else None)
 
 
-def _rows_as_events(t: pa.Table, bucket) -> pa.Table:
-    """Published transcript rows (system columns included) as insert events
-    at their own ``_lsn``, routed to ``bucket`` — the form the apply
-    consumes when it re-applies a base (incremental CoW, rebucket)."""
-    cols = {"op": pa.array(np.full(len(t), "I"), pa.string()), "lsn": t["_lsn"]}
-    cols.update({c: t[c] for c in LOGICAL_COLUMNS})
-    cols.update(part=t["_part"], bucket=bucket)
-    return pa.table(cols)
-
-
-def _replay_part(p: dict, *, timeline: SchemaTimeline, staging: str, run_id: str,
+def _replay_part(p: dict, *, timeline: SchemaTimeline, layout: dict, staging: str, run_id: str,
                  done: frozenset[int], metrics: str | None = None) -> pa.Table:
     """The per-part body of a partitioned replay, which both of its
     executors run: unless WAL partition ``p`` is in ``done``, ordered read
@@ -1117,7 +1154,7 @@ def _replay_part(p: dict, *, timeline: SchemaTimeline, staging: str, run_id: str
         # (or it was vacuumed) — nothing to apply, not an error
         return _MANIFEST_SCHEMA.empty_table()
     ev = prepare_events(_read_wal_part(part, p["files"]), timeline, num_buckets=None)
-    return _apply_write_group(ev, staging=staging, run_id=run_id, metrics=metrics)
+    return _write_events(ev, layout=layout, staging=staging, run_id=run_id, metrics=metrics)
 
 
 @_single_writer("out_dir")
@@ -1140,7 +1177,7 @@ def replay_publish(
     shard path — each WAL partition is read, applied and staged as its own
     bucket (:func:`_replay_part`). Otherwise the log is prepared with
     ``num_buckets`` (which also re-buckets) and each bucket's events go
-    through :func:`_apply_write_group`.
+    through :func:`_write_events`.
 
     Like :func:`incremental_apply`, one per-bucket body runs on either of
     two schedulers, which share the layout pin, staging, audit, per-bucket
@@ -1195,12 +1232,12 @@ def replay_publish(
         raise ValueError("partitioned sink requires num_buckets=None (bucket == WAL part)")
     parts = _wal_parts(log_dir)
     executor = _executor_for([f for p in parts for f in p["files"]])
-    group_kw = dict(staging=staging, run_id=run_id, metrics=metrics)
+    group_kw = dict(layout=_table_layout(out_dir), staging=staging, run_id=run_id, metrics=metrics)
     if partitioned:
         out = map_items(partial(_replay_part, timeline=timeline, done=done, **group_kw),
                         parts, executor)
     else:
-        out = _grouped_apply(log_dir, parts, partial(_apply_write_group, **group_kw), executor,
+        out = _grouped_apply(log_dir, parts, partial(_write_events, **group_kw), executor,
                              prep_kw={"timeline": timeline, "num_buckets": num_buckets},
                              done=done, batch_size=batch_size)
     published = _publish_stream(out, out_dir, live)
@@ -1683,12 +1720,12 @@ def read_published(
         else:
             where = where or None
 
-    blooms = {f: bl for bk in plan.buckets.values() for f, bl in bk.blooms.items()}
-
     def may_match(w):
         """File name → may it hold a row matching ``w``, in the column space
         the file is written in: its Bloom filters (in memory, so a rejected
-        file costs no footer read), then its footer min/max."""
+        file costs no footer read), then its footer min/max. Only a read
+        with a predicate decodes the filters."""
+        blooms = {f: bl for bk in plan.buckets.values() for f, bl in bk.blooms.items()}
         probes = bloom_probes(w)  # each probe is hashed once per stored dtype
         return lambda f: blooms_admit(blooms[f], probes) and file_may_match(
             os.path.join(out_dir, f), w, metadata=plan.footer(f))
@@ -1733,14 +1770,15 @@ def lookup_key(
     version: int | None = None,
 ) -> pa.Table:
     """Point read of one key from a published table — the payoff of the
-    hash-bucketed layout: at 100 TB this opens ONE bucket file (or, for
-    part-aligned layouts, prunes by Parquet footer stats) instead of
-    scanning the table, so a CDC-serving lookup is O(one row group), not a
-    distributed job. Driver-side on purpose: the result is a handful of
-    rows. It is :func:`_bucket_prune` plus the driver's read body
-    (:func:`_read_buckets`) with a one-key ``where``, the same body a
-    :func:`read_published` at or below :data:`DRIVER_MAX_BYTES` runs, and
-    returns that read's rows and schema as a table. It skips the scan's
+    hash-bucketed layout: at 100 TB it opens the files of the one bucket
+    that can hold the key (its base, plus the deltas whose key filter
+    admits it) instead of scanning the table, so a CDC-serving lookup
+    costs O(one bucket's files), not a distributed job. Driver-side on
+    purpose: the result is a handful of rows. It is :func:`_bucket_prune`
+    plus the driver's read body (:func:`_read_buckets`) with a one-key
+    ``where``, the same body a :func:`read_published` at or below
+    :data:`DRIVER_MAX_BYTES` runs, and returns that read's rows and schema
+    as a table. It skips the scan's
     Bloom filter and footer min/max checks of the routed files: the key
     filters already routed it.
 
@@ -1769,9 +1807,11 @@ def lookup_key(
     one ``listdir`` plus a stat per manifest file — and a checked file's row
     count is read from its footer once per file version (its stat token).
     A ``version=`` lookup parses that version's manifests on every call.
-    Transcript bucket files are sorted by ``conv_id``
-    (``_SORT_KEYS``), so Parquet row-group statistics prune the
-    non-matching row groups of every file read.
+    No writer sets a row-group size, so every file is one row group: each
+    file the lookup opens is read whole (its requested columns, plus the
+    key and ``_lsn``/``_op`` columns a merge-on-read bucket's merge needs)
+    and its rows filtered on the key; footer statistics cannot skip part
+    of a file.
 
     ``version=V`` answers the lookup from retained snapshot V (time travel;
     see :func:`enable_snapshots`) — same single-file access pattern.
@@ -2410,17 +2450,17 @@ def rebucket_published(
 
     base = read_published(src_dir, system=True)
 
-    def to_events(t: pa.Table) -> pa.Table:
+    def rebucketed(t: pa.Table) -> pa.Table:
+        # published rows, as inserts at their own _lsn, routed to the new buckets
         t = t.combine_chunks()
         bucket = bucket_of_conv(t["conv_id"].to_numpy(zero_copy_only=False), num_buckets)
-        out = _rows_as_events(t, pa.array(bucket))
-        if len(done_arr):
-            out = out.filter(pa.array(~np.isin(bucket, done_arr)))
-        return out
+        t = t.set_column(t.schema.get_field_index("_bucket"), "_bucket", pa.array(bucket))
+        t = t.append_column("_op", pa.array(np.full(len(t), "I"), pa.string()))
+        return t.filter(pa.array(~np.isin(bucket, done_arr))) if len(done_arr) else t
 
-    ev = base.map_batches(to_events, batch_format="pyarrow", batch_size=batch_size)
-    manifest_ds = ev.groupby("bucket").map_groups(
-        partial(_apply_write_group, staging=staging, run_id=run_id),
+    rows = base.map_batches(rebucketed, batch_format="pyarrow", batch_size=batch_size)
+    manifest_ds = rows.groupby("_bucket").map_groups(
+        partial(_write_bucket, layout=_table_layout(dst_dir), staging=staging, run_id=run_id),
         batch_format="pyarrow",
     )
     published = _publish_stream(manifest_ds, dst_dir)
@@ -2552,16 +2592,18 @@ def incremental_apply(
     insert/update/delete with before/after ``text`` vs the base table, the
     lakehouse CDF a MERGE writes alongside the data) as partitioned Parquet
     under ``feed_dir/bucket=<b>/state-<watermark-hash>.parquet`` — computed inside the
-    same per-bucket apply task from state the merge already holds (base row
-    + winning event per key), so it costs no extra exchange or log read.
+    same per-bucket apply task from state the merge already holds (the base
+    rows and the winning event of each key the events carry, paired by
+    :func:`~odibel_ray.cdc.lww.change_feed_group`, the kernel every bucket
+    write's feed runs), so it costs no extra exchange or log read.
     Feed filenames are keyed by the bucket's post-apply watermark map, so a
     crash-resume under a *different* run_id still overwrites rather than
     duplicates the crashed run's feed rows; keys in untouched buckets have
     no new events and thus no feed rows. ``feed_lsn=True`` adds an ``_lsn``
-    ordering column to the feed (see :func:`odibel_ray.cdc.apply.feed_table`)
-    so consumers can resolve the latest transition per key across telescoped
-    state files — required by ``refresh_derived(strategy='feed')`` when
-    several applies run between refreshes.
+    ordering column to the feed, the winning event's LSN (the delete's for a
+    delete), so consumers can resolve the latest transition per key across
+    telescoped state files — required by ``refresh_derived(strategy='feed')``
+    when several applies run between refreshes.
 
     ``mode``: ``"cow"`` (default) rewrites each touched bucket from
     ``base ∪ new-events`` — read-optimized, but at high apply frequency every
@@ -2576,11 +2618,11 @@ def incremental_apply(
     (``feed_dir``) requires the base row for before-values, so it is
     CoW-only.
 
-    One per-bucket body (:func:`_apply_bucket`: for ``"cow"``, the bucket's
-    own base read with :func:`_read_bucket`, then
-    :func:`_apply_write_group`) runs on either of two schedulers
-    (:func:`_grouped_apply`), which share the lease, staging, audit,
-    per-bucket manifest flip and epilogue. When the log's
+    One per-bucket body, the bucket write every keyed table shares
+    (:func:`_write_events`, then :func:`_write_bucket`; for ``"cow"`` it
+    reads the bucket's own base with :func:`_read_bucket`), runs on either
+    of two schedulers (:func:`_grouped_apply`), which share the lease,
+    staging, audit, per-bucket manifest flip and epilogue. When the log's
     ``part=*/*.parquet`` bytes — plus, for ``"cow"``, the base and delta
     bytes of the buckets the log's events route to (its WAL parts on a
     partitioned table, its ``conv_id`` values hashed on a hashed one) —
@@ -2649,20 +2691,11 @@ def incremental_apply(
         inputs += [os.path.join(out_dir, f) for f in _manifest_files(
             {b: m for b, m in manifests.items() if b in touched})]
     executor = _executor_for(inputs)
-    staging = os.path.join(out_dir, STAGING_DIR, run_id)
-    group_kw = dict(staging=staging, run_id=run_id, metrics=metrics)
-    if mode == "mor":
-        group_kw["base_wms"] = {b: dict(m["watermarks"]) for b, m in manifests.items()}
-    if feed_dir:
-        group_kw["feed"] = {"dir": feed_dir, "values": feed_values, "lsn": feed_lsn}
-    # copy-on-write folds in each touched bucket's own base: the apply gets
-    # only the file names its _read_bucket opens
-    bases = {} if mode == "mor" else {
-        b: {"file": m["file"], "deltas": [{"file": d["file"]} for d in m.get("deltas", [])]}
-        for b, m in manifests.items()
-    }
-    apply_bucket = partial(_apply_bucket, out_dir=out_dir, bases=bases,
-                           layout=_table_layout(out_dir) if bases else None, group_kw=group_kw)
+    feed = None if not feed_dir else {"dir": feed_dir, "values": feed_values or ["text"],
+                                      "lsn": feed_lsn}
+    apply_bucket = partial(_write_events, layout=_table_layout(out_dir), bases=_bases(manifests),
+                           mor=mode == "mor", out_dir=out_dir, feed=feed, metrics=metrics,
+                           staging=os.path.join(out_dir, STAGING_DIR, run_id), run_id=run_id)
     out = _grouped_apply(log_dir, parts, apply_bucket, executor, batch_size=batch_size,
                          prep_kw={"timeline": timeline, "num_buckets": num_buckets,
                                   "watermarks": wm}, log=log)
@@ -2741,121 +2774,47 @@ def _grouped_apply(log_dir: str, parts: list[dict], fn, executor: str, *, prep_k
     return ds.groupby("bucket").map_groups(fn, batch_format="pyarrow")
 
 
-def _apply_bucket(ev: pa.Table, *, out_dir: str, bases: dict[int, dict], layout: dict | None,
-                  group_kw: dict) -> pa.Table:
-    """The one per-bucket apply of :func:`incremental_apply`, which both of
-    its executors run: one bucket's new events, with its base rows (when
-    ``bases``, the file names of the bucket manifests a copy-on-write apply
-    folds in, holds the bucket) as insert events, through
-    :func:`_apply_write_group`. A change feed gets its ``_base`` side
-    marker. Returns the bucket's manifest row."""
-    os.makedirs(group_kw["staging"], exist_ok=True)
-    bucket = int(ev["bucket"][0].as_py())
-    sides = [ev]
-    if bucket in bases:
-        base = _read_bucket(out_dir, bases[bucket], layout)
-        sides.append(_rows_as_events(base, base["_bucket"]))
-    if "feed" in group_kw:
-        sides = [t.append_column("_base", pa.array(np.full(len(t), i == 1)))
-                 for i, t in enumerate(sides)]
-    t = pa.concat_tables(sides, promote_options="default")
-    return _apply_write_group(t, **group_kw)
-
-
-def _keyed_write_group(
-    t: pa.Table,
-    *,
-    staging: str,
-    run_id: str,
-    key_cols: list[str],
-    out_dir: str = "",
-    bucket_files: dict[int, str] | None = None,
-    mode: str = "cow",
-    seq: int = 0,
-    sort_by: str | None = None,
-    bloom_cols: list[str] | None = None,
-    feed_dir: str | None = None,
-    feed_values: list[str] | None = None,
-    metrics: str | None = None,
-) -> pa.Table:
-    """Stage one pre-bucketed group of a generic keyed table (any schema,
-    including nested ``list<struct>`` columns) and emit its manifest row —
-    the bucket write of :func:`publish_dataset` and
-    :func:`upsert_published`.
-
-    Rows carry ``_bucket`` and, for upserts, a ``_delete`` flag (delete rows
-    carry their key; their other columns are null). A ``publish_dataset``
-    group (no ``_delete``) stages as it is, sorted by ``sort_by`` when given
-    (range-clustered layouts, so the file's Parquet row-group stats stay
-    tight). An upsert group becomes LWW rows — its deletes (``_op = 'D'``)
-    then its updates (``_op = 'U'``), all at ``_lsn = seq`` — and goes
-    through the one keep-last (:func:`~odibel_ray.cdc.lww.keep_last_per_key`),
-    so a group that updates AND deletes one key keeps the update, and a
-    null key is one key, in both modes. ``mode="mor"`` stages the kept rows
-    as a DELTA, tombstones retained — no base read, no base rewrite.
-    ``mode="cow"``, and any bucket with no published base in
-    ``bucket_files``, stages :func:`merge_base_deltas` of the base and those
-    rows, so re-running the same updates converges to the same file
-    contents. Both files are sorted by key, and a generic base never gets
-    ``_lsn`` or ``_op``. With ``feed_dir`` (copy-on-write only) the bucket's
-    row-level change feed — :func:`~odibel_ray.cdc.lww.change_feed_group`
-    over the old and new rows of the keys the group carries — stages
-    alongside and publishes in the same atomic pointer flip."""
+def _publish_group(t: pa.Table, *, sort_by: str | None = None, **kw) -> pa.Table:
+    """Stage one pre-bucketed group of :func:`publish_dataset` rows (any
+    schema, nested columns included) as its bucket's base, sorted by
+    ``sort_by`` when given (range-clustered layouts, so the file's Parquet
+    row-group stats stay tight): no LWW, the rows are the table."""
     from odibel_ray.cdc.apply import limit_arrow_threads
 
     if len(t) == 0:
         return _MANIFEST_SCHEMA.empty_table()
     limit_arrow_threads()
     t = t.combine_chunks()
-    bucket = int(t["_bucket"][0].as_py())
-    n_events = len(t)
-    stage = partial(_stage_bucket, bucket=bucket, filter_cols=_filter_cols(key_cols, bloom_cols),
-                    staging=staging, run_id=run_id, n_events=n_events, metrics=metrics)
-    if "_delete" not in t.column_names:
-        if sort_by is not None:
-            t = t.take(pc.sort_indices(t, sort_keys=[(sort_by, "ascending")]))
-        # _z is the z-order sort helper, never persisted
-        return stage(t.drop_columns([c for c in ("_bucket", "_z") if c in t.column_names]))
+    if sort_by is not None:
+        t = t.take(pc.sort_indices(t, sort_keys=[(sort_by, "ascending")]))
+    # _z is the z-order sort helper, never persisted
+    return _stage_bucket(t.drop_columns([c for c in ("_bucket", "_z") if c in t.column_names]),
+                         bucket=int(t["_bucket"][0].as_py()), n_events=len(t), **kw)
+
+
+def _write_upsert(t: pa.Table, *, seq: int, bases: dict[int, dict], **kw) -> pa.Table:
+    """One bucket's :func:`upsert_published` rows as stored-form rows
+    through :func:`_write_bucket`. Rows carry ``_bucket`` and a ``_delete``
+    flag (delete rows carry their key; their other columns are padded).
+    They become the group's deletes (``_op = 'D'``) then its updates
+    (``_op = 'U'``), all at ``_lsn = seq``, so a group that updates AND
+    deletes one key keeps the update. A delete-only group aimed at a bucket
+    with no base in ``bases`` writes nothing: publishing it would pin a
+    phantom zero-row bucket file that every future read opens."""
+    from odibel_ray.cdc.apply import limit_arrow_threads
+
+    if len(t) == 0:
+        return _MANIFEST_SCHEMA.empty_table()
+    limit_arrow_threads()
+    t = t.combine_chunks()
     dmask = pc.fill_null(t["_delete"], False)
     dels, ups = t.filter(dmask), t.filter(pc.invert(dmask))
-    rows = pa.concat_tables([dels, ups]).drop_columns(["_bucket", "_delete"])
+    if len(ups) == 0 and int(t["_bucket"][0].as_py()) not in bases:
+        return _MANIFEST_SCHEMA.empty_table()
+    rows = pa.concat_tables([dels, ups]).drop_columns(["_delete"])
     rows = rows.append_column("_lsn", pa.array(np.full(len(rows), seq, np.int64)))
     rows = rows.append_column("_op", pa.array(["D"] * len(dels) + ["U"] * len(ups)))
-    old_file = (bucket_files or {}).get(bucket)
-    if old_file is not None and mode == "mor":
-        # named by (write_seq, run_id): a resume of the same run overwrites
-        # its own delta, a later run (next write_seq) never does
-        tag = hashlib.sha1(json.dumps([seq, run_id]).encode()).hexdigest()[:16]
-        return stage(keep_last_per_key(rows, key_cols, "_lsn"), delta_tag=tag)
-    if old_file is None and len(ups) == 0:
-        # delete-only group aimed at a bucket that was never published:
-        # nothing to remove, nothing to write — publishing here would pin a
-        # phantom zero-row bucket file that every future read opens
-        return _MANIFEST_SCHEMA.empty_table()
-    old = None if old_file is None else pq.read_table(os.path.join(out_dir, old_file))
-    new = merge_base_deltas(old, [rows], keys=key_cols)
-    if old is None:  # the merge keeps _lsn without a base
-        new = new.drop_columns(["_lsn"])
-    feed = None
-    if feed_dir is not None:
-        cols = key_cols + feed_values
-        # only the keys this group carries can change: pair the old and new
-        # rows whose every key column value occurs in the group (a superset
-        # of its keys; an unchanged key yields no feed row)
-        carried = [(k, pc.unique(rows[k])) for k in key_cols]
-
-        def side_rows(x: pa.Table, side: int) -> pa.Table:
-            for k, values in carried:
-                x = x.filter(pc.is_in(x[k], value_set=values, skip_nulls=False))
-            x = x.select(cols)
-            return x.append_column("_side", pa.array(np.full(len(x), side, np.int64)))
-
-        feed_t = change_feed_group(pa.concat_tables(
-            [side_rows(new.slice(0, 0) if old is None else old, -1), side_rows(new, 1)]),
-            key_cols, feed_values)
-        feed_t = feed_t.append_column("_lsn", pa.array(np.full(len(feed_t), seq, np.int64)))
-        feed = (feed_t, os.path.join(feed_dir, f"bucket={bucket}", f"upsert-{run_id}.parquet"))
-    return stage(new, feed=feed)
+    return _write_bucket(rows, seq=seq, bases=bases, **kw)
 
 
 @_single_writer("out_dir")
@@ -3023,13 +2982,12 @@ def publish_dataset(
     tagged = ds.map_batches(tag, batch_format="pyarrow", batch_size=batch_size)
     manifest_ds = tagged.groupby("_bucket").map_groups(
         partial(
-            _keyed_write_group,
+            _publish_group,
+            sort_by="_z" if zcols is not None else cluster_by,
+            filter_cols=_filter_cols(list(key_cols), bloom_cols),
             staging=staging,
             run_id=run_id,
-            key_cols=list(key_cols),
             metrics=metrics,
-            sort_by="_z" if zcols is not None else cluster_by,
-            bloom_cols=bloom_cols,
         ),
         batch_format="pyarrow",
     )
@@ -3051,6 +3009,21 @@ def publish_dataset(
         "snapshot": snap,
         "out_dir": out_dir,
     }
+
+
+def _pad(type_: pa.DataType, n: int) -> pa.Array:
+    """``n`` values of ``type_`` that stand for nothing, a delete row's
+    non-key columns: nulls, except where Parquet cannot store a null
+    readably. A fixed-size list gets a list of padded elements, and a
+    struct holding one gets its fields padded instead of a null."""
+    if pa.types.is_fixed_size_list(type_):
+        return pa.FixedSizeListArray.from_arrays(_pad(type_.value_type, n * type_.list_size),
+                                                 type=type_)
+    if pa.types.is_struct(type_):
+        fields = [_pad(f.type, n) for f in type_]
+        if any(a.null_count < n for a in fields):
+            return pa.StructArray.from_arrays(fields, fields=list(type_))
+    return pa.nulls(n, type_)
 
 
 def _to_physical_update(t: pa.Table, smap, canon: pa.Schema) -> pa.Table:
@@ -3114,8 +3087,9 @@ def upsert_published(
     per key); ``deletes`` is an optional Dataset carrying (at least) the key
     columns of rows to remove. A key that is both updated and deleted in one
     call keeps its update row, and a null key is one key, in both modes:
-    every bucket write is the one LWW merge (:func:`_keyed_write_group`),
-    which sorts and never joins, so nested (``list<struct>``) payload
+    every bucket write is the one bucket write of every keyed table
+    (:func:`_write_upsert`, then :func:`_write_bucket`), an LWW merge that
+    sorts and never joins, so nested (``list<struct>``) payload
     columns work in both modes and the rewritten files come out sorted by
     key. Untouched buckets keep their current files. Idempotent:
     re-running the same updates/deletes over an already-updated table
@@ -3137,10 +3111,11 @@ def upsert_published(
     directly — the write-time CDF that lets a maintained-table CASCADE skip
     snapshot diffs; see ``refresh_pipeline(chain_feeds=True)``). Computed
     inside the per-bucket rewrite from state the upsert already holds (the
-    bucket's old and new rows, paired by
-    :func:`~odibel_ray.cdc.lww.change_feed_group`, the kernel of
-    ``change_feed``), staged next to the bucket's data and published in the
-    same atomic pointer flip; every rewritten bucket stages one feed file.
+    base rows of the keys the bucket's group carries and the group's LWW
+    winners, paired by :func:`~odibel_ray.cdc.lww.change_feed_group`, the
+    kernel of ``change_feed`` and of a transcript apply's feed), staged
+    next to the bucket's data and published in the same atomic pointer
+    flip; every rewritten bucket stages one feed file.
     No-op updates emit nothing; ``_lsn`` carries the table's write
     sequence. ``feed_values`` defaults to every non-key column.
     """
@@ -3174,13 +3149,12 @@ def upsert_published(
             "table has merge-on-read deltas; compact_published first (or "
             "keep upserting with mode='mor')"
         )
-    bucket_files = {b: m["file"] for b, m in manifests.items()}
     if updates is None and deletes is None:
         raise ValueError("pass updates rows, deletes rows, or both")
     # metadata-only DDL: updates arrive with LOGICAL names; files keep ONE
     # physical schema, so translate logical→physical on write (cdc/ddl.py)
     smap = None
-    if bucket_files:
+    if manifests:
         if plan.mrun:
             raise ValueError(
                 "a materialize_ddl rewrite is in flight on this table "
@@ -3243,9 +3217,7 @@ def upsert_published(
         cols = {}
         for name in canon_names:
             f = canon.field(name)
-            cols[name] = (
-                t[name].cast(f.type) if name in key_cols else pa.nulls(len(t), f.type)
-            )
+            cols[name] = t[name].cast(f.type) if name in key_cols else _pad(f.type, len(t))
         padded = pa.table(cols)
         b = bucket_of_keys(padded, key_cols, num_buckets)
         padded = padded.append_column("_bucket", pa.array(b, pa.int64()))
@@ -3261,18 +3233,17 @@ def upsert_published(
             tag_deletes, batch_format="pyarrow", batch_size=batch_size
         )
         tagged = tag_d if tagged is None else tagged.union(tag_d)
+    feed = None if feed_dir is None else {"dir": feed_dir, "values": feed_values, "lsn": True}
     group_fn = partial(
-        _keyed_write_group,
+        _write_upsert,
+        layout=layout,
+        bases=_bases(manifests),
+        mor=mode == "mor",
+        out_dir=out_dir,
+        seq=seq,
+        feed=feed,
         staging=staging,
         run_id=run_id,
-        key_cols=key_cols,
-        out_dir=out_dir,
-        bucket_files=bucket_files,
-        mode=mode,
-        seq=seq,
-        bloom_cols=layout["bloom_cols"],
-        feed_dir=feed_dir,
-        feed_values=feed_values,
         metrics=metrics,
     )
     manifest_ds = tagged.groupby("_bucket").map_groups(group_fn, batch_format="pyarrow")

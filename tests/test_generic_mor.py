@@ -190,3 +190,21 @@ def test_update_wins_over_delete_of_same_key(ray_session, gen, mode):
     assert lookup_key(gen, "a")["v"].to_pylist() == [10.0]
     compact_published(gen, run_id="c1")
     assert _df(read_published(gen)).v.tolist() == [10.0, 2.0]
+
+
+def test_mor_delete_on_fixed_size_list_table(ray_session, tmp_path):
+    """A merge-on-read delete pads its tombstone's fixed-size-list column
+    with a list of null elements, which Parquet stores readably (a null
+    fixed-size list reads back as a short list and fails the read)."""
+    out = str(tmp_path / "fsl")
+    vec = pa.array([[1, 2], [3, 4], [5, 6]], pa.list_(pa.int32(), 2))
+    publish_dataset(rd.from_arrow(pa.table({"k": ["a", "b", "c"], "vec": vec})), out,
+                    key_cols=["k"], num_buckets=1, run_id="p1")
+    upsert_published(None, out, deletes=rd.from_arrow(pa.table({"k": ["b"]})),
+                     run_id="d1", mode="mor")
+    assert len(load_manifests(out)[0]["deltas"]) == 1
+    rows = sorted(read_published(out).take_all(), key=lambda r: r["k"])
+    assert [(r["k"], list(r["vec"])) for r in rows] == [("a", [1, 2]), ("c", [5, 6])]
+    assert lookup_key(out, "b").num_rows == 0
+    compact_published(out, run_id="c1")
+    assert sorted(r["k"] for r in read_published(out).take_all()) == ["a", "c"]

@@ -137,3 +137,20 @@ def test_base_lsn_follows_the_layout(ray_session, small_log, tmp_path, monkeypat
             got = _read_bucket(out, m, layout, columns=cols)
             assert not schemas
             assert got.equals(_read_bucket(out, m, layout).select(cols))
+
+
+def test_whole_table_read_decodes_no_bloom_filter(ray_session, tmp_path, monkeypatch):
+    """Only a read with a predicate probes the files' Bloom filters, so a
+    whole-table read never decodes one."""
+    from odibel_ray.cdc import sink
+
+    out = str(tmp_path / "g")
+    publish_dataset(rd.from_arrow(_generic()), out, key_cols=["k"], num_buckets=4,
+                    run_id="g1", bloom_cols=["label"])
+
+    def decoded(self):
+        raise AssertionError("a whole-table read decoded a Bloom filter")
+
+    monkeypatch.setattr(sink._Bucket, "blooms", property(decoded))
+    assert read_published(out).count() == 20
+    assert read_published(out, columns=["k"]).count() == 20

@@ -294,7 +294,7 @@ def test_retried_group_write_is_idempotent(tmp_path):
 
     import pyarrow as pa
 
-    from odibel_ray.cdc.sink import _apply_write_group
+    from odibel_ray.cdc.sink import _table_layout, _write_events
 
     staging = tmp_path / "stage"
     staging.mkdir()
@@ -313,13 +313,14 @@ def test_retried_group_write_is_idempotent(tmp_path):
             "bucket": pa.array([5, 5, 5, 5], pa.int64()),
         }
     )
-    m1 = _apply_write_group(t, staging=str(staging), run_id="r")
-    m2 = _apply_write_group(t, staging=str(staging), run_id="r")  # simulated retry
+    kw = dict(layout=_table_layout(str(tmp_path)), staging=str(staging), run_id="r")
+    m1 = _write_events(t, **kw)
+    m2 = _write_events(t, **kw)  # simulated retry
     assert m1.equals(m2)
     assert os.listdir(staging) == ["part-000005-r.parquet"]
     assert m1["rows_out"][0].as_py() == 2  # 'a' upserted, 'b' deleted, 'c' live
     # empty group (all events invalid upstream) publishes nothing, no error
-    assert len(_apply_write_group(t.slice(0, 0), staging=str(staging), run_id="r")) == 0
+    assert len(_write_events(t.slice(0, 0), **kw)) == 0
 
 
 def test_incremental_feed_matches_generic_diff(ray_session, small_log, tmp_path):

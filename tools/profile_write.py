@@ -1,27 +1,30 @@
-"""Split one merge-on-read write and one compaction by function, on the
-``serve_mixed`` set-up table.
+"""Split one merge-on-read write, one compaction and one bulk replay by
+function, on ``perfbench``'s inputs.
 
 Builds the table ``perfbench``'s ``serve_mixed`` workload starts from for one
 seed (the 16-part partitioned base plus its pending merge-on-read deltas, via
 ``perfbench.fixtures``), runs the workload's first three client writes and a
 compaction as a warm-up, then measures the next client write
 (``incremental_apply(mode="mor")``) and the compaction after it
-(``compact_published``, folding 3 deltas per bucket), both in the driver,
-as in the workload. For each op and for each sink function it calls, it
-prints the calls and the inclusive CPU time twice:
+(``compact_published``, folding 3 deltas per bucket). It then generates the
+``bulk_replay`` log of the seed, replays it once as a warm-up, and measures
+a second partitioned ``replay_publish`` of it into a fresh directory. All
+three run in the driver, as in the workloads. For each op and for each
+sink function it calls, it prints the calls and the inclusive CPU time
+twice:
 
 - main thread (``time.thread_time``): what perfbench's per-process
   ``schedstat`` sees;
 - all threads (``time.process_time``): also pyarrow's pools, which the
   main-thread figure misses.
 
-Inclusive times nest (``merge_base_deltas`` runs inside ``_read_bucket``),
-so the rows do not add up to the op.
+Inclusive times nest (``keep_last_per_key`` runs inside ``_write_bucket``,
+which runs inside ``_write_events``), so the rows do not add up to the op.
 
     python3 tools/profile_write.py [--seed 1] [--work DIR]
 
 Runs on a 1-CPU local Ray session, like ``perfbench/run.py``; the set-up
-takes about a minute.
+takes about a minute and a half.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 TIMED = {
     "odibel_ray.cdc.sink": [
         "load_manifests", "_resolved_table", "extract_timeline", "_read_wal_part", "prepare_events",
-        "_split_by_bucket", "_apply_write_group", "keep_last_per_key", "_read_bucket",
+        "_split_by_bucket", "_write_events", "_write_bucket", "keep_last_per_key", "_read_bucket",
         "merge_base_deltas", "_stage_bucket", "_write_data_file", "_publish_delta_row",
         "_publish_base_row", "_sweep_bucket_versions", "_commit_table",
     ],
@@ -114,6 +117,7 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
 
     from odibel_ray.cdc import sink
+    from perfbench import fixtures
 
     table, writes = _build(work, args.seed, args.seconds)
     # warm-up, back to the set-up's 2 pending deltas per bucket: the timed
@@ -126,10 +130,16 @@ def main() -> None:
 
     acc: dict = defaultdict(lambda: [0, 0.0, 0.0])
     _timed(acc)
+    bulk = fixtures.generate_log(os.path.join(work, "bulk"), args.seed, fixtures.BULK_LOG)
+    sink.replay_publish(bulk["log_dir"], os.path.join(work, "replay-0"), partitioned=True,
+                        run_id="r0")
     ops = [("write", lambda: sink.incremental_apply(writes[3].log_dir, table, run_id="w3",
                                                     mode="mor")),
-           ("compaction", lambda: sink.compact_published(table, run_id="c1"))]
-    print(f"seed {args.seed}: serve_mixed set-up table, a write of {writes[3].n_events} events")
+           ("compaction", lambda: sink.compact_published(table, run_id="c1")),
+           ("replay", lambda: sink.replay_publish(bulk["log_dir"], os.path.join(work, "replay-1"),
+                                                  partitioned=True, run_id="r1"))]
+    print(f"seed {args.seed}: serve_mixed set-up table, a write of {writes[3].n_events} events; "
+          f"bulk_replay log of {bulk['n_events']} events")
     for op, fn in ops:
         acc.clear()
         t0, p0 = time.thread_time(), time.process_time()
