@@ -47,12 +47,17 @@ self-describing; mirrors the reference's filter+project pipeline surface,
 
 NULL semantics match SQL: a comparison against NULL fails the WHERE (the row
 is filtered out), and derived fns propagate NULL.
+
+The lifecycle around the transform (the meta reader, the pin at create, the
+per-side refresh decision, the converge write and the full refresh) is the
+one :mod:`odibel_ray.cdc.pipeline` holds for every maintained table. This
+module keeps the spec, the whole-state compute a create publishes and a full
+refresh reruns (:func:`_compute`), the ``rescan``/``feed`` derivation of
+dirty keys and updates, and :func:`read_derived`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -60,11 +65,19 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from odibel_ray.cdc.lww import _same_next_key_mask
+from odibel_ray.cdc.pipeline import (
+    DERIVED,
+    _converge,
+    _create,
+    _decide,
+    _feed_dataset,
+    _full_refresh,
+    _key_cols,
+    _load_meta,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     import ray.data
-
-DERIVED_META = "_derived.json"
 
 _OPS = {"==", "!=", "<", "<=", ">", ">=", "in", "not_in", "is_null", "not_null"}
 _FNS = {"len", "lower", "upper", "abs"}
@@ -157,23 +170,8 @@ def _apply_transform(t: pa.Table, spec: Mapping, keys: Sequence[str]) -> pa.Tabl
 
 
 # ---------------------------------------------------------------------------
-# lifecycle
+# lifecycle (the shared steps live in odibel_ray.cdc.pipeline)
 # ---------------------------------------------------------------------------
-
-
-def _meta_path(out_dir: str) -> str:
-    return os.path.join(out_dir, DERIVED_META)
-
-
-def _load_meta(out_dir: str) -> dict:
-    with open(_meta_path(out_dir)) as f:
-        meta = json.load(f)
-    rel = meta.get("base_rel")
-    if rel:
-        cand = os.path.normpath(os.path.join(os.path.abspath(out_dir), rel))
-        if os.path.isdir(cand):
-            meta["base"] = cand
-    return meta
 
 
 def create_derived(
@@ -188,56 +186,32 @@ def create_derived(
     """Materialize the derived table from the base's CURRENT state and pin
     the base snapshot version it reflects (snapshot retention is enabled on
     the base so a later feed-less refresh can diff against the pin)."""
-    from functools import partial as _p
+    from odibel_ray.cdc.sink import _read_plan
 
-    from odibel_ray.cdc.mview import _base_keys
-    from odibel_ray.cdc.sink import (
-        _atomic_write_json,
-        _read_plan,
-        enable_snapshots,
-        list_snapshots,
-        publish_dataset,
-        read_published,
-        snapshot_policy,
-    )
-
-    keys = _base_keys(base_out)
+    keys = _key_cols(base_out)
     spec = _check_spec(transform, keys)
     if spec["columns"] is None:
         probe = _read_plan(base_out).empty().schema
         spec["columns"] = [n for n in probe.names if n not in keys]
-    if snapshot_policy(base_out) is None:
-        enable_snapshots(base_out)
-    snaps = list_snapshots(base_out)
-    if not snaps:
-        raise FileNotFoundError(f"base table {base_out} has no published state")
-    v0 = snaps[-1]["version"]
+    return _create(DERIVED, out_dir, {"base": base_out}, {"keys": keys, "transform": spec},
+                   _compute, key_cols=keys, run_id=run_id, num_buckets=num_buckets,
+                   batch_size=batch_size)
+
+
+def _compute(meta: dict, batch_size: int) -> "ray.data.Dataset":
+    """Every derived row, from the base's current state: what
+    :func:`create_derived` publishes and a full refresh recomputes."""
+    from functools import partial as _p
+
+    from odibel_ray.cdc.sink import read_published
+
+    keys, spec = list(meta["keys"]), meta["transform"]
     need = list(dict.fromkeys([*keys, *_input_cols(spec, keys), *spec["columns"]]))
-    rows = read_published(base_out, columns=need).map_batches(
+    return read_published(meta["base"], columns=need).map_batches(
         _p(_apply_transform, spec=spec, keys=keys),
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    res = publish_dataset(rows, out_dir, key_cols=keys, num_buckets=num_buckets, run_id=run_id)
-    _atomic_write_json(
-        _meta_path(out_dir),
-        {
-            "base": os.path.abspath(base_out),
-            "base_rel": os.path.relpath(os.path.abspath(base_out), os.path.abspath(out_dir)),
-            "keys": keys,
-            "transform": spec,
-            "base_version": v0,
-        },
-    )
-    return {**res, "base_version": v0}
-
-
-def _feed_dataset(feed) -> "ray.data.Dataset":
-    import ray.data as rd
-
-    if isinstance(feed, str):
-        return rd.read_parquet(feed)
-    return feed
 
 
 def _dirty_keys_batch(t: pa.Table, keys: list[str]) -> pa.Table:
@@ -303,32 +277,25 @@ def refresh_derived(
     hop :func:`odibel_ray.cdc.pipeline.refresh_pipeline` chains."""
     from functools import partial as _p
 
-    from odibel_ray.cdc.sink import (
-        _atomic_write_json,
-        list_snapshots,
-        read_published,
-        table_changes,
-        upsert_published,
-    )
+    from odibel_ray.cdc.sink import read_published, table_changes
     from odibel_ray.ops.relational import broadcast_anti_join, broadcast_semi_join, exact_dedup
     from odibel_ray.tuning import default_num_buckets
 
     if strategy not in ("rescan", "feed"):
         raise ValueError("strategy must be 'rescan' or 'feed'")
-    meta = _load_meta(out_dir)
+    meta = _load_meta(out_dir, DERIVED)
     base, keys, spec = meta["base"], list(meta["keys"]), meta["transform"]
     inputs = _input_cols(spec, keys)
-    snaps = list_snapshots(base)
-    v1 = snaps[-1]["version"] if snaps else None
     v0 = meta["base_version"]
+    step, v1 = _decide(base, v0)
+    write = dict(run_id=run_id, batch_size=batch_size, emit_feed=emit_feed, mode=mode)
 
     if feed is None:
-        if v1 is None or v1 == v0:
+        if step == "noop":
             return {"refreshed": False, "base_version": v0}
-        if v0 not in {s["version"] for s in snaps}:
+        if step == "full":
             # pinned version expired — snapshot diff impossible; full recompute
-            # through the same upsert (still rewrites only changed buckets)
-            return _full_refresh(out_dir, meta, run_id=run_id, batch_size=batch_size, emit_feed=emit_feed)
+            return _full_refresh(DERIVED, out_dir, meta, {"base_version": v1}, _compute, **write)
         # a snapshot diff is already latest-per-key (no _lsn and needs none),
         # so it feeds either strategy directly
         feed_ds = table_changes(base, v0, v1, keys=keys, values=inputs)
@@ -410,67 +377,8 @@ def refresh_derived(
         ).materialize()
         deletes = exact_dedup(broadcast_anti_join(dirty, updates, on=keys), keys)
 
-    n_up = updates.count()
-    n_del = deletes.count()
-    if n_up == 0 and n_del == 0:
-        _atomic_write_json(_meta_path(out_dir), {**meta, "base_version": v1})
-        return {
-            "refreshed": True, "strategy": strategy, "base_version": v1,
-            "rows_upserted": 0, "rows_deleted": 0, "buckets_rewritten": 0,
-        }
-    res = upsert_published(
-        updates, out_dir, deletes=deletes if n_del else None, run_id=run_id,
-        batch_size=batch_size, feed_dir=emit_feed, mode=mode,
-    )
-    _atomic_write_json(_meta_path(out_dir), {**meta, "base_version": v1})
-    return {
-        "refreshed": True,
-        "strategy": strategy,
-        "base_version": v1,
-        "rows_upserted": int(n_up),
-        "rows_deleted": int(n_del),
-        "buckets_rewritten": res["buckets_rewritten"],
-    }
-
-
-def _full_refresh(out_dir: str, meta: dict, *, run_id: str, batch_size: int, emit_feed: str | None = None) -> dict:
-    """Recompute every derived row (the snapshot-expired fallback): transform
-    the whole base, delete derived keys that no longer qualify, upsert the
-    rest."""
-    from functools import partial as _p
-
-    from odibel_ray.cdc.sink import (
-        _atomic_write_json,
-        list_snapshots,
-        read_published,
-        upsert_published,
-    )
-    from odibel_ray.ops.relational import broadcast_anti_join
-
-    base, keys, spec = meta["base"], list(meta["keys"]), meta["transform"]
-    need = list(dict.fromkeys([*keys, *_input_cols(spec, keys), *spec["columns"]]))
-    updates = read_published(base, columns=need).map_batches(
-        _p(_apply_transform, spec=spec, keys=keys),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    ).materialize()
-    cur_keys = read_published(out_dir, system=True, columns=keys)
-    deletes = broadcast_anti_join(cur_keys, updates, on=keys)
-    n_del = deletes.count()
-    res = upsert_published(
-        updates, out_dir, deletes=deletes if n_del else None, run_id=run_id,
-        batch_size=batch_size, feed_dir=emit_feed,
-    )
-    v1 = list_snapshots(base)[-1]["version"]
-    _atomic_write_json(_meta_path(out_dir), {**meta, "base_version": v1})
-    return {
-        "refreshed": True,
-        "strategy": "full",
-        "base_version": v1,
-        "rows_upserted": int(updates.count()),
-        "rows_deleted": int(n_del),
-        "buckets_rewritten": res["buckets_rewritten"],
-    }
+    return _converge(DERIVED, out_dir, meta, {"base_version": v1}, updates, deletes,
+                     strategy=strategy, **write)
 
 
 def read_derived(out_dir: str, *, version: int | None = None) -> "ray.data.Dataset":

@@ -38,43 +38,35 @@ discipline of :mod:`derived` — correct for any feed shape):
 
 Everything the sink gives any table applies to the view: write-audit-publish,
 snapshots/time travel, ``lookup_key``, zone maps, its own change feed.
+
+The lifecycle around the join (the meta reader, the pin of both sides at
+create, the per-side refresh decision, the converge write and the full
+refresh) is the one :mod:`odibel_ray.cdc.pipeline` holds for every
+maintained table. This module keeps the join spec, the whole-state compute
+a create publishes and a full refresh reruns (:func:`_compute`), the left-
+and right-driven dirty keys, and :func:`read_join_view`. A left pin that
+expired forces the full refresh even when a ``left_feed`` is given.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import pyarrow as pa
 
+from odibel_ray.cdc.pipeline import (
+    JOINVIEW,
+    _converge,
+    _create,
+    _decide,
+    _feed_dataset,
+    _full_refresh,
+    _key_cols,
+    _load_meta,
+)
+
 if TYPE_CHECKING:  # pragma: no cover
     import ray.data
-
-JOINVIEW_META = "_joinview.json"
-
-
-def _meta_path(out_dir: str) -> str:
-    return os.path.join(out_dir, JOINVIEW_META)
-
-
-def _resolve(meta: dict, which: str, out_dir: str) -> str:
-    """Absolute path of the left/right base, honoring a relocated tree via
-    the stored relative path (same convention as ``_derived.json``)."""
-    rel = meta.get(f"{which}_rel")
-    if rel:
-        cand = os.path.normpath(os.path.join(os.path.abspath(out_dir), rel))
-        if os.path.isdir(cand):
-            return cand
-    return meta[which]
-
-
-def _load_meta(out_dir: str) -> dict:
-    with open(_meta_path(out_dir)) as f:
-        meta = json.load(f)
-    meta["left"] = _resolve(meta, "left", out_dir)
-    meta["right"] = _resolve(meta, "right", out_dir)
-    return meta
 
 
 def _norm_right_columns(right_columns, right_schema: pa.Schema, right_keys) -> dict:
@@ -86,26 +78,18 @@ def _norm_right_columns(right_columns, right_schema: pa.Schema, right_keys) -> d
     return {c: c for c in right_columns}
 
 
-def _join_once(
-    left_ds,
-    right_ds,
-    *,
-    left_keys: list[str],
-    on: list[str],
-    right_keys: list[str],
-    how: str,
-    left_columns: list[str],
-    right_columns: dict,
-    batch_size: int,
-    right_schema: pa.Schema | None = None,
-):
-    """left ⟕/⨝ right with the right side renamed into the view's namespace.
-    The probe side streams; the build side goes through the guarded broadcast
-    (bucketed-shuffle fallback past the byte budget). ``right_schema`` (the
-    right table's read schema) keeps the join well-typed when the build
-    side restricts to ZERO rows (e.g. a refresh whose dirty keys all lost
-    their match)."""
+def _join_once(left_ds, right_ds, meta: dict, batch_size: int):
+    """left ⟕/⨝ right with the right side renamed into the view's namespace
+    (``meta``: the view's join spec and its resolved right side). The probe
+    side streams; the build side goes through the guarded broadcast
+    (bucketed-shuffle fallback past the byte budget). The right table's read
+    schema keeps the join well-typed when the build side restricts to ZERO
+    rows (e.g. a refresh whose dirty keys all lost their match)."""
+    from odibel_ray.cdc.sink import _read_plan
     from odibel_ray.ops.relational import broadcast_hash_join
+
+    left_keys, right_keys = list(meta["left_keys"]), list(meta["right_keys"])
+    on, right_columns = list(meta["on"]), dict(meta["right_columns"])
 
     def shape_right(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -114,20 +98,19 @@ def _join_once(
             cols[dst] = t[src]
         return pa.table(cols)
 
-    build_schema = None
-    if right_schema is not None:
-        build_schema = pa.schema(
-            [pa.field(o, right_schema.field(rk).type)
-             for o, rk in zip(on, right_keys)]
-            + [pa.field(dst, right_schema.field(src).type)
-               for src, dst in right_columns.items()]
-        )
+    right_schema = _read_plan(meta["right"]).empty().schema
+    build_schema = pa.schema(
+        [pa.field(o, right_schema.field(rk).type)
+         for o, rk in zip(on, right_keys)]
+        + [pa.field(dst, right_schema.field(src).type)
+           for src, dst in right_columns.items()]
+    )
     build = right_ds.map_batches(shape_right, batch_format="pyarrow", batch_size=batch_size)
     joined = broadcast_hash_join(
-        left_ds, build, on, how=how, batch_size=batch_size,
+        left_ds, build, on, how=meta["how"], batch_size=batch_size,
         small_schema=build_schema,
     )
-    out_cols = [*left_keys, *left_columns, *right_columns.values()]
+    out_cols = [*left_keys, *meta["left_columns"], *right_columns.values()]
 
     def project(t: pa.Table) -> pa.Table:
         return t.select(out_cols)
@@ -158,22 +141,13 @@ def create_join_view(
     carried, they are what makes a right-driven refresh possible).
     ``right_columns`` — right value columns, a list or a {src: renamed}
     mapping; names must not collide with the left side's."""
-    from odibel_ray.cdc.mview import _base_keys
-    from odibel_ray.cdc.sink import (
-        _atomic_write_json,
-        _read_plan,
-        enable_snapshots,
-        list_snapshots,
-        publish_dataset,
-        read_published,
-        snapshot_policy,
-    )
+    from odibel_ray.cdc.sink import _read_plan
 
     if how not in ("left", "inner"):
         raise ValueError("how must be 'left' or 'inner'")
     on = [on] if isinstance(on, str) else list(on)
-    left_keys = _base_keys(left_out)
-    right_keys = _base_keys(right_out)
+    left_keys = _key_cols(left_out)
+    right_keys = _key_cols(right_out)
     if len(on) != len(right_keys):
         raise ValueError(
             f"on={on} must match the right table's key columns {right_keys} 1:1"
@@ -201,43 +175,22 @@ def create_join_view(
             "right_columns={src: dst}"
         )
 
-    for side in (left_out, right_out):
-        if snapshot_policy(side) is None:
-            enable_snapshots(side)
-    lsnaps, rsnaps = list_snapshots(left_out), list_snapshots(right_out)
-    if not lsnaps or not rsnaps:
-        raise FileNotFoundError("both join sides need a published state")
+    spec = {"left_keys": left_keys, "right_keys": right_keys, "on": on, "how": how,
+            "left_columns": left_columns, "right_columns": rcols}
+    return _create(JOINVIEW, out_dir, {"left": left_out, "right": right_out}, spec, _compute,
+                   key_cols=left_keys, run_id=run_id, num_buckets=num_buckets,
+                   batch_size=batch_size)
 
-    need_left = list(dict.fromkeys([*left_keys, *left_columns]))
-    need_right = list(dict.fromkeys([*right_keys, *rcols]))
-    rows = _join_once(
-        read_published(left_out, columns=need_left),
-        read_published(right_out, columns=need_right),
-        left_keys=left_keys, on=on, right_keys=right_keys, how=how,
-        left_columns=left_columns, right_columns=rcols, batch_size=batch_size,
-        right_schema=right_schema,
-    )
-    res = publish_dataset(
-        rows, out_dir, key_cols=left_keys, num_buckets=num_buckets, run_id=run_id
-    )
-    _atomic_write_json(
-        _meta_path(out_dir),
-        {
-            "left": os.path.abspath(left_out),
-            "left_rel": os.path.relpath(os.path.abspath(left_out), os.path.abspath(out_dir)),
-            "right": os.path.abspath(right_out),
-            "right_rel": os.path.relpath(os.path.abspath(right_out), os.path.abspath(out_dir)),
-            "left_keys": left_keys,
-            "right_keys": right_keys,
-            "on": on,
-            "how": how,
-            "left_columns": left_columns,
-            "right_columns": rcols,
-            "left_version": lsnaps[-1]["version"],
-            "right_version": rsnaps[-1]["version"],
-        },
-    )
-    return {**res, "left_version": lsnaps[-1]["version"], "right_version": rsnaps[-1]["version"]}
+
+def _compute(meta: dict, batch_size: int) -> "ray.data.Dataset":
+    """The whole join, from both sides' current state: what
+    :func:`create_join_view` publishes and a full refresh recomputes."""
+    from odibel_ray.cdc.sink import read_published
+
+    need_left = list(dict.fromkeys([*meta["left_keys"], *meta["left_columns"]]))
+    need_right = list(dict.fromkeys([*meta["right_keys"], *meta["right_columns"]]))
+    return _join_once(read_published(meta["left"], columns=need_left),
+                      read_published(meta["right"], columns=need_right), meta, batch_size)
 
 
 def refresh_join_view(
@@ -259,69 +212,45 @@ def refresh_join_view(
     via snapshots (dimension writes go through ``upsert_published``, which
     records one). A refresh with nothing changed returns ``refreshed=False``
     without writing. If either side's pinned snapshot expired, falls back to
-    a full recompute through the same upsert path (still rewrites only
-    changed buckets)."""
+    a full recompute through the same upsert path."""
     from functools import partial as _p
 
-    import ray.data as rd
-
     from odibel_ray.cdc.derived import _dirty_keys_batch
-    from odibel_ray.cdc.sink import (
-        _atomic_write_json,
-        _read_plan,
-        list_snapshots,
-        read_published,
-        table_changes,
-        upsert_published,
-    )
+    from odibel_ray.cdc.sink import read_published, table_changes
     from odibel_ray.ops.relational import (
         broadcast_anti_join,
         broadcast_semi_join,
         exact_dedup,
     )
 
-    meta = _load_meta(out_dir)
+    meta = _load_meta(out_dir, JOINVIEW)
     left, right = meta["left"], meta["right"]
     left_keys, right_keys = list(meta["left_keys"]), list(meta["right_keys"])
-    on, how = list(meta["on"]), meta["how"]
-    left_columns, rcols = list(meta["left_columns"]), dict(meta["right_columns"])
+    on, left_columns = list(meta["on"]), list(meta["left_columns"])
+    rcols = dict(meta["right_columns"])
 
-    lsnaps, rsnaps = list_snapshots(left), list_snapshots(right)
-    v1l = lsnaps[-1]["version"] if lsnaps else meta["left_version"]
-    v1r = rsnaps[-1]["version"] if rsnaps else meta["right_version"]
     v0l, v0r = meta["left_version"], meta["right_version"]
+    lstep, v1l = _decide(left, v0l)
+    rstep, v1r = _decide(right, v0r)
+    pins = {"left_version": v0l if v1l is None else v1l,
+            "right_version": v0r if v1r is None else v1r}
+    write = dict(run_id=run_id, batch_size=batch_size, emit_feed=emit_feed, mode=mode)
 
-    if left_feed is None and v1l == v0l and v1r == v0r:
+    if left_feed is None and lstep == rstep == "noop":
         return {"refreshed": False, "left_version": v0l, "right_version": v0r}
-    expired = (v1l != v0l and v0l not in {s["version"] for s in lsnaps}) or (
-        v1r != v0r and v0r not in {s["version"] for s in rsnaps}
-    )
-    if expired:
-        return _full_refresh(out_dir, meta, run_id=run_id,
-                             batch_size=batch_size, emit_feed=emit_feed,
-                             mode=mode)
+    # the left pin's expiry is checked even when a left feed is given
+    if "full" in (lstep, rstep):
+        return _full_refresh(JOINVIEW, out_dir, meta, pins, _compute, **write)
 
     # ---- dirty left keys --------------------------------------------------
     dirty_parts = []
     if left_feed is not None:
-        feed_ds = rd.read_parquet(left_feed) if isinstance(left_feed, str) else left_feed
-        dirty_parts.append(
-            feed_ds.map_batches(
-                _p(_dirty_keys_batch, keys=left_keys),
-                batch_format="pyarrow", batch_size=batch_size,
-            )
-        )
-    elif v1l != v0l:
+        dirty_parts.append(_feed_dataset(left_feed))
+    elif lstep == "incremental":
         # snapshot diff flags inserts/deletes and updates to any view-carried
         # left column (updates to columns the view ignores stay clean)
-        ldiff = table_changes(left, v0l, v1l, keys=left_keys, values=left_columns)
-        dirty_parts.append(
-            ldiff.map_batches(
-                _p(_dirty_keys_batch, keys=left_keys),
-                batch_format="pyarrow", batch_size=batch_size,
-            )
-        )
-    if v1r != v0r:
+        dirty_parts.append(table_changes(left, v0l, v1l, keys=left_keys, values=left_columns))
+    if rstep == "incremental":
         # changed join-key values → the left rows that reference them (the
         # reverse lookup: keys+on columns only, zone-map pruned when the left
         # table is clustered by the join column)
@@ -333,24 +262,15 @@ def refresh_join_view(
             return renamed.group_by(on).aggregate([])
 
         fks = rdiff.map_batches(diff_fks, batch_format="pyarrow", batch_size=batch_size)
-        touched = broadcast_semi_join(
+        dirty_parts.append(broadcast_semi_join(
             read_published(left, columns=list(dict.fromkeys([*left_keys, *on]))),
             fks, on=on, batch_size=batch_size,
-        )
-        dirty_parts.append(
-            touched.map_batches(
-                _p(_dirty_keys_batch, keys=left_keys),
-                batch_format="pyarrow", batch_size=batch_size,
-            )
-        )
-    if not dirty_parts:
-        _atomic_write_json(
-            _meta_path(out_dir), {**meta, "left_version": v1l, "right_version": v1r}
-        )
-        return {
-            "refreshed": True, "left_version": v1l, "right_version": v1r,
-            "rows_upserted": 0, "rows_deleted": 0, "buckets_rewritten": 0,
-        }
+        ))
+    dirty_parts = [
+        d.map_batches(_p(_dirty_keys_batch, keys=left_keys),
+                      batch_format="pyarrow", batch_size=batch_size)
+        for d in dirty_parts
+    ]
     dirty = dirty_parts[0] if len(dirty_parts) == 1 else dirty_parts[0].union(*dirty_parts[1:])
     dirty = exact_dedup(dirty.materialize(), left_keys).materialize()
 
@@ -374,90 +294,12 @@ def refresh_join_view(
         ),
         on=right_keys, batch_size=batch_size,
     )  # bounded by the dirty rows' distinct join-key values
-    updates = _join_once(
-        scoped_left, right_restricted,
-        left_keys=left_keys, on=on, right_keys=right_keys, how=how,
-        left_columns=left_columns, right_columns=rcols, batch_size=batch_size,
-        right_schema=_read_plan(right).empty().schema,
-    ).materialize()
+    updates = _join_once(scoped_left, right_restricted, meta, batch_size).materialize()
     # dirty keys with no recomputed row: left row deleted, or how='inner'
     # and the match vanished (dirty is already globally distinct, so the
     # anti-join output needs no further dedup exchange)
     deletes = broadcast_anti_join(dirty, updates, on=left_keys)
-
-    n_up, n_del = updates.count(), deletes.count()
-    if n_up == 0 and n_del == 0:
-        _atomic_write_json(
-            _meta_path(out_dir), {**meta, "left_version": v1l, "right_version": v1r}
-        )
-        return {
-            "refreshed": True, "left_version": v1l, "right_version": v1r,
-            "rows_upserted": 0, "rows_deleted": 0, "buckets_rewritten": 0,
-        }
-    res = upsert_published(
-        updates, out_dir, deletes=deletes if n_del else None, run_id=run_id,
-        batch_size=batch_size, feed_dir=emit_feed, mode=mode,
-    )
-    _atomic_write_json(
-        _meta_path(out_dir), {**meta, "left_version": v1l, "right_version": v1r}
-    )
-    return {
-        "refreshed": True,
-        "left_version": v1l,
-        "right_version": v1r,
-        "rows_upserted": int(n_up),
-        "rows_deleted": int(n_del),
-        "buckets_rewritten": res["buckets_rewritten"],
-    }
-
-
-def _full_refresh(out_dir: str, meta: dict, *, run_id: str, batch_size: int,
-                  emit_feed: str | None = None, mode: str = "cow") -> dict:
-    """Snapshot-expired fallback: recompute the whole join, delete view keys
-    that no longer qualify, upsert the rest (changed buckets only)."""
-    from odibel_ray.cdc.sink import (
-        _atomic_write_json,
-        _read_plan,
-        list_snapshots,
-        read_published,
-        upsert_published,
-    )
-    from odibel_ray.ops.relational import broadcast_anti_join
-
-    left, right = meta["left"], meta["right"]
-    left_keys, right_keys = list(meta["left_keys"]), list(meta["right_keys"])
-    on, how = list(meta["on"]), meta["how"]
-    left_columns, rcols = list(meta["left_columns"]), dict(meta["right_columns"])
-    need_left = list(dict.fromkeys([*left_keys, *left_columns]))
-    need_right = list(dict.fromkeys([*right_keys, *rcols]))
-    updates = _join_once(
-        read_published(left, columns=need_left),
-        read_published(right, columns=need_right),
-        left_keys=left_keys, on=on, right_keys=right_keys, how=how,
-        left_columns=left_columns, right_columns=rcols, batch_size=batch_size,
-        right_schema=_read_plan(right).empty().schema,
-    ).materialize()
-    cur_keys = read_published(out_dir, system=True, columns=left_keys)
-    deletes = broadcast_anti_join(cur_keys, updates, on=left_keys)
-    n_del = deletes.count()
-    res = upsert_published(
-        updates, out_dir, deletes=deletes if n_del else None, run_id=run_id,
-        batch_size=batch_size, feed_dir=emit_feed, mode=mode,
-    )
-    v1l = list_snapshots(left)[-1]["version"]
-    v1r = list_snapshots(right)[-1]["version"]
-    _atomic_write_json(
-        _meta_path(out_dir), {**meta, "left_version": v1l, "right_version": v1r}
-    )
-    return {
-        "refreshed": True,
-        "strategy": "full",
-        "left_version": v1l,
-        "right_version": v1r,
-        "rows_upserted": int(updates.count()),
-        "rows_deleted": int(n_del),
-        "buckets_rewritten": res["buckets_rewritten"],
-    }
+    return _converge(JOINVIEW, out_dir, meta, pins, updates, deletes, strategy=None, **write)
 
 
 def read_join_view(out_dir: str, *, version: int | None = None) -> "ray.data.Dataset":

@@ -115,7 +115,7 @@ def catalog(root: str) -> list[dict]:
     session, no data file opened."""
     import json as _json
 
-    from odibel_ray.cdc.pipeline import _META_FILES
+    from odibel_ray.cdc.pipeline import _SIDES, _maintained
     from odibel_ray.cdc.sink import TABLE_MANIFEST, _table_layout, list_snapshots
 
     rows = []
@@ -127,18 +127,10 @@ def catalog(root: str) -> list[dict]:
             tman = _json.load(f)
         kind = "transcript" if _table_layout(dirpath)["system"] else "generic"
         upstreams: list[str] = []
-        for fname, k in _META_FILES.items():
-            mpath = os.path.join(dirpath, fname)
-            if os.path.exists(mpath):
-                kind = k
-                with open(mpath) as f:
-                    meta = _json.load(f)
-                upstreams = [
-                    meta.get(key)
-                    for key in ("base", "left", "right")
-                    if meta.get(key)
-                ]
-                break
+        found = _maintained(dirpath)
+        if found:
+            kind, meta = found
+            upstreams = [meta[s] for s in _SIDES[kind]]
         # a shallow clone records its origin (lineage, not an upstream — the
         # clone is independent and no refresh flows from the source)
         cloned = tman.get("cloned_from")

@@ -42,12 +42,21 @@ Aggregate spec: ``aggs = {out_col: (fn, src_col)}`` with fn in
 ``count | sum | min | max | mean`` (count ignores ``src_col``). NULL
 semantics match SQL: sum/mean/min/max ignore NULLs and are NULL for a group
 with no valid values; count is ``count(*)``.
+
+The lifecycle around the aggregation (the meta reader, the pin at create,
+the per-side refresh decision, the converge write and the full refresh) is
+the one :mod:`odibel_ray.cdc.pipeline` holds for every maintained table.
+This module keeps the aggregate spec, the whole-state compute a create
+publishes and a full refresh reruns (:func:`_compute`), the ``rescan`` and
+``delta`` derivations (the latter with its staged resolution and completion
+marker), and :func:`read_view`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -55,10 +64,19 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from odibel_ray.cdc.pipeline import (
+    MVIEW,
+    _converge,
+    _create,
+    _decide,
+    _feed_dataset,
+    _full_refresh,
+    _key_cols,
+    _load_meta,
+)
+
 if TYPE_CHECKING:  # pragma: no cover
     import ray.data
-
-VIEW_META = "_view.json"
 
 _ALL_FNS = {"count", "sum", "min", "max", "mean"}
 _DELTA_FNS = {"count", "sum", "mean"}
@@ -257,29 +275,8 @@ def aggregate_groups(
 
 
 # ---------------------------------------------------------------------------
-# view lifecycle
+# view lifecycle (the shared steps live in odibel_ray.cdc.pipeline)
 # ---------------------------------------------------------------------------
-
-
-def _meta_path(view_out: str) -> str:
-    return os.path.join(view_out, VIEW_META)
-
-
-def _load_meta(view_out: str) -> dict:
-    with open(_meta_path(view_out)) as f:
-        meta = json.load(f)
-    rel = meta.get("base_rel")
-    if rel:
-        cand = os.path.normpath(os.path.join(os.path.abspath(view_out), rel))
-        if os.path.isdir(cand):
-            meta["base"] = cand
-    return meta
-
-
-def _base_keys(base_out: str) -> list[str]:
-    from odibel_ray.cdc.sink import _table_layout
-
-    return _table_layout(base_out)["key_cols"]
 
 
 def create_view(
@@ -296,53 +293,24 @@ def create_view(
     base snapshot version it reflects (enabling snapshot retention on the
     base if it isn't on yet — the pin is what a later snapshot-diff refresh
     diffs against; feed-driven refreshes only use it as a progress marker)."""
-    from odibel_ray.cdc.sink import (
-        _atomic_write_json,
-        enable_snapshots,
-        list_snapshots,
-        publish_dataset,
-        read_published,
-        snapshot_policy,
-    )
-
     plan = _make_plan(group_keys, aggs)
-    if snapshot_policy(base_out) is None:
-        enable_snapshots(base_out)
-    snaps = list_snapshots(base_out)
-    if not snaps:
-        raise FileNotFoundError(f"base table {base_out} has no published state")
-    v0 = snaps[-1]["version"]
+    spec = {"group_keys": list(plan.group_keys),
+            "aggs": {out: [fn, src] for out, fn, src in plan.aggs}}
+    res = _create(MVIEW, view_out, {"base": base_out}, spec, _compute,
+                  key_cols=list(plan.group_keys), run_id=run_id, num_buckets=num_buckets,
+                  batch_size=batch_size)
+    return {**res, "groups": res["rows_total"]}
+
+
+def _compute(meta: dict, batch_size: int) -> "ray.data.Dataset":
+    """Every group of the view, from the base's current state: what
+    :func:`create_view` publishes and a full refresh recomputes."""
+    from odibel_ray.cdc.sink import read_published
+
+    plan = _make_plan(meta["group_keys"], meta["aggs"])
     need = list(dict.fromkeys([*plan.group_keys, *plan.src_cols]))
-    base_ds = read_published(base_out, columns=need)
-    view = aggregate_groups(base_ds, plan.group_keys, aggs, batch_size=batch_size)
-    res = publish_dataset(
-        view,
-        view_out,
-        key_cols=list(plan.group_keys),
-        num_buckets=num_buckets,
-        run_id=run_id,
-    )
-    _atomic_write_json(
-        _meta_path(view_out),
-        {
-            "base": os.path.abspath(base_out),
-            # relative pin too, so a relocated table+view tree (copied
-            # fixture, renamed lake root) still resolves its base
-            "base_rel": os.path.relpath(os.path.abspath(base_out), os.path.abspath(view_out)),
-            "group_keys": list(plan.group_keys),
-            "aggs": {out: [fn, src] for out, fn, src in plan.aggs},
-            "base_version": v0,
-        },
-    )
-    return {**res, "base_version": v0, "groups": res["rows_total"]}
-
-
-def _feed_dataset(feed) -> "ray.data.Dataset":
-    import ray.data as rd
-
-    if isinstance(feed, str):
-        return rd.read_parquet(feed)
-    return feed
+    return aggregate_groups(read_published(meta["base"], columns=need), plan.group_keys,
+                            dict(meta["aggs"]), batch_size=batch_size)
 
 
 def _group_col(t: pa.Table, col: str, side: str, base_keys: Sequence[str]):
@@ -479,20 +447,13 @@ def refresh_view(
     feed) returns ``refreshed=False`` without writing."""
     from functools import partial as _p
 
-    from odibel_ray.cdc.sink import (
-        _atomic_write_json,
-        _read_plan,
-        list_snapshots,
-        read_published,
-        table_changes,
-        upsert_published,
-    )
+    from odibel_ray.cdc.sink import _read_plan, read_published, table_changes
     from odibel_ray.ops.relational import broadcast_anti_join, broadcast_semi_join
     from odibel_ray.tuning import default_num_buckets
 
     if strategy not in ("rescan", "delta"):
         raise ValueError("strategy must be 'rescan' or 'delta'")
-    meta = _load_meta(view_out)
+    meta = _load_meta(view_out, MVIEW)
     base = meta["base"]
     plan = _make_plan(meta["group_keys"], meta["aggs"])
     if strategy == "delta" and not plan.delta_ok:
@@ -501,27 +462,23 @@ def refresh_view(
             f"this view has {sorted({fn for _, fn, _ in plan.aggs} - _DELTA_FNS)} "
             "(use strategy='rescan')"
         )
-    base_keys = _base_keys(base)
-    snaps = list_snapshots(base)
-    v1 = snaps[-1]["version"] if snaps else None
+    base_keys = _key_cols(base)
     v0 = meta["base_version"]
+    step, v1 = _decide(base, v0)
+    write = dict(run_id=run_id, batch_size=batch_size, emit_feed=emit_feed, mode=mode)
 
     if feed is None:
-        if v1 is None or v1 == v0:
+        if step == "noop":
             return {"refreshed": False, "base_version": v0}
+        if step == "full":
+            # the pinned version expired — snapshot diff impossible; fall back
+            # to a full recompute
+            return _full_refresh(MVIEW, view_out, meta, {"base_version": v1}, _compute, **write)
         need_vals = [
             c
             for c in dict.fromkeys([*plan.group_keys, *plan.src_cols])
             if c not in base_keys
         ]
-        retained = {s["version"] for s in snaps}
-        if v0 not in retained:
-            # the pinned version expired — snapshot diff impossible; fall back
-            # to a full recompute through the same upsert (still only rewrites
-            # buckets whose groups changed)
-            return _full_refresh(view_out, meta, plan, run_id=run_id,
-                                 batch_size=batch_size, emit_feed=emit_feed,
-                                 mode=mode)
         feed_ds = table_changes(base, v0, v1, keys=base_keys, values=need_vals)
     else:
         feed_ds = _feed_dataset(feed)
@@ -532,18 +489,14 @@ def refresh_view(
     canon = _read_plan(view_out).empty().schema
 
     if strategy == "delta":
-        import shutil
-
         import ray.data as rd
-
-        from odibel_ray.cdc.sink import STAGING_DIR
 
         # delta resolution reads the view's CURRENT partials, so a crash
         # between upsert_published and the base_version pin must NOT lead a
         # rerun to recompute against the half-updated view (double-applied
         # deltas). The resolved rows are staged deterministically with a
         # completion marker; a rerun with the same run_id reuses them.
-        tmp = os.path.join(view_out, STAGING_DIR, f"{run_id}-mview")
+        tmp = _delta_staging(view_out, run_id)
         data_dir = os.path.join(tmp, "data")
         marker = os.path.join(tmp, "_resolved.json")
         mk = None
@@ -552,7 +505,6 @@ def refresh_view(
                 mk = json.load(f)
         if mk and mk.get("v0") == v0 and mk.get("v1") == v1:
             resolved = rd.read_parquet(data_dir)
-            n_up, n_del = int(mk["n_up"]), int(mk["n_del"])
         else:
             deltas = (
                 feed_ds.map_batches(
@@ -585,16 +537,13 @@ def refresh_view(
                 batch_format="pyarrow",
                 batch_size=batch_size,
             ).materialize()
-            n_total = resolved.count()
-            n_del = resolved.filter(expr="__dead == True").count()
-            n_up = n_total - n_del
-            if n_total:
+            if resolved.count():
                 shutil.rmtree(tmp, ignore_errors=True)
                 resolved.write_parquet(data_dir)
                 resolved = rd.read_parquet(data_dir)
                 os.makedirs(tmp, exist_ok=True)
                 with open(marker + ".tmp", "w") as f:
-                    json.dump({"v0": v0, "v1": v1, "n_up": n_up, "n_del": n_del}, f)
+                    json.dump({"v0": v0, "v1": v1}, f)
                 os.replace(marker + ".tmp", marker)
         updates = resolved.filter(expr="__dead == False").drop_columns(["__dead"])
         deletes = resolved.filter(expr="__dead == True").select_columns(
@@ -618,67 +567,19 @@ def refresh_view(
             broadcast_anti_join(dirty, updates, on=list(plan.group_keys)),
             list(plan.group_keys),
         )
-        n_up = updates.count()
-        n_del = deletes.count()
 
-    res = upsert_published(
-        updates, view_out, deletes=deletes if n_del else None, run_id=run_id,
-        batch_size=batch_size, feed_dir=emit_feed, mode=mode,
-    )
-    _atomic_write_json(_meta_path(view_out), {**meta, "base_version": v1})
+    out = _converge(MVIEW, view_out, meta, {"base_version": v1}, updates, deletes,
+                    strategy=strategy, **write)
     if strategy == "delta":
-        import shutil
-
-        from odibel_ray.cdc.sink import STAGING_DIR
-
-        shutil.rmtree(os.path.join(view_out, STAGING_DIR, f"{run_id}-mview"),
-                      ignore_errors=True)
-    return {
-        "refreshed": True,
-        "strategy": strategy,
-        "base_version": v1,
-        "groups_upserted": int(n_up),
-        "groups_deleted": int(n_del),
-        "buckets_rewritten": res["buckets_rewritten"],
-    }
+        shutil.rmtree(_delta_staging(view_out, run_id), ignore_errors=True)
+    return out
 
 
-def _full_refresh(view_out: str, meta: dict, plan: _Plan, *, run_id: str,
-                  batch_size: int, emit_feed: str | None = None,
-                  mode: str = "cow") -> dict:
-    """Recompute every group (the snapshot-expired fallback): aggregate the
-    whole base, delete view groups that no longer exist, upsert the rest."""
-    from odibel_ray.cdc.sink import (
-        _atomic_write_json,
-        list_snapshots,
-        read_published,
-        upsert_published,
-    )
-    from odibel_ray.ops.relational import broadcast_anti_join
+def _delta_staging(view_out: str, run_id: str) -> str:
+    """Where a ``delta`` refresh stages its resolved rows and marker."""
+    from odibel_ray.cdc.sink import STAGING_DIR
 
-    base = meta["base"]
-    need = list(dict.fromkeys([*plan.group_keys, *plan.src_cols]))
-    base_ds = read_published(base, columns=need)
-    updates = aggregate_groups(
-        base_ds, plan.group_keys, dict(meta["aggs"]), batch_size=batch_size
-    ).materialize()
-    cur_keys = read_published(view_out, system=True, columns=list(plan.group_keys))
-    deletes = broadcast_anti_join(cur_keys, updates, on=list(plan.group_keys))
-    n_del = deletes.count()
-    res = upsert_published(
-        updates, view_out, deletes=deletes if n_del else None, run_id=run_id,
-        batch_size=batch_size, feed_dir=emit_feed, mode=mode,
-    )
-    v1 = list_snapshots(base)[-1]["version"]
-    _atomic_write_json(_meta_path(view_out), {**meta, "base_version": v1})
-    return {
-        "refreshed": True,
-        "strategy": "full",
-        "base_version": v1,
-        "groups_upserted": int(updates.count()),
-        "groups_deleted": int(n_del),
-        "buckets_rewritten": res["buckets_rewritten"],
-    }
+    return os.path.join(view_out, STAGING_DIR, f"{run_id}-mview")
 
 
 def read_view(view_out: str, *, version: int | None = None) -> "ray.data.Dataset":
@@ -686,6 +587,6 @@ def read_view(view_out: str, *, version: int | None = None) -> "ray.data.Dataset
     stay in storage."""
     from odibel_ray.cdc.sink import read_published
 
-    meta = _load_meta(view_out)
+    meta = _load_meta(view_out, MVIEW)
     cols = list(meta["group_keys"]) + list(meta["aggs"].keys())
     return read_published(view_out, system=True, version=version, columns=cols)

@@ -17,12 +17,26 @@ default, so a plain ``refresh_pipeline([silver, gold, view])`` after an
 the long-running tailer keeps the entire medallion current, not just the
 bronze table (the reference's analog is re-running every ``eval/*`` job
 after each dump refresh).
+
+This module also holds the one lifecycle the three kinds share, which
+:mod:`~odibel_ray.cdc.derived`, :mod:`~odibel_ray.cdc.mview` and
+:mod:`~odibel_ray.cdc.joinview` call: the meta reader (:func:`_load_meta`,
+every upstream side resolved through its stored ``<side>_rel`` path), the
+pin-and-publish of every ``create_*`` (:func:`_create`), the per-side
+refresh decision (:func:`_decide`: no-op, full recompute or incremental),
+the converge write (:func:`_converge`) and the full refresh
+(:func:`_full_refresh`). Each kind keeps its spec, its whole-state compute
+(what ``create_*`` publishes and a full refresh recomputes), its
+incremental dirty-key and update derivation, and its read function.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    import ray.data
 
 DERIVED = "derived"
 MVIEW = "mview"
@@ -34,33 +48,165 @@ _META_FILES = {
     "_joinview.json": JOINVIEW,
 }
 
+#: each kind's upstream sides, as its meta file names them: ``<side>`` (the
+#: absolute path), ``<side>_rel`` (relative to the maintained table) and
+#: ``<side>_version`` (the pinned snapshot version)
+_SIDES = {DERIVED: ("base",), MVIEW: ("base",), JOINVIEW: ("left", "right")}
+
+
+def _meta_path(table: str, kind: str) -> str:
+    return os.path.join(table, next(f for f, k in _META_FILES.items() if k == kind))
+
+
+def _load_meta(table: str, kind: str) -> dict:
+    """The one meta reader: ``kind``'s meta file of ``table``, with every
+    upstream side resolved through its stored relative path when that
+    directory exists, so a relocated tree (copied fixture, renamed lake
+    root) reads its own upstreams."""
+    import json
+
+    with open(_meta_path(table, kind)) as f:
+        meta = json.load(f)
+    for side in _SIDES[kind]:
+        rel = meta.get(f"{side}_rel")
+        if rel:
+            cand = os.path.normpath(os.path.join(os.path.abspath(table), rel))
+            if os.path.isdir(cand):
+                meta[side] = cand
+    return meta
+
+
+def _maintained(table: str) -> tuple[str, dict] | None:
+    """``(kind, meta)`` of a maintained table, by its meta file; None for
+    any other table."""
+    for fname, kind in _META_FILES.items():
+        if os.path.exists(os.path.join(table, fname)):
+            return kind, _load_meta(table, kind)
+    return None
+
 
 def _inspect(table: str) -> tuple[str, list[str], dict]:
     """(kind, upstream dirs, pinned versions per upstream realpath) for a
     maintained table, via its meta file."""
-    from odibel_ray.cdc import derived, joinview, mview
+    found = _maintained(table)
+    if found is None:
+        raise ValueError(
+            f"{table} is not a maintained table (no _derived/_view/_joinview meta); "
+            "apply to base tables directly and list only their downstream here"
+        )
+    kind, meta = found
+    sides = _SIDES[kind]
+    return kind, [meta[s] for s in sides], {
+        os.path.realpath(meta[s]): meta[f"{s}_version"] for s in sides
+    }
 
-    for fname, kind in _META_FILES.items():
-        if os.path.exists(os.path.join(table, fname)):
-            if kind == DERIVED:
-                meta = derived._load_meta(table)
-                return kind, [meta["base"]], {
-                    os.path.realpath(meta["base"]): meta["base_version"]
-                }
-            if kind == MVIEW:
-                meta = mview._load_meta(table)
-                return kind, [meta["base"]], {
-                    os.path.realpath(meta["base"]): meta["base_version"]
-                }
-            meta = joinview._load_meta(table)
-            return kind, [meta["left"], meta["right"]], {
-                os.path.realpath(meta["left"]): meta["left_version"],
-                os.path.realpath(meta["right"]): meta["right_version"],
-            }
-    raise ValueError(
-        f"{table} is not a maintained table (no _derived/_view/_joinview meta); "
-        "apply to base tables directly and list only their downstream here"
+
+def _key_cols(table: str) -> list[str]:
+    from odibel_ray.cdc.sink import _table_layout
+
+    return _table_layout(table)["key_cols"]
+
+
+def _feed_dataset(feed) -> "ray.data.Dataset":
+    """A change feed given as a directory path or a Dataset."""
+    import ray.data as rd
+
+    return rd.read_parquet(feed) if isinstance(feed, str) else feed
+
+
+def _create(kind: str, out_dir: str, upstreams: Mapping[str, str], spec: dict, compute, *,
+            key_cols: list[str], run_id: str, num_buckets: int | None, batch_size: int) -> dict:
+    """The one create of a maintained table: pin each upstream side's
+    latest snapshot version (enabling snapshot retention first, so a later
+    feed-less refresh can diff against the pin), publish ``compute(meta,
+    batch_size)`` (the kind's whole-state compute) keyed by ``key_cols``,
+    then write the meta: each side's absolute and relative path, ``spec``
+    and the pins. Returns the publish result with the pins."""
+    from odibel_ray.cdc.sink import (
+        _atomic_write_json,
+        enable_snapshots,
+        list_snapshots,
+        publish_dataset,
+        snapshot_policy,
     )
+
+    meta: dict = {}
+    for side, path in upstreams.items():
+        meta[side] = os.path.abspath(path)
+        meta[f"{side}_rel"] = os.path.relpath(os.path.abspath(path), os.path.abspath(out_dir))
+        if snapshot_policy(path) is None:
+            enable_snapshots(path)
+    meta.update(spec)
+    pins = {}
+    for side, path in upstreams.items():
+        snaps = list_snapshots(path)
+        if not snaps:
+            raise FileNotFoundError(f"{side} table {path} has no published state")
+        pins[f"{side}_version"] = snaps[-1]["version"]
+    res = publish_dataset(compute(meta, batch_size), out_dir, key_cols=key_cols,
+                          num_buckets=num_buckets, run_id=run_id)
+    _atomic_write_json(_meta_path(out_dir, kind), {**meta, **pins})
+    return {**res, **pins}
+
+
+def _decide(upstream: str, pinned: int) -> tuple[str, int | None]:
+    """The one per-side refresh decision against a pinned version, with the
+    side's latest snapshot version (None when it has none): ``"noop"`` when
+    the side has not moved past the pin, ``"full"`` when the pin expired (no
+    snapshot diff is possible, so the table is recomputed), else
+    ``"incremental"``."""
+    from odibel_ray.cdc.sink import list_snapshots
+
+    snaps = list_snapshots(upstream)
+    latest = snaps[-1]["version"] if snaps else None
+    if latest is None or latest == pinned:
+        return "noop", latest
+    if pinned not in {s["version"] for s in snaps}:
+        return "full", latest
+    return "incremental", latest
+
+
+def _converge(kind: str, out_dir: str, meta: dict, pins: dict, updates, deletes, *,
+              strategy: str | None, run_id: str, batch_size: int, emit_feed: str | None,
+              mode: str) -> dict:
+    """The one write of every refresh: count the updates and deletes,
+    upsert them unless both are empty (``mode``, with ``emit_feed`` as this
+    refresh's own change feed), then advance the pins in the meta. Returns
+    the refresh's result: ``refreshed``, ``strategy`` (when given), the
+    pins, ``rows_*`` (``groups_*`` for an aggregate view) and
+    ``buckets_rewritten``."""
+    from odibel_ray.cdc.sink import _atomic_write_json, upsert_published
+
+    n_up, n_del = updates.count(), deletes.count()
+    rewritten = 0
+    if n_up or n_del:
+        rewritten = upsert_published(
+            updates, out_dir, deletes=deletes if n_del else None, run_id=run_id,
+            batch_size=batch_size, feed_dir=emit_feed, mode=mode,
+        )["buckets_rewritten"]
+    _atomic_write_json(_meta_path(out_dir, kind), {**meta, **pins})
+    noun = "groups" if kind == MVIEW else "rows"
+    return {
+        "refreshed": True, **({"strategy": strategy} if strategy else {}), **pins,
+        f"{noun}_upserted": int(n_up), f"{noun}_deleted": int(n_del),
+        "buckets_rewritten": rewritten,
+    }
+
+
+def _full_refresh(kind: str, out_dir: str, meta: dict, pins: dict, compute, **write) -> dict:
+    """The one full refresh (a pin expired, so no snapshot diff): the
+    whole-state ``compute`` that create published, deletes for the table's
+    keys it no longer yields, then :func:`_converge` in the refresh's
+    ``mode``. ``write``: ``run_id``, ``batch_size``, ``emit_feed``,
+    ``mode``."""
+    from odibel_ray.cdc.sink import read_published
+    from odibel_ray.ops.relational import broadcast_anti_join
+
+    keys = _key_cols(out_dir)
+    updates = compute(meta, write["batch_size"]).materialize()
+    cur_keys = read_published(out_dir, system=True, columns=keys)
+    deletes = broadcast_anti_join(cur_keys, updates, on=keys)
+    return _converge(kind, out_dir, meta, pins, updates, deletes, strategy="full", **write)
 
 
 _warmed = False

@@ -575,8 +575,11 @@ def _write_bucket(
     with the data and publishes in the same pointer flip. A transcript
     feed file is named by the watermark state (``state-<hash>``), so a
     resume overwrites rather than duplicates it (two applies of a bucket
-    always advance some part's max LSN); a generic one by its run
-    (``upsert-<run_id>``). Its ``_lsn`` is each key's winner's."""
+    always advance some part's max LSN); a generic one by its write
+    sequence and run (``upsert-<seq>-<run_id>``), as its delta is, so a
+    resume of the same run overwrites its own file and a later upsert into
+    the same feed directory never does. Its ``_lsn`` is each key's
+    winner's."""
     if len(rows) == 0:
         # a shard whose events all failed prepare's validity filter
         # publishes nothing — skip, don't IndexError the whole run
@@ -630,7 +633,7 @@ def _write_bucket(
     if not feed["lsn"]:
         feed_t = feed_t.drop_columns(["_lsn"])
     name = (f"state-{hashlib.sha1(json.dumps(wms).encode()).hexdigest()[:16]}" if system
-            else f"upsert-{run_id}")
+            else f"upsert-{seq:06d}-{run_id}")
     path = os.path.join(feed["dir"], f"bucket={bucket}", f"{name}.parquet")
     return stage(new, feed=(feed_t, path))
 

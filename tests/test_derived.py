@@ -164,6 +164,39 @@ def test_full_refresh_fallback_when_pin_expired(ray_session, based, oracle_final
     _assert_matches(out, oracle_final)
 
 
+def test_mor_full_refresh_when_pin_expired(ray_session, small_log, tmp_path):
+    """A derived table with merge-on-read deltas whose pinned base version
+    expired: refresh_derived(mode='mor') recomputes in full as a merge-on-read
+    upsert (the bucket manifests gain deltas, nothing is rewritten) and
+    converges."""
+    from odibel_ray.cdc.sink import enable_snapshots, load_manifests
+
+    logs = []
+    for frac in (0.4, 0.6, 0.8):
+        d = str(tmp_path / f"p{int(frac * 100)}")
+        split_log(small_log["log_dir"], d, frac=frac)
+        logs.append(os.path.join(d, "change_log"))
+    base, out = str(tmp_path / "base"), str(tmp_path / "dt")
+    replay_publish(logs[0], base, num_buckets=4, run_id="r0")
+    create_derived(base, out, transform=SPEC, num_buckets=4, run_id="d0")
+    incremental_apply(logs[1], base, run_id="r1")
+    pinned = refresh_derived(out, run_id="d1", mode="mor")["base_version"]
+
+    def n_deltas():
+        return sum(len(m.get("deltas", [])) for m in load_manifests(out).values())
+
+    before = n_deltas()
+    assert before > 0
+    enable_snapshots(base, keep_last=2)
+    incremental_apply(logs[2], base, run_id="r2")
+    incremental_apply(small_log["log_dir"], base, run_id="r3")
+    assert pinned not in {s["version"] for s in list_snapshots(base)}
+    r = refresh_derived(out, run_id="d2", mode="mor")
+    assert r["refreshed"] and r["strategy"] == "full"
+    assert n_deltas() > before
+    _assert_matches(out, replay_oracle(small_log["log_dir"]))
+
+
 def test_refresh_noop_and_validation(ray_session, based, tmp_path):
     out = str(tmp_path / "dt")
     create_derived(based["base"], out, transform=SPEC, num_buckets=4, run_id="d0")

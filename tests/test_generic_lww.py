@@ -103,7 +103,7 @@ def _by_key(rows) -> list[tuple]:
 
 
 def _feed_rows(feed: str, run_id: str) -> list[tuple]:
-    files = glob.glob(os.path.join(feed, "bucket=*", f"upsert-{run_id}.parquet"))
+    files = glob.glob(os.path.join(feed, "bucket=*", f"upsert-*-{run_id}.parquet"))
     return _by_key(tuple(r.values()) for f in files for r in pq.read_table(f).to_pylist())
 
 

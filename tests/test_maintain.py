@@ -117,6 +117,61 @@ def test_catalog_lists_tables_and_kinds(ray_session, small_log, tmp_path, capsys
     assert {l["table"] for l in lines} == {bronze, silver}
 
 
+def test_catalog_and_refresh_follow_a_relocated_tree(ray_session, small_log, oracle_final,
+                                                    tmp_path):
+    """A lake root (bronze, a derived table, an aggregate view) copied to a
+    new root: the catalog lists each maintained table's upstreams under the
+    new root, and a refresh of the copy reads the copied base and leaves
+    every file of the original tree unchanged."""
+    import hashlib
+    import shutil
+
+    from odibel_ray.cdc import (
+        create_derived,
+        create_view,
+        incremental_apply,
+        read_derived,
+        read_view,
+        refresh_derived,
+        refresh_view,
+    )
+    from odibel_ray.cdc.maintain import catalog
+    from odibel_ray.datagen import split_log
+
+    prefix = str(tmp_path / "prefix")
+    split_log(small_log["log_dir"], prefix, frac=0.6)
+    root, moved = str(tmp_path / "lake"), str(tmp_path / "moved")
+    bronze, silver, gold = (os.path.join(root, n) for n in ("bronze", "silver", "gold"))
+    replay_publish(os.path.join(prefix, "change_log"), bronze, num_buckets=4, run_id="r1")
+    create_derived(bronze, silver, transform={"columns": ["role", "score"]}, num_buckets=4,
+                   run_id="d0")
+    create_view(bronze, gold, group_keys=["role"], aggs={"n": ["count"]}, num_buckets=2,
+                run_id="v0")
+    shutil.copytree(root, moved)
+    m_bronze, m_silver, m_gold = (os.path.join(moved, n) for n in ("bronze", "silver", "gold"))
+
+    rows = {r["table"]: r for r in catalog(moved)}
+    assert rows[m_silver]["upstreams"] == [m_bronze]
+    assert rows[m_gold]["upstreams"] == [m_bronze]
+
+    def files(d):
+        out = {}
+        for dirpath, _, names in os.walk(d):
+            for n in names:
+                with open(os.path.join(dirpath, n), "rb") as f:
+                    out[os.path.relpath(os.path.join(dirpath, n), d)] = (
+                        hashlib.sha256(f.read()).hexdigest())
+        return out
+
+    original = files(root)
+    incremental_apply(small_log["log_dir"], m_bronze, run_id="r2")
+    assert refresh_derived(m_silver, run_id="d1")["refreshed"]
+    assert refresh_view(m_gold, run_id="v1")["refreshed"]
+    assert files(root) == original
+    assert read_derived(m_silver).count() == oracle_final.num_rows
+    assert read_view(m_gold).to_pandas()["n"].sum() == oracle_final.num_rows
+
+
 def test_cli_sync_root_discovery(ray_session, small_log, tmp_path, capsys):
     """sync --root discovers every maintained table under the root via the
     catalog and converges the DAG without listing tables explicitly."""

@@ -62,6 +62,20 @@ def test_upsert_feed_shape(ray_session, tmp_path):
     assert newest.k.tolist() == ["d"] and newest.change.tolist() == ["update"]
 
 
+def test_two_upserts_under_the_default_run_id_keep_both_feeds(ray_session, tmp_path):
+    """Two copy-on-write upserts with the default run_id into one feed
+    directory: each names its feed file by its write sequence too, so the
+    second does not overwrite the first's rows."""
+    out, feed = str(tmp_path / "t"), str(tmp_path / "feed")
+    publish_dataset(rd.from_arrow(pa.table({"k": ["a", "b"], "v": [1.0, 2.0]})), out,
+                    key_cols=["k"], num_buckets=1, run_id="p1")
+    upsert_published(rd.from_arrow(pa.table({"k": ["a"], "v": [10.0]})), out, feed_dir=feed)
+    upsert_published(rd.from_arrow(pa.table({"k": ["b"], "v": [20.0]})), out, feed_dir=feed)
+    df = _feed_df(feed).sort_values("k").reset_index(drop=True)
+    assert df[["k", "change", "_lsn"]].values.tolist() == [["a", "update", 1], ["b", "update", 2]]
+    assert len(glob.glob(os.path.join(feed, "bucket=*", "*.parquet"))) == 2
+
+
 def test_feed_refused_with_pending_ddl(ray_session, tmp_path):
     from odibel_ray.cdc import alter_published
 

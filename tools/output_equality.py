@@ -15,7 +15,18 @@ Data), in ``<work>/driver`` and ``<work>/ray_data``:
   ``cluster_by`` and with a z-order;
 - on the plain one, a copy-on-write upsert with deletes and ``feed_dir``, a
   merge-on-read upsert with deletes and a compaction;
-- ``alter_published`` (rename and add), then ``materialize_ddl``.
+- ``alter_published`` (rename and add), then ``materialize_ddl``;
+- maintained tables over a 4-bucket transcript fact table and a tool
+  dimension (:func:`_maintained_sequence`): ``create_derived``,
+  ``create_view`` and ``create_join_view``, and a view over the derived
+  table; refreshes from an apply's feed (the derived ``feed`` strategy with
+  ``emit_feed``, the view's ``delta`` strategy, the join view's
+  ``left_feed``) and from snapshot diffs (left- and right-driven);
+  ``refresh_pipeline(chain_feeds=True)``; merge-on-read refreshes and a
+  compaction of the view; then a retention of one snapshot on the fact
+  table, so every pin expires, and a full refresh of each kind, the
+  derived one merge-on-read. Every op's result dict is written to
+  ``maintained-results.json``.
 
 It prints one JSON object, relative file path → digest, for every file
 under the tables and feed directories (staging directories aside: what a
@@ -126,6 +137,82 @@ def _sequence(work: str) -> None:
     sink.compact_published(plain, run_id="g-cmp")
     alter_published(plain, rename={"tag": "label"}, add={"note": "string"})
     materialize_ddl(plain, run_id="ddl")
+    _maintained_sequence(work, info["log_dir"])
+
+
+def _maintained_sequence(work: str, log_dir: str) -> None:
+    """The maintained-table part of the sequence, under ``work``."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from odibel_ray import datagen
+    from odibel_ray.cdc import (
+        create_derived,
+        create_join_view,
+        create_view,
+        refresh_derived,
+        refresh_join_view,
+        refresh_pipeline,
+        refresh_view,
+        sink,
+    )
+    from odibel_ray.oracle import replay_oracle
+
+    slices = datagen.slice_log(log_dir, os.path.join(work, "slices", "maintained"),
+                               [0.4, 0.55, 0.7, 0.85, 1.0])
+    fact, dim = os.path.join(work, "fact"), os.path.join(work, "dim")
+    derived, view, join, chained = (os.path.join(work, n)
+                                    for n in ("derived", "view", "joinview", "chained"))
+    sink.replay_publish(slices[0], fact, num_buckets=4, run_id="f0")
+    tools = sorted({t for t in replay_oracle(log_dir).column("tool_name").to_pylist() if t})
+    sink.publish_dataset(rd.from_arrow(pa.table({
+        "tool_name": tools, "tool_kind": [t.upper() for t in tools],
+        "weight": pa.array([len(t) for t in tools], pa.int64())})),
+        dim, key_cols=["tool_name"], num_buckets=2, run_id="d0")
+    results: dict = {}
+
+    def run(name, fn, *a, **kw):
+        results[name] = fn(*a, **kw)
+
+    run("create_derived", create_derived, fact, derived, run_id="c0", num_buckets=4,
+        transform={"where": [["score", ">=", 0.5]], "columns": ["role", "score", "tool_name"],
+                   "derive": {"text_len": ["len", "text"]}})
+    run("create_view", create_view, fact, view, group_keys=["role"], run_id="c0",
+        aggs={"n": ["count"], "s": ["sum", "score"], "m": ["mean", "score"]}, num_buckets=2)
+    run("create_join_view", create_join_view, fact, dim, join, on="tool_name",
+        left_columns=["role", "score"], num_buckets=4, run_id="c0")
+    run("create_chained", create_view, derived, chained, group_keys=["role"],
+        aggs={"n": ["count"], "mx": ["max", "text_len"]}, num_buckets=2, run_id="c0")
+
+    feed = os.path.join(work, "fact-feed")
+    sink.incremental_apply(slices[1], fact, run_id="a1", feed_dir=feed, feed_lsn=True,
+                           feed_values=["role", "score", "text", "tool_name"])
+    run("derived_feed", refresh_derived, derived, run_id="r1", strategy="feed", feed=feed,
+        emit_feed=os.path.join(work, "derived-feed"))
+    run("view_delta", refresh_view, view, run_id="r1", strategy="delta", feed=feed)
+    run("join_left_feed", refresh_join_view, join, run_id="r1", left_feed=feed)
+    run("chained_diff", refresh_view, chained, run_id="r1")
+    sink.upsert_published(rd.from_arrow(pa.table({
+        "tool_name": [tools[0]], "tool_kind": ["CHANGED"], "weight": pa.array([100], pa.int64())})),
+        dim, deletes=rd.from_arrow(pa.table({"tool_name": [tools[1]]})), run_id="u1")
+    run("join_right_diff", refresh_join_view, join, run_id="r2")
+    sink.incremental_apply(slices[2], fact, run_id="a2")
+    run("pipeline", refresh_pipeline, [derived, view, join, chained], run_id="p",
+        chain_feeds=True)
+    sink.incremental_apply(slices[3], fact, run_id="a3")
+    run("derived_mor", refresh_derived, derived, run_id="r3", mode="mor")
+    run("view_mor", refresh_view, view, run_id="r3", mode="mor")
+    run("view_compact", sink.compact_published, view, run_id="r3-cmp")
+    sink.enable_snapshots(fact, keep_last=1)
+    sink.incremental_apply(slices[4], fact, run_id="a4")
+    try:
+        run("derived_full_mor", refresh_derived, derived, run_id="r4", mode="mor")
+    except ValueError as e:  # recorded, so a refused refresh shows in the digest
+        results["derived_full_mor"] = {"error": f"{type(e).__name__}: {e}"}
+    run("view_full", refresh_view, view, run_id="r4")
+    run("join_full", refresh_join_view, join, run_id="r4")
+    with open(os.path.join(work, "maintained-results.json"), "w") as f:
+        json.dump(results, f, indent=1, sort_keys=True, default=str)
 
 
 def _digest_file(path: str, work: str) -> dict:
