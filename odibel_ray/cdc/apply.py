@@ -15,10 +15,12 @@ Pipeline shape (SURVEY.md §3.4):
                                                    #   + drop tombstones
 
 All kernels are zero-copy-Arrow/numpy vectorized; the per-key state of the
-reference's HashMap is replaced by a sort + neighbor-compare keep-last mask, so
-no Python loop ever touches rows. Ordering is re-established *explicitly* by the
-per-group sort (Ray Data gives no intra-block order guarantee — the reference
-leaned on ``sortWithinPartitions``, ``FlatPageRevisionPartitioner.scala:22-23``).
+reference's HashMap is replaced by one keep-last kernel
+(:func:`odibel_ray.cdc.lww.keep_last_indices`: a sort of integer key codes,
+then a neighbour compare), so no Python loop ever touches rows. Ordering is
+re-established *explicitly* by the per-group sort (Ray Data gives no
+intra-block order guarantee — the reference leaned on
+``sortWithinPartitions``, ``FlatPageRevisionPartitioner.scala:22-23``).
 
 Events for one key live in exactly one log partition, where ``lsn`` is strictly
 monotonic, so any key-aligned bucketing (``part`` itself, or
@@ -66,6 +68,20 @@ def bucket_of_conv(conv: np.ndarray, num_buckets: int) -> np.ndarray:
     return (pd.util.hash_array(conv, categorize=False) % np.uint64(num_buckets)).astype(np.int64)
 
 
+def _event_kinds(batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one validity mask of a log batch, as three boolean arrays:
+    ``key_valid`` (``conv_id`` and ``turn_idx`` both non-null), ``data``
+    (op is ``I``, ``U`` or ``D``) and ``schema`` (op is ``S``); a null op
+    is neither. :func:`prepare_events` keeps the ``key_valid & data`` rows;
+    :func:`dead_letter_batch` rejects every other row that is not
+    ``schema``."""
+    op = batch["op"]
+    key_valid = pc.and_(pc.is_valid(batch["conv_id"]), pc.is_valid(batch["turn_idx"]))
+    data = pc.is_in(op, value_set=pa.array(["I", "U", "D"], op.type))
+    schema = pc.fill_null(pc.equal(op, pa.scalar("S", op.type)), False)
+    return tuple(a.to_numpy(zero_copy_only=False) for a in (key_valid, data, schema))
+
+
 def prepare_events(
     batch: pa.Table,
     timeline: SchemaTimeline,
@@ -88,18 +104,15 @@ def prepare_events(
     batch = batch.combine_chunks()
     part = pc.cast(batch["part"], pa.int64()).to_numpy(zero_copy_only=False)
     lsn = batch["lsn"].to_numpy(zero_copy_only=False)
-    op = batch["op"].to_numpy(zero_copy_only=False)
-
-    conv = batch["conv_id"].to_numpy(zero_copy_only=False)
-    turn_valid = pc.is_valid(batch["turn_idx"]).to_numpy(zero_copy_only=False)
-    key_valid = (conv != None) & turn_valid  # noqa: E711
-    valid = key_valid & np.isin(op, ("I", "U", "D"))
+    key_valid, data, _ = _event_kinds(batch)
+    valid = key_valid & data
 
     score_added, tool_renamed = timeline.active_masks(part, lsn)
 
     if num_buckets is None:
         bucket = part
     else:
+        conv = batch["conv_id"].to_numpy(zero_copy_only=False)
         bucket = np.where(key_valid, bucket_of_conv(conv, num_buckets), 0)
 
     if watermarks is not None:
@@ -139,13 +152,9 @@ def dead_letter_batch(batch: pa.Table) -> pa.Table:
     ``unknown_op`` (op outside I/U/D/S) and ``null_key`` (data event with a
     null conv_id or turn_idx). Schema (S) events are not dead letters."""
     batch = batch.combine_chunks()
-    op = batch["op"].to_numpy(zero_copy_only=False)
-    conv = batch["conv_id"].to_numpy(zero_copy_only=False)
-    turn_valid = pc.is_valid(batch["turn_idx"]).to_numpy(zero_copy_only=False)
-    key_valid = (conv != None) & turn_valid  # noqa: E711
-    unknown = ~np.isin(op, ("I", "U", "D", "S"))
-    null_key = ~unknown & (op != "S") & ~key_valid
-    reject = unknown | null_key
+    key_valid, data, schema = _event_kinds(batch)
+    unknown = ~data & ~schema
+    reject = unknown | data & ~key_valid
     out = pa.table(
         {
             "part": pc.cast(batch["part"], pa.int64()),
@@ -836,15 +845,21 @@ def _wal_parts(log_dir: str) -> list[dict]:
 
 def _read_wal_part(part: int, files: list[str]) -> pa.Table:
     """Ordered read of one WAL shard's files, with its int64 ``part``
-    column. An empty ``part=<k>`` dir (producer died before its first file)
-    gives a typed empty batch, so the shard contributes schema, not a
-    concat crash."""
+    column. Each file is read whole through its own ``pq.ParquetFile``,
+    closed after the read: no ``pyarrow.dataset`` discovery or scanner is
+    built per file, as ``pq.read_table`` would. An empty ``part=<k>`` dir
+    (producer died before its first file) gives a typed empty batch, so the
+    shard contributes schema, not a concat crash."""
     import pyarrow.parquet as pq
 
     if not files:
         return _empty_log_table()
-    tables = [pq.read_table(f) for f in files]
-    t = pa.concat_tables(tables, promote_options="default").combine_chunks()
+
+    def read(f: str) -> pa.Table:
+        with pq.ParquetFile(f) as pf:
+            return pf.read()
+
+    t = pa.concat_tables(map(read, files), promote_options="default").combine_chunks()
     return t.append_column("part", pa.array(np.full(len(t), part, np.int64)))
 
 

@@ -23,7 +23,8 @@ is the row-level complement of :mod:`odibel_ray.cdc.mview` (aggregate IVM):
   - ``strategy='rescan'`` (default): collect the dirty KEY SET from the feed
     (or a snapshot diff), re-read only those base rows (guarded broadcast
     semi-join), re-apply the transform — dirty keys whose row vanished or no
-    longer passes the filter become deletes. Cost O(dirty keys), never
+    longer passes the filter become deletes of the ones the derived table
+    holds (a key-routed read of its keys). Cost O(dirty keys), never
     O(base); correct for any feed (telescoped state files included) because
     it reads the base's CURRENT rows.
   - ``strategy='feed'``: transform the feed's after-images directly — NO base
@@ -245,6 +246,29 @@ def _latest_transition(t: pa.Table, keys: list[str]) -> pa.Table:
     return t.filter(pa.array(keep))
 
 
+def _held(out_dir: str, deletes, keys: list[str]):
+    """The rows of ``deletes`` (a dataset of dirty keys that no longer pass)
+    whose key the derived table holds now: a refresh deletes only those, so
+    a key the table never held neither counts as a delete nor rewrites a
+    bucket. The table's keys are read routed on the first key column (an
+    ``in`` of the candidates' values: only the buckets and deltas whose key
+    filter admits one are opened), so the cost stays O(dirty keys). A
+    candidate with a null key column is kept with every other candidate,
+    as ``in`` and the key join never match a null."""
+    import ray.data as rd
+
+    from odibel_ray.cdc.sink import read_published
+    from odibel_ray.ops.relational import _small_table
+
+    cand = _small_table(deletes)
+    if not len(cand) or any(cand[k].null_count for k in keys):
+        return deletes
+    where = [(keys[0], "in", pc.unique(cand[keys[0]]).to_pylist())]
+    held = _small_table(read_published(out_dir, system=True, columns=keys, where=where))
+    held = pa.table({k: pc.cast(held[k], cand.schema.field(k).type) for k in keys})
+    return rd.from_arrow(cand.join(held, keys=keys, join_type="left semi"))
+
+
 def refresh_derived(
     out_dir: str,
     *,
@@ -355,9 +379,7 @@ def refresh_derived(
             batch_format="pyarrow",
             batch_size=batch_size,
         ).materialize()
-        # dirty keys not in updates: base row deleted OR fell out of the WHERE
         dirty = latest.select_columns(keys)
-        deletes = exact_dedup(broadcast_anti_join(dirty, updates, on=keys), keys)
     else:
         dirty = (
             feed_ds.map_batches(
@@ -375,8 +397,8 @@ def refresh_derived(
             batch_format="pyarrow",
             batch_size=batch_size,
         ).materialize()
-        deletes = exact_dedup(broadcast_anti_join(dirty, updates, on=keys), keys)
-
+    # dirty keys not in updates: base row deleted OR fell out of the WHERE
+    deletes = _held(out_dir, exact_dedup(broadcast_anti_join(dirty, updates, on=keys), keys), keys)
     return _converge(DERIVED, out_dir, meta, {"base_version": v1}, updates, deletes,
                      strategy=strategy, **write)
 

@@ -9,7 +9,9 @@ re-interpreted as a binlog) replays through the identical code path.
 Reference semantics being reproduced (see SURVEY.md §2.3):
 
 - per-key upsert state + keep-latest — ``TemporalWindowBuilder.scala:37-50``
-  (the HashMap ``put`` overwrite is our sort + neighbor-compare keep-last mask);
+  (the HashMap ``put`` overwrite is our keep-last kernel,
+  :func:`keep_last_indices`: one sort of integer key codes, then a
+  neighbour compare);
 - delete closes the key — tombstone rows dropped at convergence;
 - validity windows ``[lsn, next_lsn)`` with ``INT64_MAX`` open-window sentinel —
   ``TemporalWindowBuilder.scala:89-99`` / ``data/TemporalExtractionResult.scala:13``;
@@ -24,6 +26,7 @@ no intra-block order guarantee; SURVEY.md §7 "hard parts" (a)).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -72,22 +75,94 @@ def _same_next_key_mask(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
     return same
 
 
+def _coded(type_: pa.DataType) -> bool:
+    """Whether :func:`_codes` of a column of ``type_`` has the key equality
+    of :func:`_same_next_key_mask`. True for string, binary, integer,
+    temporal and boolean types. Not for floating-point ones: a dictionary
+    keeps -0.0 and 0.0 apart, where ``pc.equal`` has them equal, and folds
+    every NaN into one code, where NaN != NaN."""
+    return (pa.types.is_string(type_) or pa.types.is_large_string(type_)
+            or pa.types.is_binary(type_) or pa.types.is_large_binary(type_)
+            or pa.types.is_integer(type_) or pa.types.is_boolean(type_)
+            or pa.types.is_timestamp(type_) or pa.types.is_date(type_)
+            or pa.types.is_time(type_) or pa.types.is_duration(type_))
+
+
+def _codes(col: pa.ChunkedArray) -> tuple[np.ndarray, int]:
+    """Order-preserving int64 codes of ``col`` and their count: each value's
+    rank among its sorted distinct values, null one past the last, so codes
+    sort as ``pc.sort_indices`` sorts the values (nulls at the end)."""
+    enc = pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
+    m = len(enc.dictionary)
+    rank = np.empty(m, dtype=np.int64)
+    rank[pc.sort_indices(enc.dictionary).to_numpy()] = np.arange(m)
+    return rank[enc.indices.to_numpy()], m
+
+
+def keep_last_indices(t: pa.Table, keys: Sequence[str], lsn_col: str = "lsn") -> np.ndarray:
+    """Row indices of ``t``'s max-LSN row per key, in (key, LSN) order: the
+    LWW kernel of :func:`keep_last_per_key`. Reads only the key and LSN
+    columns. Null keys are one key; of two rows with the same key and LSN
+    the later one in ``t`` wins.
+
+    When every key and the LSN column has a :func:`_coded` type, each key
+    column becomes order-preserving int64 codes (:func:`_codes`; an
+    integer LSN with no nulls is its own code), the rows are ordered by
+    the codes and then by row number, and a row is its key's last when the
+    next row's key codes differ. The order is one ``np.sort`` of the codes
+    and row number packed into one int64 when they fit, else one stable
+    ``np.lexsort``. Any other type (floating-point, decimal, nested) takes
+    the Arrow path: a stable ``pc.sort_indices`` on the keys and LSN, then
+    :func:`_same_next_key_mask` on the sorted key columns."""
+    n = len(t)
+    if n <= 1:
+        return np.arange(n, dtype=np.int64)
+    cols = [*keys, lsn_col]
+    if not all(_coded(t.schema.field(c).type) for c in cols):
+        narrow = t.select(cols).combine_chunks()
+        order = pc.sort_indices(narrow, sort_keys=[(c, "ascending") for c in cols])
+        same = _same_next_key_mask(narrow.take(order), keys)
+        return order.to_numpy()[np.append(~same, True)]
+    col = t[lsn_col]
+    if pa.types.is_integer(col.type) and col.type != pa.uint64() and col.null_count == 0:
+        lsn = col.to_numpy().astype(np.int64, copy=False)
+        lo = int(lsn.min())
+        lsn_m = int(lsn.max()) - lo + 1
+    else:
+        (lsn, lsn_m), lo = _codes(col), 0
+    codes = [_codes(t[k]) for k in keys]
+    if n * lsn_m * math.prod(m for _, m in codes) < 1 << 63:
+        # key codes, LSN and row number in one int64 per row: distinct
+        # values, so an unstable sort gives the stable (key, LSN) order
+        key = np.zeros(n, dtype=np.int64)
+        for c, m in codes:
+            key = key * m + c
+        packed = np.sort((key * lsn_m + (lsn - lo)) * n + np.arange(n))
+        order, key = packed % n, packed // (lsn_m * n)
+        same = key[1:] == key[:-1]
+    else:
+        # lexsort sorts by its last key first
+        order = np.lexsort([lsn, *(c for c, _ in reversed(codes))])
+        same = np.ones(n - 1, dtype=bool)
+        for c, _ in codes:
+            s = c[order]
+            same &= s[1:] == s[:-1]
+    return order[np.append(~same, True)]
+
+
 def keep_last_per_key(t: pa.Table, keys: Sequence[str], lsn_col: str = "lsn") -> pa.Table:
-    """Sort by (keys, lsn) and keep the max-LSN row per key. Vectorized LWW,
-    and the one keep-last every bucket write runs (a transcript apply or
-    combiner, a base ∪ deltas merge, a generic upsert). Null keys are one
-    key (:func:`_same_next_key_mask`). The sort is stable, so of two rows
-    with the same key and LSN the later one in ``t`` wins. Rows are
-    returned in key order; tombstones are kept."""
+    """Keep the max-LSN row per key: vectorized LWW, and the one keep-last
+    every bucket write runs (a transcript apply or combiner, a base ∪
+    deltas merge, a generic upsert). One ``take`` of
+    :func:`keep_last_indices`, which orders the rows on order-preserving
+    integer codes of the key columns and the LSN, one numpy sort
+    (floating-point and other uncoded key types fall back to
+    ``pc.sort_indices``), so the wide columns are copied once. Null keys are one key. The sort is stable, so
+    of two rows with the same key and LSN the later one in ``t`` wins. Rows
+    are returned in key order; tombstones are kept."""
     if len(t) <= 1:
         return t
-    t = t.combine_chunks()
-    sort_keys = [(k, "ascending") for k in (*keys, lsn_col)]
-    t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
-    n = len(t)
-    mask = np.ones(n, dtype=bool)
-    mask[: n - 1] = ~_same_next_key_mask(t, keys)
-    return t.filter(pa.array(mask))
+    return t.take(keep_last_indices(t, keys, lsn_col))
 
 
 def lww_latest(

@@ -65,7 +65,7 @@ from odibel_ray.cdc.ddl import (
     SchemaMap,
     load_schema_meta,
 )
-from odibel_ray.cdc.lww import change_feed_group, keep_last_per_key
+from odibel_ray.cdc.lww import change_feed_group, keep_last_indices, keep_last_per_key
 from odibel_ray.cdc.schema import SchemaTimeline, extract_timeline
 
 MANIFEST_DIR = "_manifests"
@@ -158,6 +158,22 @@ def _leaf_paths(name: str, type_: pa.DataType) -> list[str]:
     return [name]
 
 
+def _few_distinct(col: pa.ChunkedArray) -> bool:
+    """Whether at most half of ``col``'s non-null values are distinct. The
+    values are hashed in two steps: the first ⌊n/2⌋+1 rows, whose distinct
+    count is a lower bound that already answers False for a column that
+    starts with that many distinct values, then, only if it does not, the
+    rest of the rows together with the first step's distinct values."""
+    n = len(col) - col.null_count
+    head = n // 2 + 1
+    # pc.unique (null counted as a value) hashes about twice as fast as
+    # pc.count_distinct
+    distinct = pc.unique(col.slice(0, head))
+    if 2 * (len(distinct) - distinct.null_count) <= n and len(col) > head:
+        distinct = pc.unique(pa.chunked_array([distinct, *col.slice(head).chunks], col.type))
+    return 2 * (len(distinct) - distinct.null_count) <= n
+
+
 def _write_data_file(table: pa.Table, path: str) -> None:
     """The one writer of every table data file (base, merge-on-read delta,
     compaction, change feed, generic bucket, DDL rewrite).
@@ -189,10 +205,7 @@ def _write_data_file(table: pa.Table, path: str) -> None:
             encoding[name] = "DELTA_BINARY_PACKED"
         elif (pa.types.is_string(t) or pa.types.is_large_string(t)
               or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
-            # pc.unique counts null as a value; it hashes about twice as
-            # fast as pc.count_distinct
-            distinct = len(pc.unique(col)) - (col.null_count > 0)
-            if 2 * distinct <= len(col) - col.null_count:
+            if _few_distinct(col):
                 dictionary.append(name)
         elif not (pa.types.is_floating(t) or pa.types.is_boolean(t)):
             dictionary.extend(_leaf_paths(name, t))
@@ -550,15 +563,16 @@ def _write_bucket(
     :func:`_write_events`, an upsert through :func:`_write_upsert`, a
     rebucket directly.
 
-    The group's LWW winners are one
-    :func:`~odibel_ray.cdc.lww.keep_last_per_key` of ``rows``. With
+    The group's LWW winners are the rows at one
+    :func:`~odibel_ray.cdc.lww.keep_last_indices` of ``rows``. With
     ``mor``, a bucket that has a base in ``bases`` (published bucket
     manifests, reduced to their file names and watermarks) stages the
     winners as a DELTA, tombstones retained — no base read, no base
     rewrite. Every other write stages the bucket's next base:
     :func:`merge_base_deltas` of the base, read with :func:`_read_bucket`,
     and the winners; a bucket with no base stages the winners without their
-    tombstones, and a generic table's base never gets ``_lsn`` or ``_op``.
+    tombstones (dropped from the indices, so the wide rows are taken once),
+    and a generic table's base never gets ``_lsn`` or ``_op``.
 
     A transcript write's watermarks are the per-part max ``_lsn`` of its
     rows and of the base rows it folds in (for a delta, merged with the
@@ -595,7 +609,7 @@ def _write_bucket(
     base = (bases or {}).get(bucket)
     delta = mor and base is not None
     old = None if delta or base is None else _read_bucket(out_dir, base, layout)
-    win = keep_last_per_key(rows, keys, "_lsn")
+    idx = keep_last_indices(rows, keys, "_lsn")
     kw = {"n_events": len(rows)}
     if system:
         wms = _bucket_watermarks(rows, *([] if old is None else [old]))
@@ -610,15 +624,18 @@ def _write_bucket(
     if delta:
         state = wms if system else [seq, run_id]
         tag = hashlib.sha1(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
-        return stage(win, delta_tag=tag)
+        return stage(rows.take(idx), delta_tag=tag)
     if old is None:
-        new = win.filter(pc.not_equal(win["_op"], "D"))
-        new = new.drop_columns(["_op"] if system else ["_op", "_lsn"])
+        # tombstones dropped in index space: the wide rows are taken once
+        live = pc.fill_null(pc.not_equal(rows["_op"].take(idx), "D"), False)
+        new = rows.drop_columns(["_op"] if system else ["_op", "_lsn"])
+        new = new.take(idx[live.to_numpy(zero_copy_only=False)])
     else:
-        new = merge_base_deltas(old, [win], keys=keys)
+        new = merge_base_deltas(old, [rows.take(idx)], keys=keys)
     if feed is None:
         return stage(new)
     cols = [*keys, *feed["values"]]
+    win = rows.select([*cols, "_lsn", "_op"]).take(idx)
     # only the keys the group carries can change: the base rows whose every
     # key column value occurs among them (a superset; the kernel leaves a
     # key with no winner unchanged)
@@ -626,7 +643,7 @@ def _write_bucket(
     for k in keys:
         carried = carried.filter(
             pc.is_in(carried[k], value_set=pc.unique(win[k]), skip_nulls=False))
-    sides = [(carried, -1), (win.select([*cols, "_lsn", "_op"]), 1)]
+    sides = [(carried, -1), (win, 1)]
     feed_t = change_feed_group(pa.concat_tables(
         [t.append_column("_side", pa.array(np.full(len(t), side, np.int64))) for t, side in sides],
         promote_options="default"), keys, feed["values"])

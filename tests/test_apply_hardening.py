@@ -113,3 +113,37 @@ def test_suggest_salt_scales_to_wal_partition_count(ray_session, tmp_path):
     # no salt is needed; the old cluster-derived divisor (≥8 buckets) would
     # have suggested salt ≈ 8 here
     assert s["salt"] == 0
+
+
+def test_prepare_and_dead_letters_partition_every_data_row():
+    """``prepare_events`` and ``dead_letter_batch`` share one validity mask:
+    on a log holding every malformed kind (null conv_id, null turn_idx, an
+    unknown op, a null op) plus ``S`` rows, the rows one keeps and the
+    other rejects partition the non-``S`` rows exactly, in both bucketing
+    branches, each reject with its reason."""
+    from odibel_ray.cdc.apply import dead_letter_batch, prepare_events
+    from odibel_ray.cdc.schema import SchemaTimeline
+
+    rows = [  # (op, conv_id, turn_idx, reason or None when kept)
+        ("I", "a", 0, None), ("U", "a", 0, None), ("D", "b", 1, None),
+        ("I", None, 0, "null_key"), ("U", "c", None, "null_key"), ("D", None, None, "null_key"),
+        ("X", "d", 0, "unknown_op"), (None, "e", 1, "unknown_op"), ("X", None, None, "unknown_op"),
+        ("S", None, None, None), ("S", "f", 2, None), ("I", "g", 3, None),
+    ]
+    n = len(rows)
+    cols = {f.name: pa.nulls(n, f.type) for f in LOG_SCHEMA}
+    cols.update(op=pa.array([r[0] for r in rows], pa.string()),
+                lsn=pa.array(np.arange(1, n + 1), pa.int64()),
+                conv_id=pa.array([r[1] for r in rows], pa.string()),
+                turn_idx=pa.array([r[2] for r in rows], pa.int32()),
+                schema_change=pa.array(
+                    ['{"kind": "noop"}' if r[0] == "S" else None for r in rows], pa.string()))
+    batch = pa.table(cols).append_column("part", pa.array(np.zeros(n, np.int64)))
+    data_lsns = {i + 1 for i, r in enumerate(rows) if r[0] != "S"}
+    dead = dead_letter_batch(batch)
+    want_dead = {i + 1: r[3] for i, r in enumerate(rows) if r[3]}
+    assert dict(zip(dead["lsn"].to_pylist(), dead["reason"].to_pylist())) == want_dead
+    for num_buckets in (None, 4):
+        kept = set(prepare_events(batch, SchemaTimeline(), num_buckets)["lsn"].to_pylist())
+        assert kept == {i + 1 for i, r in enumerate(rows) if r[0] != "S" and not r[3]}
+        assert kept.isdisjoint(want_dead) and kept | set(want_dead) == data_lsns

@@ -229,3 +229,26 @@ def test_default_columns_resolve_to_all(ray_session, based, tmp_path):
     exp = oracle[oracle["role"] == "assistant"]
     assert set(got.columns) == set(exp.columns)
     assert len(got) == len(exp)
+
+
+@pytest.mark.parametrize("strategy", ["rescan", "feed"])
+def test_refresh_deletes_only_keys_the_table_holds(ray_session, based, oracle_final, tmp_path,
+                                                   strategy):
+    """A dirty key that fails the WHERE is a delete only when the derived
+    table holds it: with a WHERE few rows pass, ``rows_deleted`` is exactly
+    the keys that left the table (so at most its row count), and the rows
+    still match the full recompute."""
+    spec = {**SPEC, "where": [["score", ">=", 0.9]]}
+    out = str(tmp_path / "dt")
+    create_derived(based["base"], out, transform=spec, num_buckets=4, run_id="d0")
+    before = {(r["conv_id"], r["turn_idx"]) for r in read_derived(out).take_all()}
+    feed = str(tmp_path / "feed")
+    incremental_apply(based["log"], based["base"], run_id="r2", feed_dir=feed,
+                      feed_values=FEED_VALUES)
+    r = refresh_derived(out, run_id="d1", strategy=strategy, feed=feed)
+    after = {(r["conv_id"], r["turn_idx"]) for r in read_derived(out).take_all()}
+    assert r["rows_deleted"] <= len(before)
+    assert r["rows_deleted"] == len(before - after)
+    want = replay_oracle(based["log"]).to_pandas()
+    want = want[want["score"] >= 0.9]
+    assert after == set(zip(want["conv_id"], want["turn_idx"]))

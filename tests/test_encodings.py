@@ -148,3 +148,37 @@ def test_default_encoded_files_mix_with_new_ones(ray_session, small_log, tmp_pat
     assert _published(out).equals(want)
     new = [os.path.join(out, m["file"]) for m in load_manifests(out).values()]
     assert not set(new) & set(old) and not any(_chunks(f)["_lsn"][1] for f in new)
+
+
+def test_distinct_count_early_exit_keeps_the_encodings(tmp_path):
+    """``_write_data_file`` stops hashing a flat string or binary column once
+    its first rows hold more than half its non-null values as distinct
+    values. The choice stays the full count's (a dictionary when at most
+    half the non-null values are distinct) on unique, half-distinct and
+    low-cardinality columns, with nulls, and on one whose repeats come
+    only after a unique first half."""
+    n = 40
+    cols = {
+        "unique": [f"u{i}" for i in range(n)],
+        "half": [f"h{i % (n // 2)}" for i in range(n)],
+        "half_plus_one": [f"p{min(i, n // 2)}" if i <= n // 2 else f"p{i - n // 2 - 1}"
+                          for i in range(n)],
+        "low": [f"l{i % 3}" for i in range(n)],
+        "unique_nulls": [None if i % 4 == 0 else f"n{i}" for i in range(n)],
+        "nulls_first": [None] * (n // 2) + [f"f{i}" for i in range(n // 2)],
+        "late_repeats": [f"r{i}" for i in range(n // 2)] + ["r0"] * (n // 2),
+        "all_null": [None] * n,
+        "binary_half": [b"%d" % (i % (n // 2)) for i in range(n)],
+    }
+    t = pa.table({k: pa.array(v, pa.binary() if k.startswith("binary") else pa.string())
+                  for k, v in cols.items()})
+    path = str(tmp_path / "f.parquet")
+    sink._write_data_file(t, path)
+    got = {k: dict_page for k, (_, dict_page) in _chunks(path).items()}
+    want = {k: 2 * len({v for v in vals if v is not None}) <= sum(v is not None for v in vals)
+            for k, vals in cols.items()}
+    assert want == {"unique": False, "half": True, "half_plus_one": False, "low": True,
+                    "unique_nulls": False, "nulls_first": False, "late_repeats": True,
+                    "all_null": True, "binary_half": True}
+    assert got == want
+    assert pq.read_table(path).equals(t)

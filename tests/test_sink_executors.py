@@ -324,8 +324,15 @@ def test_driver_cow_apply_reads_each_log_file_once(ray_session, small_log, oracl
             reads[source] += 1
         return real(source, *a, **k)
 
+    class CountedFile(pq.ParquetFile):  # a read through its own ParquetFile
+        def __init__(self, source, *a, **k):
+            if source in reads:
+                reads[source] += 1
+            super().__init__(source, *a, **k)
+
     with monkeypatch.context() as m:
         m.setattr(pq, "read_table", counted)
+        m.setattr(pq, "ParquetFile", CountedFile)
         res = incremental_apply(full, out, run_id="w1", mode="cow")
     assert res["executor"] == "driver" and res["touched"] > 0
     assert log_files and reads == dict.fromkeys(log_files, 1)

@@ -18,7 +18,7 @@ twice:
 - all threads (``time.process_time``): also pyarrow's pools, which the
   main-thread figure misses.
 
-Inclusive times nest (``keep_last_per_key`` runs inside ``_write_bucket``,
+Inclusive times nest (``keep_last_indices`` runs inside ``_write_bucket``,
 which runs inside ``_write_events``), so the rows do not add up to the op.
 
     python3 tools/profile_write.py [--seed 1] [--work DIR]
@@ -43,10 +43,13 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 TIMED = {
     "odibel_ray.cdc.sink": [
         "load_manifests", "_resolved_table", "extract_timeline", "_read_wal_part", "prepare_events",
-        "_split_by_bucket", "_write_events", "_write_bucket", "keep_last_per_key", "_read_bucket",
-        "merge_base_deltas", "_stage_bucket", "_write_data_file", "_publish_delta_row",
-        "_publish_base_row", "_sweep_bucket_versions", "_commit_table",
+        "_split_by_bucket", "_write_events", "_write_bucket", "keep_last_per_key",
+        "keep_last_indices", "_read_bucket", "merge_base_deltas", "_stage_bucket",
+        "_write_data_file", "_publish_delta_row", "_publish_base_row", "_sweep_bucket_versions",
+        "_commit_table",
     ],
+    # the kernel keep_last_per_key runs (a bucket write calls it directly)
+    "odibel_ray.cdc.lww": ["keep_last_indices"],
     "odibel_ray.cdc.skipping": ["bloom_filter"],
     "pyarrow.parquet": ["read_table", "read_metadata"],
 }
