@@ -24,8 +24,8 @@ is the row-level complement of :mod:`odibel_ray.cdc.mview` (aggregate IVM):
     (or a snapshot diff), re-read only those base rows (guarded broadcast
     semi-join), re-apply the transform — dirty keys whose row vanished or no
     longer passes the filter become deletes of the ones the derived table
-    holds (a key-routed read of its keys). Cost O(dirty keys), never
-    O(base); correct for any feed (telescoped state files included) because
+    holds (a key-routed read of its keys, O(dirty keys) when the first key
+    column is selective). Cost O(dirty keys), never O(base); correct for any feed (telescoped state files included) because
     it reads the base's CURRENT rows.
   - ``strategy='feed'``: transform the feed's after-images directly — NO base
     read at all, cost O(feed). Requires the feed to carry every transform
@@ -250,23 +250,27 @@ def _held(out_dir: str, deletes, keys: list[str]):
     """The rows of ``deletes`` (a dataset of dirty keys that no longer pass)
     whose key the derived table holds now: a refresh deletes only those, so
     a key the table never held neither counts as a delete nor rewrites a
-    bucket. The table's keys are read routed on the first key column (an
-    ``in`` of the candidates' values: only the buckets and deltas whose key
-    filter admits one are opened), so the cost stays O(dirty keys). A
-    candidate with a null key column is kept with every other candidate,
-    as ``in`` and the key join never match a null."""
-    import ray.data as rd
-
+    bucket. The candidates are collected under the broadcast limit and the
+    table's keys read routed on the first key column (an ``in`` of the
+    candidates' values: only the buckets and deltas whose key filter admits
+    one are opened), so the read is O(dirty keys) when that column is
+    selective. Every candidate is kept when they pass the broadcast limit
+    or one has a null key column (a key join never matches a null): a
+    delete of a key the table does not hold changes no row."""
     from odibel_ray.cdc.sink import read_published
-    from odibel_ray.ops.relational import _small_table
+    from odibel_ray.ops.relational import (
+        DEFAULT_BROADCAST_LIMIT,
+        _collect_small,
+        broadcast_semi_join,
+    )
 
-    cand = _small_table(deletes)
-    if not len(cand) or any(cand[k].null_count for k in keys):
+    deletes = deletes.materialize()
+    cand, _ = _collect_small(deletes, DEFAULT_BROADCAST_LIMIT)
+    if cand is None or not len(cand) or any(cand[k].null_count for k in keys):
         return deletes
     where = [(keys[0], "in", pc.unique(cand[keys[0]]).to_pylist())]
-    held = _small_table(read_published(out_dir, system=True, columns=keys, where=where))
-    held = pa.table({k: pc.cast(held[k], cand.schema.field(k).type) for k in keys})
-    return rd.from_arrow(cand.join(held, keys=keys, join_type="left semi"))
+    held = read_published(out_dir, system=True, columns=keys, where=where)
+    return broadcast_semi_join(deletes, held, on=keys)
 
 
 def refresh_derived(

@@ -99,30 +99,16 @@ def _codes(col: pa.ChunkedArray) -> tuple[np.ndarray, int]:
     return rank[enc.indices.to_numpy()], m
 
 
-def keep_last_indices(t: pa.Table, keys: Sequence[str], lsn_col: str = "lsn") -> np.ndarray:
-    """Row indices of ``t``'s max-LSN row per key, in (key, LSN) order: the
-    LWW kernel of :func:`keep_last_per_key`. Reads only the key and LSN
-    columns. Null keys are one key; of two rows with the same key and LSN
-    the later one in ``t`` wins.
-
-    When every key and the LSN column has a :func:`_coded` type, each key
-    column becomes order-preserving int64 codes (:func:`_codes`; an
-    integer LSN with no nulls is its own code), the rows are ordered by
-    the codes and then by row number, and a row is its key's last when the
-    next row's key codes differ. The order is one ``np.sort`` of the codes
-    and row number packed into one int64 when they fit, else one stable
-    ``np.lexsort``. Any other type (floating-point, decimal, nested) takes
-    the Arrow path: a stable ``pc.sort_indices`` on the keys and LSN, then
-    :func:`_same_next_key_mask` on the sorted key columns."""
+def _packed(t: pa.Table, keys: Sequence[str], lsn_col: str) -> tuple[np.ndarray, int] | None:
+    """Each row's key codes, LSN and row number packed into one int64, and
+    the stride ``s`` that recovers the key part (``packed // s``); None when
+    a key or the LSN column is not of a :func:`_coded` type or the packed
+    width would reach 2**63 (a very wide LSN span). An integer LSN with no
+    nulls is its own code. The packed values are distinct, so an unstable
+    sort of them gives the stable (key, LSN) order."""
     n = len(t)
-    if n <= 1:
-        return np.arange(n, dtype=np.int64)
-    cols = [*keys, lsn_col]
-    if not all(_coded(t.schema.field(c).type) for c in cols):
-        narrow = t.select(cols).combine_chunks()
-        order = pc.sort_indices(narrow, sort_keys=[(c, "ascending") for c in cols])
-        same = _same_next_key_mask(narrow.take(order), keys)
-        return order.to_numpy()[np.append(~same, True)]
+    if not all(_coded(t.schema.field(c).type) for c in (*keys, lsn_col)):
+        return None
     col = t[lsn_col]
     if pa.types.is_integer(col.type) and col.type != pa.uint64() and col.null_count == 0:
         lsn = col.to_numpy().astype(np.int64, copy=False)
@@ -131,23 +117,41 @@ def keep_last_indices(t: pa.Table, keys: Sequence[str], lsn_col: str = "lsn") ->
     else:
         (lsn, lsn_m), lo = _codes(col), 0
     codes = [_codes(t[k]) for k in keys]
-    if n * lsn_m * math.prod(m for _, m in codes) < 1 << 63:
-        # key codes, LSN and row number in one int64 per row: distinct
-        # values, so an unstable sort gives the stable (key, LSN) order
-        key = np.zeros(n, dtype=np.int64)
-        for c, m in codes:
-            key = key * m + c
-        packed = np.sort((key * lsn_m + (lsn - lo)) * n + np.arange(n))
-        order, key = packed % n, packed // (lsn_m * n)
-        same = key[1:] == key[:-1]
-    else:
-        # lexsort sorts by its last key first
-        order = np.lexsort([lsn, *(c for c, _ in reversed(codes))])
-        same = np.ones(n - 1, dtype=bool)
-        for c, _ in codes:
-            s = c[order]
-            same &= s[1:] == s[:-1]
-    return order[np.append(~same, True)]
+    if n * lsn_m * math.prod(m for _, m in codes) >= 1 << 63:
+        return None
+    key = np.zeros(n, dtype=np.int64)
+    for c, m in codes:
+        key = key * m + c
+    return (key * lsn_m + (lsn - lo)) * n + np.arange(n), lsn_m * n
+
+
+def keep_last_indices(t: pa.Table, keys: Sequence[str], lsn_col: str = "lsn") -> np.ndarray:
+    """Row indices of ``t``'s max-LSN row per key, in (key, LSN) order: the
+    LWW kernel of :func:`keep_last_per_key`. Reads only the key and LSN
+    columns. Null keys are one key; of two rows with the same key and LSN
+    the later one in ``t`` wins.
+
+    When every key and the LSN column has a :func:`_coded` type and their
+    codes fit in one int64 (:func:`_packed`), the rows are ordered by one
+    ``np.sort`` of the packed codes, and a row is its key's last when the
+    next row's key part differs. Otherwise (floating-point, decimal, nested
+    types, or a packed width past 2**63) the Arrow path runs: a stable
+    ``pc.sort_indices`` on the keys and LSN, then
+    :func:`_same_next_key_mask` on the sorted key columns."""
+    n = len(t)
+    if n <= 1:
+        return np.arange(n, dtype=np.int64)
+    packed = _packed(t, keys, lsn_col)
+    if packed is None:
+        cols = [*keys, lsn_col]
+        narrow = t.select(cols).combine_chunks()
+        order = pc.sort_indices(narrow, sort_keys=[(c, "ascending") for c in cols])
+        same = _same_next_key_mask(narrow.take(order), keys)
+        return order.to_numpy()[np.append(~same, True)]
+    rows, stride = packed
+    rows = np.sort(rows)
+    key = rows // stride
+    return (rows % n)[np.append(key[1:] != key[:-1], True)]
 
 
 def keep_last_per_key(t: pa.Table, keys: Sequence[str], lsn_col: str = "lsn") -> pa.Table:

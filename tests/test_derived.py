@@ -252,3 +252,23 @@ def test_refresh_deletes_only_keys_the_table_holds(ray_session, based, oracle_fi
     want = replay_oracle(based["log"]).to_pandas()
     want = want[want["score"] >= 0.9]
     assert after == set(zip(want["conv_id"], want["turn_idx"]))
+
+
+def test_refresh_deletes_past_the_broadcast_limit(ray_session, based, tmp_path, monkeypatch):
+    """Delete candidates that pass the broadcast limit are not collected to
+    the driver: every one is kept, and the rows still match the full
+    recompute."""
+    from odibel_ray.ops import relational
+
+    spec = {**SPEC, "where": [["score", ">=", 0.9]]}
+    out = str(tmp_path / "dt")
+    create_derived(based["base"], out, transform=spec, num_buckets=4, run_id="d0")
+    feed = str(tmp_path / "feed")
+    incremental_apply(based["log"], based["base"], run_id="r2", feed_dir=feed,
+                      feed_values=FEED_VALUES)
+    monkeypatch.setattr(relational, "DEFAULT_BROADCAST_LIMIT", 0)
+    refresh_derived(out, run_id="d1", strategy="feed", feed=feed)
+    after = {(r["conv_id"], r["turn_idx"]) for r in read_derived(out).take_all()}
+    want = replay_oracle(based["log"]).to_pandas()
+    want = want[want["score"] >= 0.9]
+    assert after == set(zip(want["conv_id"], want["turn_idx"]))

@@ -243,7 +243,7 @@ def test_keep_last_kernel_matches_reference_two_keys(types):
 
 def test_keep_last_kernel_lsn_edges():
     """A null LSN sorts last (the reference's nulls-at-end order), and an
-    LSN span too wide to pack with the key codes takes the lexsort path."""
+    LSN span too wide to pack with the key codes takes the Arrow path."""
     rng = np.random.default_rng(7)
     n = 40
     lsns = [
